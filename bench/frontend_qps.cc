@@ -30,13 +30,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "obs/metrics.h"
 #include "serve/frontend.h"
 #include "serve/harness.h"
@@ -467,15 +467,8 @@ int Run(const std::string& path, bool quick) {
                static_cast<unsigned long long>(quant.stats.sheds()),
                quant_mae, clean_mae, mae_delta, quant_accuracy_ok ? 1 : 0);
 
-  const std::filesystem::path out_path(path);
-  if (out_path.has_parent_path()) {
-    std::filesystem::create_directories(out_path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
+  std::ofstream out;
+  if (!bench::OpenReport(path, &out)) return 1;
   out << "{\n"
       << "  \"bench\": \"frontend_qps\",\n"
       << "  \"config\": {\"quick\": " << (quick ? "true" : "false")
@@ -547,17 +540,6 @@ int Run(const std::string& path, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path = "bench_out/perf_frontend.json";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--perf_json", 11) == 0) {
-      if (argv[i][11] == '=') path = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
-  return Run(path, quick);
+  return apots::bench::PerfMain(argc, argv, "bench_out/perf_frontend.json",
+                                Run);
 }

@@ -1,9 +1,11 @@
 // Inference latency/throughput benchmark for the batched zero-allocation
-// runtime (PR 3). Times repeated PredictKmh rounds over a fixed anchor set
-// under three arms and writes a machine-readable report (default
+// runtime. Times repeated PredictKmh rounds over a fixed anchor set under
+// the arms below and writes a machine-readable report (default
 // bench_out/perf_pr3.json) that CI archives and gates on:
-//   per_anchor        batch 1, allocating forward, no feature cache — the
-//                     seed's one-anchor-at-a-time deployment path
+//   per_anchor        one allocating (training-path) forward per anchor,
+//                     outside the runtime, no feature cache — the seed's
+//                     one-anchor-at-a-time deployment path and the bitwise
+//                     ground truth
 //   batched           batch 64, workspace arenas + feature cache, 1 thread
 //   batched_parallel  batch 64, workspace arenas + feature cache, batches
 //                     sharded across min(4, hardware_concurrency) threads
@@ -28,12 +30,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/apots_model.h"
 #include "data/windowing.h"
 #include "obs/metrics.h"
@@ -81,6 +83,8 @@ struct ArmSpec {
   /// Bitwise-identity arms (blocked fp32). SIMD/quantized arms are gated
   /// on mae_delta_kmh instead.
   bool exact;
+  /// Runs PerAnchorKmh instead of the runtime.
+  bool per_anchor = false;
 };
 
 struct ArmResult {
@@ -104,6 +108,20 @@ double MeanAbsError(const std::vector<double>& a,
   return a.empty() ? 0.0 : sum / static_cast<double>(a.size());
 }
 
+/// The seed path: one allocating (training-path) forward per anchor,
+/// assembled without a feature cache.
+std::vector<double> PerAnchorKmh(core::ApotsModel* model,
+                                 const std::vector<long>& anchors) {
+  std::vector<double> out;
+  out.reserve(anchors.size());
+  for (const long anchor : anchors) {
+    const tensor::Tensor pred = model->predictor().Forward(
+        model->assembler().BatchMatrix({anchor}), /*training=*/false);
+    out.push_back(model->assembler().UnscaleSpeed(pred[0]));
+  }
+  return out;
+}
+
 ArmResult RunArm(core::ApotsModel* model, const std::vector<long>& anchors,
                  const ArmSpec& spec,
                  const std::vector<double>& baseline) {
@@ -123,7 +141,8 @@ ArmResult RunArm(core::ApotsModel* model, const std::vector<long>& anchors,
   double total_seconds = 0.0;
   for (size_t round = 0; round < spec.rounds; ++round) {
     Stopwatch watch;
-    std::vector<double> pred = model->PredictKmh(anchors);
+    std::vector<double> pred = spec.per_anchor ? PerAnchorKmh(model, anchors)
+                                               : model->PredictKmh(anchors);
     const double seconds = watch.ElapsedSeconds();
     latency_ms.Record(seconds * 1e3);
     total_seconds += seconds;
@@ -136,11 +155,9 @@ ArmResult RunArm(core::ApotsModel* model, const std::vector<long>& anchors,
   result.p99_ms = latency_ms.Percentile(0.99);
   result.anchors_per_sec =
       static_cast<double>(anchors.size() * spec.rounds) / total_seconds;
-  if (auto* cache = model->inference_runtime().feature_cache()) {
-    const auto stats = cache->stats();
-    result.cache_hits = stats.hits;
-    result.cache_misses = stats.misses;
-  }
+  const auto stats = model->inference_runtime().feature_cache()->stats();
+  result.cache_hits = stats.hits;
+  result.cache_misses = stats.misses;
   tensor::SetKernelMode(tensor::KernelMode::kBlocked);
   ResetGlobalPool(1);
   return result;
@@ -161,15 +178,8 @@ int Run(const std::string& path, bool quick) {
 
   core::InferenceConfig per_anchor;
   per_anchor.batch_size = 1;
-  per_anchor.parallel = false;
-  per_anchor.use_workspace = false;
-  per_anchor.use_feature_cache = false;
 
-  core::InferenceConfig batched;  // defaults: B=64, workspace + cache
-  batched.parallel = false;
-
-  core::InferenceConfig batched_parallel;
-  batched_parallel.parallel = true;
+  const core::InferenceConfig batched;  // B=64; shards when threads > 1
 
   core::InferenceConfig int8_cfg = batched;
   int8_cfg.quantize = tensor::QuantMode::kInt8;
@@ -180,18 +190,18 @@ int Run(const std::string& path, bool quick) {
   const size_t fast_rounds = quick ? 4 : 24;
   using tensor::KernelMode;
   const ArmSpec arms[] = {
-      {"per_anchor", per_anchor, KernelMode::kBlocked, 1, slow_rounds, true},
+      {"per_anchor", per_anchor, KernelMode::kBlocked, 1, slow_rounds, true,
+       /*per_anchor=*/true},
       {"batched", batched, KernelMode::kBlocked, 1, fast_rounds, true},
-      {"batched_parallel", batched_parallel, KernelMode::kBlocked, threads,
+      {"batched_parallel", batched, KernelMode::kBlocked, threads,
        fast_rounds, true},
       {"simd", batched, KernelMode::kSimd, 1, fast_rounds, false},
       {"int8", int8_cfg, KernelMode::kSimd, 1, fast_rounds, false},
       {"fp16", fp16_cfg, KernelMode::kSimd, 1, fast_rounds, false},
   };
 
-  // Ground truth for the bitwise comparison: the seed-semantics arm.
-  model.SetInferenceConfig(per_anchor);
-  const std::vector<double> baseline = model.PredictKmh(anchors);
+  // Ground truth for the bitwise comparison: the seed path.
+  const std::vector<double> baseline = PerAnchorKmh(&model, anchors);
   // Ground truth for the accuracy band: the actual future speeds. The
   // accuracy cost of a reduced-precision arm is how much it moves the
   // model's error against reality, not how far its raw outputs drift.
@@ -229,15 +239,8 @@ int Run(const std::string& path, bool quick) {
     }
   }
 
-  const std::filesystem::path out_path(path);
-  if (out_path.has_parent_path()) {
-    std::filesystem::create_directories(out_path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
+  std::ofstream out;
+  if (!bench::OpenReport(path, &out)) return 1;
   out << "{\n"
       << "  \"bench\": \"infer_latency\",\n"
       << "  \"config\": {\n"
@@ -254,9 +257,8 @@ int Run(const std::string& path, bool quick) {
     out << "    {\"name\": \"" << r.spec.name
         << "\", \"batch_size\": " << r.spec.cfg.batch_size
         << ", \"threads\": " << r.spec.threads
-        << ", \"workspace\": " << (r.spec.cfg.use_workspace ? "true" : "false")
-        << ", \"feature_cache\": "
-        << (r.spec.cfg.use_feature_cache ? "true" : "false")
+        << ", \"workspace\": " << (r.spec.per_anchor ? "false" : "true")
+        << ", \"feature_cache\": " << (r.spec.per_anchor ? "false" : "true")
         << ", \"kernel\": \"" << tensor::KernelModeName(r.spec.mode)
         << "\", \"quantize\": \""
         << tensor::QuantModeName(r.spec.cfg.quantize)
@@ -302,17 +304,5 @@ int Run(const std::string& path, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path = "bench_out/perf_pr3.json";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--perf_json", 11) == 0) {
-      if (argv[i][11] == '=') path = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
-  return Run(path, quick);
+  return apots::bench::PerfMain(argc, argv, "bench_out/perf_pr3.json", Run);
 }

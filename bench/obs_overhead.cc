@@ -17,12 +17,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/apots_model.h"
 #include "data/windowing.h"
 #include "obs/metrics.h"
@@ -77,9 +76,7 @@ ArmResult RunArm(const char* name, core::ApotsModel* model,
   }
   // Fresh runtime per arm so cache warmth is identical across arms; one
   // untimed warm-up pass fills the feature cache and the arenas.
-  core::InferenceConfig batched;
-  batched.parallel = false;
-  model->SetInferenceConfig(batched);
+  model->SetInferenceConfig(core::InferenceConfig());
   TimedPass(model, anchors, 1);
 
   ArmResult result;
@@ -127,15 +124,8 @@ int Run(const std::string& path, bool quick) {
                  (arm.seconds / base - 1.0) * 100.0);
   }
 
-  const std::filesystem::path out_path(path);
-  if (out_path.has_parent_path()) {
-    std::filesystem::create_directories(out_path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
+  std::ofstream out;
+  if (!bench::OpenReport(path, &out)) return 1;
   out << "{\n"
       << "  \"bench\": \"obs_overhead\",\n"
       << "  \"config\": {\"quick\": " << (quick ? "true" : "false")
@@ -167,17 +157,5 @@ int Run(const std::string& path, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path = "bench_out/perf_obs.json";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--perf_json", 11) == 0) {
-      if (argv[i][11] == '=') path = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
-  return Run(path, quick);
+  return apots::bench::PerfMain(argc, argv, "bench_out/perf_obs.json", Run);
 }

@@ -17,11 +17,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/lstm.h"
@@ -243,15 +243,8 @@ int RunPerfJson(const std::string& path) {
   const size_t gate_n = 512;
   const double blocked_1t = seconds_of("blocked_1t", gate_n);
 
-  const std::filesystem::path out_path(path);
-  if (out_path.has_parent_path()) {
-    std::filesystem::create_directories(out_path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
+  std::ofstream out;
+  if (!apots::bench::OpenReport(path, &out)) return 1;
   out << "{\n"
       << "  \"bench\": \"ops_microbench\",\n"
       << "  \"op\": \"matmul\",\n"

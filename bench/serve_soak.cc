@@ -21,12 +21,12 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "obs/metrics.h"
 #include "serve/harness.h"
 #include "util/stopwatch.h"
@@ -248,15 +248,8 @@ int Run(const std::string& path, bool quick) {
                corrupt_ok ? 1 : 0,
                static_cast<unsigned long long>(fell_back_to));
 
-  const std::filesystem::path out_path(path);
-  if (out_path.has_parent_path()) {
-    std::filesystem::create_directories(out_path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
+  std::ofstream out;
+  if (!bench::OpenReport(path, &out)) return 1;
   out << "{\n"
       << "  \"bench\": \"serve_soak\",\n"
       << "  \"config\": {\"quick\": " << (quick ? "true" : "false")
@@ -299,17 +292,5 @@ int Run(const std::string& path, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path = "bench_out/perf_pr4.json";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--perf_json", 11) == 0) {
-      if (argv[i][11] == '=') path = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
-  return Run(path, quick);
+  return apots::bench::PerfMain(argc, argv, "bench_out/perf_pr4.json", Run);
 }

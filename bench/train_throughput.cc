@@ -29,13 +29,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/adversarial_trainer.h"
 #include "core/apots_model.h"
 #include "data/windowing.h"
@@ -230,15 +230,8 @@ int RunPerfJson(const std::string& path) {
     std::exit(1);
   };
 
-  const std::filesystem::path out_path(path);
-  if (out_path.has_parent_path()) {
-    std::filesystem::create_directories(out_path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
+  std::ofstream out;
+  if (!bench::OpenReport(path, &out)) return 1;
   out << "{\n"
       << "  \"bench\": \"train_throughput\",\n"
       << "  \"config\": {\n"

@@ -25,13 +25,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "data/context.h"
 #include "serve/frontend.h"
 #include "serve/harness.h"
@@ -305,15 +305,8 @@ int Run(const std::string& path, bool quick) {
   const uint64_t unknown =
       harness->model().inference_runtime().unknown_context_items();
 
-  const std::filesystem::path out_path(path);
-  if (out_path.has_parent_path()) {
-    std::filesystem::create_directories(out_path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
+  std::ofstream out;
+  if (!bench::OpenReport(path, &out)) return 1;
   out << "{\n"
       << "  \"bench\": \"whatif_fanout\",\n"
       << "  \"config\": {\"quick\": " << (quick ? "true" : "false")
@@ -356,17 +349,5 @@ int Run(const std::string& path, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path = "bench_out/perf_whatif.json";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--perf_json", 11) == 0) {
-      if (argv[i][11] == '=') path = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
-  return Run(path, quick);
+  return apots::bench::PerfMain(argc, argv, "bench_out/perf_whatif.json", Run);
 }

@@ -12,11 +12,12 @@
 #   lane 2 — sanitized: ASan+UBSan build of the robustness-critical suites
 #            (fault injection / imputation, the training guard, the
 #            checkpoint/serialization layer, the serving stack + front door,
-#            the parallel execution layer, and the SIMD/quantized kernel
-#            layer), which exercise the code paths that write through masks,
-#            restore checkpointed tensors, parse untrusted checkpoint bytes,
-#            share work across pool threads, and write packed panels at
-#            ragged tile edges.
+#            the parallel execution layer, the SIMD/quantized kernel
+#            layer, and the inference path), which exercise the code paths
+#            that write through masks, restore checkpointed tensors, parse
+#            untrusted checkpoint bytes, share work across pool threads,
+#            write packed panels at ragged tile edges, and serve every
+#            prediction from dirty arena slots.
 #   lane 3 — TSan: -DAPOTS_SANITIZE=thread build of the thread-pool,
 #            parallel-determinism, serving-watchdog, MPSC-queue, and
 #            frontend suites (the code that runs more than one thread), plus
@@ -77,6 +78,10 @@ frontdoor_regex='MpscQueue|Frontend'
 # sampler thread against the shared VirtualClock), and the chaos
 # scheduler/driver that tears replicas down mid-serve.
 sharded_regex='RoadGraph|PartitionTest|ShardedService|ParseChaosKinds|ChaosScheduler|ChaosDriver'
+# The inference path: every prediction runs the workspace-arena forward,
+# whose slots are handed out dirty — the runtime, the arena itself, the
+# what-if context batches, and the attackers' secondary runtimes.
+arena_regex='InferenceRuntime|InferenceConfigGuard|WorkspaceTest|ContextSpec|ContextTable|ContextAssembly|ContextRuntime|PlausibilityBudget|AttackerTest|ResidualDetector|RdatDefense'
 
 if [[ ${lane_tier1} -eq 1 ]]; then
   echo "=== lane 1: tier-1 (Release build + labeled ctest) ==="
@@ -90,15 +95,16 @@ if [[ ${lane_tier1} -eq 1 ]]; then
 fi
 
 if [[ ${lane_asan} -eq 1 ]]; then
-  echo "=== lane 2: ASan+UBSan (fault injector, train guard, parallel suites) ==="
+  echo "=== lane 2: ASan+UBSan (fault injector, train guard, parallel, inference suites) ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAPOTS_SANITIZE=address
   cmake --build build-asan -j --target fault_injector_test train_guard_test \
     thread_pool_test parallel_determinism_test checkpoint_test \
     feature_cache_stream_test serve_test obs_metrics_test obs_trace_test \
     mpsc_queue_test frontend_test kernel_equivalence_test quant_kernel_test \
-    road_graph_test sharded_service_test chaos_test
+    road_graph_test sharded_service_test chaos_test inference_runtime_test \
+    workspace_test context_test attack_test
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R "FaultInjector|FaultKinds|ValidityMask|Imputation|FeatureAssemblerMask|TrafficDatasetBounds|TrainGuard|GuardedTraining|SerializeV2|CheckpointStore|KillRestore|FeatureCacheKey|FeatureCacheStream|FaultyFeed|StreamIngestor|ServeWatchdog|Supervisor|Harness|${parallel_regex}|${obs_regex}|${frontdoor_regex}|${kernel_regex}|${sharded_regex}"
+    -R "FaultInjector|FaultKinds|ValidityMask|Imputation|FeatureAssemblerMask|TrafficDatasetBounds|TrainGuard|GuardedTraining|SerializeV2|CheckpointStore|KillRestore|FeatureCacheKey|FeatureCacheStream|FaultyFeed|StreamIngestor|ServeWatchdog|Supervisor|Harness|${parallel_regex}|${obs_regex}|${frontdoor_regex}|${kernel_regex}|${sharded_regex}|${arena_regex}"
 fi
 
 if [[ ${lane_tsan} -eq 1 ]]; then

@@ -17,7 +17,6 @@ namespace apots::attack {
 namespace {
 
 using apots::core::ApotsModel;
-using apots::core::InferenceConfig;
 using apots::core::InferenceRuntime;
 using apots::data::FeatureAssembler;
 using apots::tensor::Tensor;
@@ -83,13 +82,12 @@ Status MakeContext(ApotsModel* model, const std::vector<long>& anchors,
   ctx->assembler = std::make_unique<FeatureAssembler>(
       ctx->attacked.get(), clean_assembler.config());
   ctx->assembler->Fit();
-  // Loss queries ride the batched zero-alloc path; the feature cache is
-  // off because the attacked dataset mutates every iteration and a stale
-  // column would silently skew the loss.
-  InferenceConfig inference;
-  inference.use_feature_cache = false;
+  // Loss queries ride the batched zero-alloc path at the precision the
+  // model serves: the attack probes the deployed model, and a runtime in
+  // any other precision would re-pack the shared predictor under the
+  // serving runtime's feet.
   ctx->runtime = std::make_unique<InferenceRuntime>(
-      &model->predictor(), ctx->assembler.get(), inference);
+      &model->predictor(), ctx->assembler.get(), model->config().inference);
   ctx->targets = clean_assembler.BatchTargets(ctx->anchors);
   ctx->target_road = clean_assembler.target_road();
   ctx->num_adjacent = clean_assembler.config().num_adjacent;
@@ -114,7 +112,8 @@ Result<PerturbationPlan> MakePlan(const AttackContext& ctx,
 }
 
 /// Rewrites the attacked copy as clean + plan (clamped) over the plan
-/// rectangle. Cells the plan zeroed are restored to clean.
+/// rectangle. Cells the plan zeroed are restored to clean. The runtime's
+/// cached columns go stale with the rewrite, so they are dropped.
 void RewriteAttacked(AttackContext* ctx, const PerturbationPlan& plan,
                      const PlausibilityBudget& budget) {
   for (int road = plan.road_lo(); road <= plan.road_hi(); ++road) {
@@ -126,6 +125,7 @@ void RewriteAttacked(AttackContext* ctx, const PerturbationPlan& plan,
       ctx->attacked->SetSpeed(road, t, poisoned);
     }
   }
+  ctx->runtime->InvalidateCache();
 }
 
 /// Scaled-space MSE of the runtime's predictions against clean targets,

@@ -42,8 +42,8 @@ struct AttackStats {
 /// generators attack the *speed matrix* — the cells feeding the anchors'
 /// input windows — under the sensor-plausibility budget, and evaluate
 /// candidate perturbations through the zero-alloc InferenceRuntime (the
-/// same batched path serving uses, so loss numbers are the serving
-/// numbers). The model and its dataset binding are read-only: attackers
+/// same batched path and precision serving uses, so loss numbers are the
+/// serving numbers). The model and its dataset binding are read-only: attackers
 /// work on an internal dataset copy and return a PerturbationPlan the
 /// caller can apply wherever it wants (poisoned feed, corrupted copy).
 ///

@@ -16,7 +16,6 @@ namespace {
 
 using apots::core::ApotsConfig;
 using apots::core::ApotsModel;
-using apots::core::InferenceConfig;
 using apots::core::InferenceRuntime;
 using apots::data::FeatureAssembler;
 using apots::tensor::Tensor;
@@ -126,12 +125,12 @@ Result<DefenseReport> RdatDefense::Run(
     FeatureAssembler attacked_assembler(&attacked,
                                         clean_assembler.config());
     attacked_assembler.Fit();
-    InferenceConfig inference;
-    inference.use_feature_cache = false;
     std::vector<long> finetune = train_anchors;
     if (config_.resample_copies > 0 && config_.resample_fraction > 0.0f) {
+      // The served precision: any other would re-pack the shared
+      // predictor under the serving runtime's feet.
       InferenceRuntime runtime(&model->predictor(), &attacked_assembler,
-                               inference);
+                               model->config().inference);
       const Tensor pred = runtime.Predict(attacked_anchors);
       const Tensor targets =
           clean_assembler.BatchTargets(attacked_anchors);

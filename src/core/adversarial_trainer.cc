@@ -451,20 +451,4 @@ Result<TrainReport> AdversarialTrainer::TrainGuarded(
   return report;
 }
 
-Tensor AdversarialTrainer::Predict(const std::vector<long>& anchors) {
-  // Chunked inference keeps peak memory bounded on large test sets.
-  constexpr size_t kChunk = 512;
-  Tensor out({anchors.size(), 1});
-  for (size_t start = 0; start < anchors.size(); start += kChunk) {
-    const size_t end = std::min(anchors.size(), start + kChunk);
-    const std::vector<long> chunk(anchors.begin() + start,
-                                  anchors.begin() + end);
-    const Tensor inputs = assembler_->BatchMatrix(chunk);
-    const Tensor outputs = predictor_->Forward(inputs, /*training=*/false);
-    std::copy(outputs.data(), outputs.data() + (end - start),
-              out.data() + start);
-  }
-  return out;
-}
-
 }  // namespace apots::core

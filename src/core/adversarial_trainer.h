@@ -123,9 +123,6 @@ class AdversarialTrainer {
   /// (e.g. checkpoint/model mismatch) come back as an error Status.
   Result<TrainReport> TrainGuarded(const std::vector<long>& train_anchors);
 
-  /// Predictions for `anchors` as a [N, 1] tensor (scaled space).
-  Tensor Predict(const std::vector<long>& anchors);
-
   /// The predicted sequence S-hat_{t-a+b+1 : t+b} for each anchor
   /// ([N, alpha]); each column is one predictor invocation. `training`
   /// selects whether the predictor caches for backward.

@@ -96,10 +96,10 @@ class ApotsModel {
   /// How many of the last PredictKmh anchors used the fallback.
   size_t last_fallback_count() const { return last_fallback_count_; }
 
-  /// Swaps the inference configuration (batch size, parallelism,
-  /// workspace/cache toggles), rebuilding the runtime. Predictions are
-  /// bitwise identical under every configuration; this is how benches and
-  /// tests switch arms on one trained model.
+  /// Swaps the inference configuration (batch size, precision),
+  /// rebuilding the runtime with a cold cache. fp32 predictions are
+  /// bitwise identical at every batch size; this is how benches and tests
+  /// switch arms on one trained model.
   void SetInferenceConfig(const InferenceConfig& config);
   InferenceRuntime& inference_runtime() { return *runtime_; }
 

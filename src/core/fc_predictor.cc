@@ -31,8 +31,8 @@ Tensor FcPredictor::Forward(const Tensor& batch, bool training) {
 }
 
 const Tensor* FcPredictor::Forward(const Tensor& batch, bool training,
-                                   apots::tensor::Workspace* ws) {
-  if (training) return Predictor::Forward(batch, training, ws);
+                                   apots::tensor::Workspace* ws) const {
+  APOTS_CHECK(!training);
   APOTS_CHECK_EQ(batch.rank(), 3u);
   APOTS_CHECK_EQ(batch.dim(1), num_rows_);
   APOTS_CHECK_EQ(batch.dim(2), alpha_);

@@ -21,7 +21,7 @@ class HybridPredictor : public Predictor {
 
   Tensor Forward(const Tensor& batch, bool training) override;
   const Tensor* Forward(const Tensor& batch, bool training,
-                        apots::tensor::Workspace* ws) override;
+                        apots::tensor::Workspace* ws) const override;
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(apots::tensor::QuantMode mode) override {
     conv_.PrepareQuantized(mode);  // conv layers no-op; Dense head packs

@@ -41,19 +41,6 @@ Status ValidateInferenceConfig(const InferenceConfig& config) {
         "InferenceConfig.batch_size must be positive (the batch grid "
         "divides the anchor count by it)");
   }
-  if (config.use_feature_cache && config.cache_capacity == 0) {
-    return Status::InvalidArgument(
-        "InferenceConfig.cache_capacity must be positive when "
-        "use_feature_cache is set (an LRU of capacity 0 cannot hold any "
-        "column); either raise it or disable the cache");
-  }
-  if (config.quantize != apots::tensor::QuantMode::kOff &&
-      !config.use_workspace) {
-    return Status::InvalidArgument(
-        "InferenceConfig.quantize requires use_workspace (only the "
-        "workspace forward consults packed weights; the allocating "
-        "forward would silently serve fp32 under a quantized label)");
-  }
   return Status::Ok();
 }
 
@@ -62,19 +49,6 @@ InferenceConfig SanitizeInferenceConfig(InferenceConfig config) {
     APOTS_LOG(Warning)
         << "InferenceConfig.batch_size of 0 clamped to 1 (per-anchor)";
     config.batch_size = 1;
-  }
-  if (config.use_feature_cache && config.cache_capacity == 0) {
-    APOTS_LOG(Warning) << "InferenceConfig.cache_capacity of 0 disables the "
-                          "feature cache";
-    config.use_feature_cache = false;
-  }
-  if (config.quantize != apots::tensor::QuantMode::kOff &&
-      !config.use_workspace) {
-    APOTS_LOG(Warning)
-        << "InferenceConfig.quantize="
-        << apots::tensor::QuantModeName(config.quantize)
-        << " needs use_workspace; falling back to fp32 (quantize=off)";
-    config.quantize = apots::tensor::QuantMode::kOff;
   }
   return config;
 }
@@ -87,10 +61,6 @@ InferenceRuntime::InferenceRuntime(
       config_(SanitizeInferenceConfig(config)) {
   APOTS_CHECK(predictor != nullptr);
   APOTS_CHECK(assembler != nullptr);
-  if (config_.use_feature_cache) {
-    cache_ = std::make_unique<apots::data::FeatureCache>(
-        config_.cache_capacity);
-  }
   // Apply the precision mode unconditionally: packing for kInt8/kFp16,
   // dropping any packed copies for kOff. A predictor follows the most
   // recently constructed runtime — leaving stale packs active would serve
@@ -113,9 +83,7 @@ void InferenceRuntime::ForEachBatch(
   }
 }
 
-void InferenceRuntime::InvalidateCache() {
-  if (cache_ != nullptr) cache_->Invalidate();
-}
+void InferenceRuntime::InvalidateCache() { cache_.Invalidate(); }
 
 size_t InferenceRuntime::workspace_high_water_floats() const {
   return workspaces_.empty() ? 0 : workspaces_[0]->high_water_floats();
@@ -173,28 +141,8 @@ Tensor InferenceRuntime::PredictImpl(
   const size_t alpha = static_cast<size_t>(assembler_->alpha());
   const size_t num_batches = NumBatches(count);
 
-  if (!config_.use_workspace) {
-    // Baseline path, seed semantics: allocating assembly + allocating
-    // forward. The allocating forward writes layer caches, so this path is
-    // strictly serial regardless of `parallel`.
-    ForEachBatch(count, [&](size_t, size_t lo, size_t hi) {
-      obs::TraceSpan batch_span("infer.batch");
-      obs::ScopedTimer batch_timer(InferMetrics::Get().batch_ms);
-      InferMetrics::Get().batches.Add();
-      Tensor inputs({hi - lo, rows, alpha});
-      assembler_->AssembleBatchInto(
-          anchors + lo, contexts == nullptr ? nullptr : contexts + lo,
-          hi - lo, cache_.get(), &inputs);
-      const Tensor outputs = predictor_->Forward(inputs, /*training=*/false);
-      std::copy(outputs.data(), outputs.data() + (hi - lo),
-                out.data() + lo);
-    });
-    return out;
-  }
-
   apots::ThreadPool& pool = apots::GlobalPool();
-  const bool parallel =
-      config_.parallel && pool.num_threads() > 1 && num_batches > 1;
+  const bool parallel = pool.num_threads() > 1 && num_batches > 1;
   // Grow the arena set on this thread before entering the parallel region;
   // workers then only touch their own slot.
   const size_t num_workers = parallel ? pool.num_threads() : 1;
@@ -211,7 +159,7 @@ Tensor InferenceRuntime::PredictImpl(
     Tensor* inputs = ws->Acquire({hi - lo, rows, alpha});
     assembler_->AssembleBatchInto(
         anchors + lo, contexts == nullptr ? nullptr : contexts + lo,
-        hi - lo, cache_.get(), inputs);
+        hi - lo, &cache_, inputs);
     const Tensor* outputs =
         predictor_->Forward(*inputs, /*training=*/false, ws);
     // Disjoint output range per batch: writes never race and land at the

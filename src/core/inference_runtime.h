@@ -14,48 +14,24 @@
 
 namespace apots::core {
 
-/// Knobs of the batched inference path. The defaults are the fast
-/// configuration; the bench arms toggle them off to reproduce the
-/// per-anchor baseline. Every combination with `quantize == kOff`
-/// produces bitwise identical predictions — those switches trade only
-/// speed and memory. Reduced-precision modes trade bitwise equality for
-/// a benched accuracy band (MAE delta vs fp32 gated in CI).
+/// Knobs of the batched inference path. Under `quantize == kOff` every
+/// batch size produces bitwise identical predictions — it trades only
+/// speed and memory. Reduced-precision modes trade bitwise equality for a
+/// benched accuracy band (MAE delta vs fp32 gated in CI).
 struct InferenceConfig {
-  /// Anchors packed into one predictor forward. 1 reproduces the
-  /// per-anchor baseline shape.
+  /// Anchors packed into one predictor forward.
   size_t batch_size = 64;
-  /// Shard anchor batches across the global ThreadPool. Only effective
-  /// together with `use_workspace` (the allocating forward mutates layer
-  /// caches and is not reentrant); output ordering is deterministic
-  /// because every batch writes a disjoint, position-fixed output range.
-  bool parallel = true;
-  /// Borrow activations from per-worker Workspace arenas instead of
-  /// allocating per forward (zero heap traffic in steady state).
-  bool use_workspace = true;
-  /// Serve per-interval feature columns from an LRU cache, exploiting the
-  /// alpha-1 window overlap between adjacent anchors.
-  bool use_feature_cache = true;
-  /// Cache entries (per-interval columns) kept before LRU eviction.
-  size_t cache_capacity = 8192;
   /// Inference weight precision (tensor::QuantMode). Non-kOff modes pack
-  /// the predictor's matmul weights at runtime construction and require
-  /// `use_workspace` (only the workspace forward consults packed
-  /// weights; silently serving fp32 under a quantized label would be
-  /// worse than rejecting).
+  /// the predictor's matmul weights at runtime construction.
   apots::tensor::QuantMode quantize = apots::tensor::QuantMode::kOff;
 };
 
-/// Rejects configurations the runtime cannot honor as written:
-/// `batch_size == 0` (the batch grid divides by it), `cache_capacity == 0`
-/// with the cache enabled (an LRU that can hold nothing), and a non-kOff
-/// `quantize` with `use_workspace` off (the allocating forward has no
-/// quantized path). Returns InvalidArgument naming the offending field.
+/// Rejects `batch_size == 0` (the batch grid divides by it) with an
+/// InvalidArgument naming the field.
 Status ValidateInferenceConfig(const InferenceConfig& config);
 
-/// Clamps edge values to the nearest working configuration instead of
-/// rejecting: `batch_size` 0 → 1, `cache_capacity` 0 disables the
-/// feature cache, and a non-kOff `quantize` without `use_workspace`
-/// falls back to kOff. The result always passes ValidateInferenceConfig.
+/// Clamps `batch_size` 0 to 1 instead of rejecting. The result always
+/// passes ValidateInferenceConfig.
 InferenceConfig SanitizeInferenceConfig(InferenceConfig config);
 
 /// One inference work item: an anchor plus the counterfactual context it
@@ -69,19 +45,29 @@ struct WorkItem {
 };
 
 /// Batched multi-anchor inference engine: packs anchor windows into
-/// [batch_size, rows, alpha] tensors, forwards whole batches through the
-/// tiled kernels on workspace arenas, and shards batches across the
-/// ThreadPool. Deterministic contract (see DESIGN.md §10): the batch grid
-/// depends only on (N, batch_size), every batch owns a disjoint output
-/// range, and the workspace forward is bitwise identical to the allocating
-/// forward — so predictions match the per-anchor path bit for bit at any
-/// batch size, thread count, and cache temperature.
+/// [batch_size, rows, alpha] tensors, assembles them through a feature
+/// cache, forwards whole batches through the predictor's inference
+/// forward on workspace arenas, and shards batches across the global
+/// ThreadPool whenever it has more than one thread. Deterministic contract
+/// (see DESIGN.md §10): the batch grid depends only on (N, batch_size),
+/// every batch owns a disjoint output range, and the inference forward is
+/// bitwise identical to the allocating training forward — so predictions
+/// match a per-anchor training-forward loop bit for bit at any batch
+/// size, pool size, and cache temperature.
 ///
 /// The predictor and assembler are borrowed and must outlive the runtime.
 /// Predict must not run concurrently with training steps on the same
 /// predictor (training mutates weights); concurrent Predict calls are safe.
 class InferenceRuntime {
  public:
+  /// Feature-cache entries (per-interval columns) kept before LRU eviction.
+  static constexpr size_t kFeatureCacheCapacity = 8192;
+
+  /// Prepares the predictor for `config.quantize` — packing for kInt8 /
+  /// kFp16, dropping packed copies for kOff. A predictor serves the
+  /// precision of the most recently constructed runtime, so a secondary
+  /// runtime on a served predictor must take the serving config's
+  /// precision.
   InferenceRuntime(Predictor* predictor,
                    const apots::data::FeatureAssembler* assembler,
                    InferenceConfig config);
@@ -121,13 +107,12 @@ class InferenceRuntime {
                     const std::function<void(size_t, size_t, size_t)>& fn)
       const;
 
-  /// Drops cached feature columns (call after the dataset is mutated,
-  /// e.g. by fault injection). No-op without a cache.
+  /// Drops cached feature columns. Callers that mutate the assembler's
+  /// dataset must call it before the next Predict.
   void InvalidateCache();
 
   const InferenceConfig& config() const { return config_; }
-  /// Null when `use_feature_cache` is false.
-  apots::data::FeatureCache* feature_cache() { return cache_.get(); }
+  apots::data::FeatureCache* feature_cache() { return &cache_; }
   /// Arena high-water mark of worker 0 (diagnostics; 0 before first use).
   size_t workspace_high_water_floats() const;
 
@@ -143,7 +128,7 @@ class InferenceRuntime {
   const apots::data::ContextTable* context_table_ = nullptr;  // not owned
   uint64_t unknown_context_items_ = 0;
   InferenceConfig config_;
-  std::unique_ptr<apots::data::FeatureCache> cache_;
+  apots::data::FeatureCache cache_{kFeatureCacheCapacity};
   /// Per-ThreadPool-worker arenas, grown on the main thread before any
   /// parallel region so workers never mutate the vector concurrently.
   std::vector<std::unique_ptr<apots::tensor::Workspace>> workspaces_;

@@ -20,7 +20,7 @@ class LstmPredictor : public Predictor {
 
   Tensor Forward(const Tensor& batch, bool training) override;
   const Tensor* Forward(const Tensor& batch, bool training,
-                        apots::tensor::Workspace* ws) override;
+                        apots::tensor::Workspace* ws) const override;
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(apots::tensor::QuantMode mode) override {
     net_.PrepareQuantized(mode);

@@ -10,11 +10,6 @@
 
 namespace apots::core {
 
-const Tensor* Predictor::Forward(const Tensor& batch, bool training,
-                                 apots::tensor::Workspace* ws) {
-  return ws->Materialize(Forward(batch, training));
-}
-
 const char* PredictorTypeName(PredictorType type) {
   switch (type) {
     case PredictorType::kFc:

@@ -51,15 +51,16 @@ class Predictor {
   Predictor(const Predictor&) = delete;
   Predictor& operator=(const Predictor&) = delete;
 
+  /// Allocating forward: the training path (caches what Backward needs)
+  /// and the bitwise reference of the inference forward below.
   virtual Tensor Forward(const Tensor& batch, bool training) = 0;
 
-  /// Workspace variant (see nn::Layer::Forward): borrows all activations
-  /// from `ws`, and at inference (`training == false`) mutates no
-  /// predictor state, so concurrent forwards on a shared predictor are
-  /// safe. Bitwise identical to the allocating Forward. The default
-  /// implementation materializes the allocating Forward into the arena.
+  /// Inference forward (see nn::Layer::Forward): borrows all activations
+  /// from `ws` and mutates no predictor state, so concurrent forwards on
+  /// a shared predictor are safe, and bitwise identical to the allocating
+  /// Forward. `training` must be false (checked).
   virtual const Tensor* Forward(const Tensor& batch, bool training,
-                                apots::tensor::Workspace* ws);
+                                apots::tensor::Workspace* ws) const = 0;
 
   /// `grad_output` is [batch, 1]; returns the gradient w.r.t. the input
   /// batch (usually discarded) and accumulates parameter gradients.

@@ -27,8 +27,8 @@ Tensor Relu::Forward(const Tensor& input, bool training) {
 }
 
 const Tensor* Relu::Forward(const Tensor& input, bool training,
-                            tensor::Workspace* ws) {
-  if (training) return Layer::Forward(input, training, ws);
+                            tensor::Workspace* ws) const {
+  APOTS_CHECK(!training);
   Tensor* out = ws->Acquire(input.shape());
   const float* px = input.data();
   float* p = out->data();

@@ -13,7 +13,7 @@ class Relu : public Layer {
   Relu() = default;
   Tensor Forward(const Tensor& input, bool training) override;
   const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) override;
+                        tensor::Workspace* ws) const override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string Name() const override { return "Relu"; }
 

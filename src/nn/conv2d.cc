@@ -59,8 +59,8 @@ Tensor Conv2d::Forward(const Tensor& input, bool training) {
 }
 
 const Tensor* Conv2d::Forward(const Tensor& input, bool training,
-                              tensor::Workspace* ws) {
-  if (training) return Layer::Forward(input, training, ws);
+                              tensor::Workspace* ws) const {
+  APOTS_CHECK(!training);
   APOTS_CHECK_EQ(input.rank(), 4u);
   APOTS_CHECK_EQ(input.dim(1), in_channels_);
   const size_t batch = input.dim(0);

@@ -23,7 +23,7 @@ class Conv2d : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) override;
+                        tensor::Workspace* ws) const override;
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
   std::string Name() const override;

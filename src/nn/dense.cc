@@ -27,8 +27,8 @@ Tensor Dense::Forward(const Tensor& input, bool training) {
 }
 
 const Tensor* Dense::Forward(const Tensor& input, bool training,
-                             tensor::Workspace* ws) {
-  if (training) return Layer::Forward(input, training, ws);
+                             tensor::Workspace* ws) const {
+  APOTS_CHECK(!training);
   APOTS_CHECK_EQ(input.rank(), 2u);
   APOTS_CHECK_EQ(input.cols(), in_features_);
   Tensor* out = ws->Acquire({input.rows(), out_features_});

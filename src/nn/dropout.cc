@@ -27,10 +27,9 @@ Tensor Dropout::Forward(const Tensor& input, bool training) {
 }
 
 const Tensor* Dropout::Forward(const Tensor& input, bool training,
-                               tensor::Workspace* ws) {
-  if (training) return Layer::Forward(input, training, ws);
-  // Inference dropout is the identity: pass the input through without
-  // copying or touching mask_valid_ (concurrent forwards share this layer).
+                               tensor::Workspace* ws) const {
+  APOTS_CHECK(!training);
+  // Inference dropout is the identity: pass the input through uncopied.
   return &input;
 }
 

@@ -18,7 +18,7 @@ class Dropout : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) override;
+                        tensor::Workspace* ws) const override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string Name() const override;
 

@@ -12,8 +12,8 @@ Tensor Flatten::Forward(const Tensor& input, bool training) {
 }
 
 const Tensor* Flatten::Forward(const Tensor& input, bool training,
-                               tensor::Workspace* ws) {
-  if (training) return Layer::Forward(input, training, ws);
+                               tensor::Workspace* ws) const {
+  APOTS_CHECK(!training);
   APOTS_CHECK_GE(input.rank(), 2u);
   const size_t batch = input.dim(0);
   Tensor* out = ws->Acquire({batch, input.size() / batch});

@@ -15,7 +15,7 @@ class Flatten : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) override;
+                        tensor::Workspace* ws) const override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string Name() const override { return "Flatten"; }
 

@@ -104,8 +104,8 @@ Tensor Lstm::Forward(const Tensor& input, bool training) {
 }
 
 const Tensor* Lstm::Forward(const Tensor& input, bool training,
-                            tensor::Workspace* ws) {
-  if (training) return Layer::Forward(input, training, ws);
+                            tensor::Workspace* ws) const {
+  APOTS_CHECK(!training);
   APOTS_CHECK_EQ(input.rank(), 3u);
   APOTS_CHECK_EQ(input.dim(2), input_size_);
   const size_t batch = input.dim(0);

@@ -2,11 +2,14 @@
 
 #include <cmath>
 
+#include "util/logging.h"
+
 namespace apots::nn {
 
 const Tensor* Layer::Forward(const Tensor& input, bool training,
-                             tensor::Workspace* ws) {
-  return ws->Materialize(Forward(input, training));
+                             tensor::Workspace* ws) const {
+  APOTS_CHECK(false) << Name() << " has no inference forward";
+  return nullptr;
 }
 
 void ZeroAllGrads(const std::vector<Parameter*>& params) {

@@ -45,19 +45,19 @@ class Layer {
   Layer& operator=(const Layer&) = delete;
 
   /// Computes the layer output. `training` toggles train-only behaviour
-  /// (e.g. dropout).
+  /// (e.g. dropout). This allocating forward is the training path and the
+  /// bitwise reference of the inference forward below.
   virtual Tensor Forward(const Tensor& input, bool training) = 0;
 
-  /// Workspace variant: borrows the output (and any scratch) from `ws`
-  /// instead of allocating, and — when `training` is false — must not
-  /// mutate layer state, so concurrent inference forwards on a shared
-  /// layer are safe. Bitwise identical to the allocating Forward. The
-  /// returned pointer lives until `ws->Reset()`; it may alias `&input`
-  /// for identity layers. The default implementation materializes the
-  /// allocating Forward into the arena; layers on the inference hot path
-  /// override it with a zero-allocation body.
+  /// Inference forward: borrows the output (and any scratch) from `ws`
+  /// instead of allocating and writes no layer state, so concurrent
+  /// inference forwards on a shared layer are safe. Bitwise identical to
+  /// the allocating Forward; `training` must be false (checked). The
+  /// returned pointer lives until `ws->Reset()`; it may alias `&input` for
+  /// identity layers. The default fails: only layers that run at inference
+  /// have a body.
   virtual const Tensor* Forward(const Tensor& input, bool training,
-                                tensor::Workspace* ws);
+                                tensor::Workspace* ws) const;
 
   /// Backpropagates `grad_output` (gradient of the loss w.r.t. this layer's
   /// output), accumulating into parameter grads, and returns the gradient

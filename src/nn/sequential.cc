@@ -16,7 +16,8 @@ Tensor Sequential::Forward(const Tensor& input, bool training) {
 }
 
 const Tensor* Sequential::Forward(const Tensor& input, bool training,
-                                  tensor::Workspace* ws) {
+                                  tensor::Workspace* ws) const {
+  APOTS_CHECK(!training);
   const Tensor* current = &input;
   for (auto& layer : layers_) {
     current = layer->Forward(*current, training, ws);

@@ -29,7 +29,7 @@ class Sequential : public Layer {
 
   Tensor Forward(const Tensor& input, bool training) override;
   const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) override;
+                        tensor::Workspace* ws) const override;
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(tensor::QuantMode mode) override;
   std::vector<Parameter*> Parameters() override;

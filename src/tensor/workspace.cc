@@ -5,23 +5,12 @@
 
 namespace apots::tensor {
 
-Tensor* Workspace::NextSlot() {
+Tensor* Workspace::Acquire(std::vector<size_t> shape) {
   if (cursor_ == slots_.size()) {
     slots_.push_back(std::make_unique<Tensor>());
   }
-  return slots_[cursor_++].get();
-}
-
-Tensor* Workspace::Acquire(std::vector<size_t> shape) {
-  Tensor* slot = NextSlot();
+  Tensor* slot = slots_[cursor_++].get();
   slot->ResetShape(std::move(shape));
-  high_water_floats_ = std::max(high_water_floats_, capacity_floats());
-  return slot;
-}
-
-Tensor* Workspace::Materialize(Tensor&& t) {
-  Tensor* slot = NextSlot();
-  *slot = std::move(t);
   high_water_floats_ = std::max(high_water_floats_, capacity_floats());
   return slot;
 }

@@ -40,11 +40,6 @@ class Workspace {
   /// stays valid until the next Reset.
   Tensor* Acquire(std::vector<size_t> shape);
 
-  /// Moves an existing tensor into the next arena slot (the fallback used
-  /// by layers without a native workspace path). Same lifetime rules as
-  /// Acquire.
-  Tensor* Materialize(Tensor&& t);
-
   /// Borrows a raw 64-byte-aligned scratch buffer of at least `bytes`
   /// (quantized-inference activation codes and similar non-float
   /// scratch). Same contract as Acquire: bump order, grow-only slots,
@@ -73,8 +68,6 @@ class Workspace {
 
  private:
   using ByteBuffer = std::vector<uint8_t, AlignedAllocator<uint8_t>>;
-
-  Tensor* NextSlot();
 
   std::vector<std::unique_ptr<Tensor>> slots_;
   std::vector<std::unique_ptr<ByteBuffer>> byte_slots_;

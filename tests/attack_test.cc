@@ -1,8 +1,9 @@
 // The attack:: subsystem: plausibility-budget projection invariants
 // across seeds, PGD/SPSA plans honoring the budget, bitwise PGD
-// reproducibility on the reference kernel path, attack effectiveness,
-// residual-detector calibration/flagging semantics, RDAT defense
-// recovery against a transferred plan, and config validation.
+// reproducibility on the reference kernel path, attack effectiveness, the
+// served precision surviving plan construction, residual-detector
+// calibration/flagging semantics, RDAT defense recovery against a
+// transferred plan, and config validation.
 
 #include "attack/attacker.h"
 
@@ -223,6 +224,36 @@ TEST(AttackerTest, AttackFromShieldsEarlierIntervals) {
                                             victim.split.test, attack_from);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_GE(plan.value().t_lo(), attack_from);
+}
+
+TEST(AttackerTest, PgdPlanLeavesServedPrecisionIntact) {
+  // The attack's loss queries share the served predictor; building a plan
+  // must leave it serving the precision its model is configured for
+  // rather than re-packing it to fp32.
+  const TrafficDataset dataset = SmallDataset();
+  ApotsConfig config;
+  config.predictor = apots::core::PredictorHparams::Scaled(
+      apots::core::PredictorType::kFc, 16);
+  config.features = apots::data::FeatureConfig::Both(12, 3);
+  config.features.num_adjacent = 1;
+  config.inference.quantize = apots::tensor::QuantMode::kInt8;
+  ApotsModel model(&dataset, config);
+  const auto split = apots::data::MakeSplit(
+      dataset, 12, 3, 0.2, apots::data::SplitStrategy::kBlockedByDay, 42);
+  const std::vector<long> anchors(
+      split.test.begin(),
+      split.test.begin() + std::min<size_t>(48, split.test.size()));
+  const std::vector<double> served = model.PredictKmh(anchors);
+  // Premise: same seed, same weights, but fp32 answers differ — so a
+  // silent drop to fp32 cannot pass unnoticed.
+  config.inference.quantize = apots::tensor::QuantMode::kOff;
+  ApotsModel fp32(&dataset, config);
+  ASSERT_NE(fp32.PredictKmh(anchors), served);
+
+  AttackConfig attack;
+  attack.steps = 1;
+  ASSERT_TRUE(Attacker(attack).BuildPgdPlan(&model, anchors, 0).ok());
+  EXPECT_EQ(model.PredictKmh(anchors), served);
 }
 
 TEST(AttackerTest, ValidateRejectsMalformedConfigs) {

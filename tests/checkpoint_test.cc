@@ -334,7 +334,11 @@ TEST_P(KillRestoreTest, RestoreIsBitwiseAcrossPredictorFamilies) {
   // Simulated kill-and-restore: save a model, build a replacement with a
   // different init seed (so recovery provably overwrites every weight),
   // recover, and require bitwise-identical parameters plus the aux blob.
-  const std::string dir = TempDir("apots_ckpt_kill");
+  // Each family gets its own directory: the instances are separate ctest
+  // entries and may run concurrently.
+  const std::string name = std::string("apots_ckpt_kill_") +
+                           apots::core::PredictorTypeLabel(GetParam());
+  const std::string dir = TempDir(name.c_str());
   apots::traffic::DatasetSpec spec;
   spec.num_roads = 3;
   spec.num_days = 2;

@@ -2,8 +2,8 @@
 // ordering, ContextTable registration rules, assembly-time overlays
 // (event force, rain clamp, day-type one-hot) with effective-context
 // cache keying, and the heterogeneous (anchor, context) inference path —
-// including the bitwise context-0 identity and determinism across every
-// InferenceConfig the runtime can run a mixed batch under.
+// including the bitwise context-0 identity and determinism across batch
+// sizes, pool sizes and cache temperature.
 
 #include "data/context.h"
 
@@ -16,6 +16,7 @@
 #include "data/feature_cache.h"
 #include "data/features.h"
 #include "traffic/dataset_generator.h"
+#include "util/thread_pool.h"
 
 namespace apots::data {
 namespace {
@@ -447,21 +448,17 @@ TEST_F(ContextRuntimeTest, DeterministicAcrossInferenceConfigs) {
   model_->SetInferenceConfig(config);  // table survives the rebuild
   EXPECT_EQ(model_->PredictKmhItems(items), reference);
 
-  config = apots::core::InferenceConfig();
-  config.parallel = false;
-  config.use_workspace = false;
-  model_->SetInferenceConfig(config);
-  EXPECT_EQ(model_->PredictKmhItems(items), reference);
-
-  config = apots::core::InferenceConfig();
-  config.use_feature_cache = false;
-  model_->SetInferenceConfig(config);
-  EXPECT_EQ(model_->PredictKmhItems(items), reference);
-
-  config = apots::core::InferenceConfig();
   config.batch_size = 7;  // ragged tail batch
   model_->SetInferenceConfig(config);
   EXPECT_EQ(model_->PredictKmhItems(items), reference);
+  EXPECT_EQ(model_->PredictKmhItems(items), reference);  // warm cache
+
+  apots::ResetGlobalPool(4);  // batches sharded across workers
+  EXPECT_EQ(model_->PredictKmhItems(items), reference);
+  config.batch_size = 1;
+  model_->SetInferenceConfig(config);
+  EXPECT_EQ(model_->PredictKmhItems(items), reference);
+  apots::ResetGlobalPool(1);
 }
 
 TEST_F(ContextRuntimeTest, UnknownContextDegradesToBaseAndCounts) {

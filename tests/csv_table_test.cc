@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "traffic/dataset_generator.h"
 #include "util/csv.h"
 #include "util/table_printer.h"
 
@@ -108,6 +109,39 @@ TEST(FormatHelpersTest, MetricAndGain) {
   EXPECT_EQ(FormatMetric(12.804), "12.80");
   EXPECT_EQ(FormatGain(22.887), "22.89%");
   EXPECT_EQ(FormatGain(-0.6), "-0.60%");
+}
+
+TEST(TrafficDatasetCsvTest, WriteReadRoundtrip) {
+  using apots::traffic::DatasetSpec;
+  using apots::traffic::TrafficDataset;
+  const TrafficDataset original =
+      apots::traffic::GenerateDataset(DatasetSpec::Small(81));
+  const std::string path = TempPath("apots_dataset.csv");
+  ASSERT_TRUE(original.WriteCsv(path).ok());
+
+  auto restored = TrafficDataset::ReadCsv(path, original.calendar());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const TrafficDataset& copy = restored.value();
+  EXPECT_EQ(copy.num_roads(), original.num_roads());
+  EXPECT_EQ(copy.num_intervals(), original.num_intervals());
+  for (long t = 0; t < original.num_intervals(); t += 101) {
+    for (int r = 0; r < original.num_roads(); ++r) {
+      EXPECT_NEAR(copy.Speed(r, t), original.Speed(r, t), 0.01f);
+      EXPECT_EQ(copy.EventFlag(r, t), original.EventFlag(r, t));
+    }
+    EXPECT_NEAR(copy.Weather(t).precipitation_mm,
+                original.Weather(t).precipitation_mm, 0.01f);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(TrafficDatasetCsvTest, MissingFileRejected) {
+  using apots::traffic::Calendar;
+  using apots::traffic::TrafficDataset;
+  using apots::traffic::Weekday;
+  auto result = TrafficDataset::ReadCsv("/nonexistent/x.csv",
+                                        Calendar(1, Weekday::kMonday, {}));
+  EXPECT_FALSE(result.ok());
 }
 
 }  // namespace

@@ -163,7 +163,8 @@ TEST_F(TrainerFixture, PredictedSequencesMatchSinglePredictions) {
   for (size_t n = 0; n < anchors.size(); ++n) {
     for (int i = 0; i < 12; ++i) {
       const std::vector<long> sub = {anchors[n] - 12 + 1 + i};
-      const Tensor single = trainer.Predict(sub);
+      const Tensor single =
+          predictor.Forward(assembler_.BatchMatrix(sub), /*training=*/false);
       EXPECT_NEAR(sequences.At(n, static_cast<size_t>(i)), single[0], 1e-5f);
     }
   }
@@ -184,24 +185,6 @@ TEST_F(TrainerFixture, AdversarialEpochRunsAndTrainsDiscriminator) {
   // D should have learned something beyond coin flipping on at least one
   // side.
   EXPECT_GT(stats.d_real_accuracy + stats.d_fake_accuracy, 0.8);
-}
-
-TEST_F(TrainerFixture, PredictIsChunkedConsistently) {
-  apots::Rng rng(16);
-  FcPredictor predictor(PredictorHparams::Scaled(PredictorType::kFc, 16),
-                        static_cast<size_t>(assembler_.NumRows()), 12, &rng);
-  AdversarialTrainer trainer(&predictor, nullptr, &assembler_,
-                             MakeTrainConfig(false));
-  // More anchors than the internal chunk size (512).
-  std::vector<long> anchors;
-  for (long t = 20; t < 620; ++t) anchors.push_back(t);
-  const Tensor chunked = trainer.Predict(anchors);
-  ASSERT_EQ(chunked.rows(), anchors.size());
-  const std::vector<long> head(anchors.begin(), anchors.begin() + 3);
-  const Tensor direct = trainer.Predict(head);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(chunked[i], direct[i], 1e-6f);
-  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Bitwise-equivalence and accounting tests for the batched inference
-// runtime (S2/S6): batched predictions must equal per-anchor predictions
-// bit for bit at any batch size, thread count, and cache temperature, for
-// every predictor family; fallback counts must not depend on whether the
-// batch grid was walked serially or in parallel.
+// runtime: batched predictions must equal a per-anchor loop over the
+// allocating training forward bit for bit at any batch size, pool size,
+// and cache temperature, for every predictor family; fallback counts must
+// not depend on whether the batch grid was walked serially or in
+// parallel.
 
 #include <gtest/gtest.h>
 
@@ -47,13 +48,17 @@ ApotsConfig ConfigFor(PredictorType type) {
   return config;
 }
 
-InferenceConfig PerAnchorArm() {
-  InferenceConfig cfg;
-  cfg.batch_size = 1;
-  cfg.parallel = false;
-  cfg.use_workspace = false;
-  cfg.use_feature_cache = false;
-  return cfg;
+// The bitwise reference: one allocating (training-path) forward per
+// anchor, outside the runtime.
+std::vector<double> ReferenceKmh(ApotsModel& model,
+                                 const std::vector<long>& anchors) {
+  std::vector<double> out;
+  for (const long anchor : anchors) {
+    const Tensor pred = model.predictor().Forward(
+        model.assembler().BatchMatrix({anchor}), /*training=*/false);
+    out.push_back(model.assembler().UnscaleSpeed(pred[0]));
+  }
+  return out;
 }
 
 // Exact double comparison on purpose: the contract is bitwise identity,
@@ -122,30 +127,24 @@ TEST(InferenceRuntimeTest, BatchedMatchesPerAnchorBitwiseAllPredictors) {
                                  PredictorType::kCnn, PredictorType::kHybrid};
   for (PredictorType type : types) {
     ApotsModel model(&env.dataset, ConfigFor(type));
-    model.SetInferenceConfig(PerAnchorArm());
-    const std::vector<double> baseline = model.PredictKmh(env.test);
+    const std::vector<double> baseline = ReferenceKmh(model, env.test);
 
     struct Arm {
       const char* name;
       size_t batch_size;
-      bool parallel;
-      bool cache;
       size_t threads;
     };
     const Arm arms[] = {
-        {"batch1_serial", 1, false, true, 1},
-        {"batch7_serial_nocache", 7, false, false, 1},
-        {"batch64_serial", 64, false, true, 1},
-        {"batch7_parallel_4t", 7, true, true, 4},
+        {"batch1_1t", 1, 1},
+        {"batch7_1t", 7, 1},
+        {"batch64_1t", 64, 1},
+        {"batch7_4t", 7, 4},
     };
     for (const Arm& arm : arms) {
       ResetGlobalPool(arm.threads);
       InferenceConfig cfg;
       cfg.batch_size = arm.batch_size;
-      cfg.parallel = arm.parallel;
-      cfg.use_workspace = true;
-      cfg.use_feature_cache = arm.cache;
-      model.SetInferenceConfig(cfg);
+      model.SetInferenceConfig(cfg);  // cold cache, fresh arenas
       ExpectIdentical(model.PredictKmh(env.test), baseline, arm.name);
       // Second pass: warm feature cache and recycled arena slots.
       ExpectIdentical(model.PredictKmh(env.test), baseline, arm.name);
@@ -171,7 +170,6 @@ TEST(InferenceRuntimeTest, MaskChangeInvalidatesFeatureCache) {
   ApotsModel model(&env.dataset, ConfigFor(PredictorType::kFc));
   (void)model.PredictKmh(env.test);
   data::FeatureCache* cache = model.inference_runtime().feature_cache();
-  ASSERT_NE(cache, nullptr);
   EXPECT_GT(cache->size(), 0u);
   model.SetValidityMask(nullptr);
   EXPECT_EQ(cache->size(), 0u);
@@ -197,22 +195,23 @@ TEST(InferenceRuntimeTest, FallbackCountIndependentOfBatchGridAndThreads) {
   model.SetValidityMask(&mask);
   model.FitFallback(env.train);
 
-  model.SetInferenceConfig(PerAnchorArm());
+  InferenceConfig per_anchor;
+  per_anchor.batch_size = 1;
+  model.SetInferenceConfig(per_anchor);
   const std::vector<double> baseline = model.PredictKmh(env.test);
   const size_t baseline_fallbacks = model.last_fallback_count();
   EXPECT_GT(baseline_fallbacks, 0u);
   EXPECT_LT(baseline_fallbacks, env.test.size());
 
   for (size_t batch_size : {7u, 64u}) {
-    for (bool parallel : {false, true}) {
-      ResetGlobalPool(parallel ? 4 : 1);
+    for (size_t threads : {1u, 4u}) {
+      ResetGlobalPool(threads);
       InferenceConfig cfg;
       cfg.batch_size = batch_size;
-      cfg.parallel = parallel;
       model.SetInferenceConfig(cfg);
       ExpectIdentical(model.PredictKmh(env.test), baseline, "fallback arm");
       EXPECT_EQ(model.last_fallback_count(), baseline_fallbacks)
-          << "batch_size=" << batch_size << " parallel=" << parallel;
+          << "batch_size=" << batch_size << " threads=" << threads;
     }
   }
   ResetGlobalPool(1);
@@ -287,57 +286,26 @@ TEST(InferenceConfigGuardTest, ValidateRejectsDegenerateConfigs) {
   zero_batch.batch_size = 0;
   EXPECT_EQ(ValidateInferenceConfig(zero_batch).code(),
             StatusCode::kInvalidArgument);
-
-  InferenceConfig zero_cache;
-  zero_cache.use_feature_cache = true;
-  zero_cache.cache_capacity = 0;
-  EXPECT_EQ(ValidateInferenceConfig(zero_cache).code(),
-            StatusCode::kInvalidArgument);
-
-  InferenceConfig quant_no_ws;
-  quant_no_ws.quantize = tensor::QuantMode::kInt8;
-  quant_no_ws.use_workspace = false;
-  EXPECT_EQ(ValidateInferenceConfig(quant_no_ws).code(),
-            StatusCode::kInvalidArgument);
-  quant_no_ws.use_workspace = true;
-  EXPECT_TRUE(ValidateInferenceConfig(quant_no_ws).ok());
-
-  // Capacity 0 is fine when the cache is off, and defaults are valid.
-  zero_cache.use_feature_cache = false;
-  EXPECT_TRUE(ValidateInferenceConfig(zero_cache).ok());
   EXPECT_TRUE(ValidateInferenceConfig(InferenceConfig()).ok());
 }
 
 TEST(InferenceConfigGuardTest, SanitizeClampsInsteadOfCrashing) {
   InferenceConfig degenerate;
   degenerate.batch_size = 0;
-  degenerate.use_feature_cache = true;
-  degenerate.cache_capacity = 0;
   const InferenceConfig fixed = SanitizeInferenceConfig(degenerate);
   EXPECT_EQ(fixed.batch_size, 1u);
-  EXPECT_FALSE(fixed.use_feature_cache);
   EXPECT_TRUE(ValidateInferenceConfig(fixed).ok());
-
-  InferenceConfig quant_no_ws;
-  quant_no_ws.quantize = tensor::QuantMode::kFp16;
-  quant_no_ws.use_workspace = false;
-  const InferenceConfig fixed_quant = SanitizeInferenceConfig(quant_no_ws);
-  EXPECT_EQ(fixed_quant.quantize, tensor::QuantMode::kOff);
-  EXPECT_TRUE(ValidateInferenceConfig(fixed_quant).ok());
 }
 
 TEST(InferenceConfigGuardTest, DegenerateConfigStillPredictsIdentically) {
-  // A runtime built from batch_size=0 / cache_capacity=0 must serve (via
-  // the sanitized config) and stay on the bitwise contract.
+  // A runtime built from batch_size=0 must serve (via the sanitized
+  // config) and stay on the bitwise contract.
   Env& env = GetEnv();
   ApotsModel model(&env.dataset, ConfigFor(PredictorType::kFc));
-  model.SetInferenceConfig(PerAnchorArm());
-  const std::vector<double> baseline = model.PredictKmh(env.test);
+  const std::vector<double> baseline = ReferenceKmh(model, env.test);
 
   InferenceConfig degenerate;
   degenerate.batch_size = 0;
-  degenerate.use_feature_cache = true;
-  degenerate.cache_capacity = 0;
   model.SetInferenceConfig(degenerate);
   ExpectIdentical(model.PredictKmh(env.test), baseline, "sanitized arm");
 }

@@ -1,7 +1,8 @@
 // Property-style gradient verification: every layer's analytic backward
 // pass is checked against central finite differences across a sweep of
 // shapes. This is the load-bearing test of the NN substrate — if these
-// pass, training is computing the right thing.
+// pass, training is computing the right thing. The checker itself is
+// self-tested against a layer with a deliberately wrong gradient.
 
 #include <cmath>
 #include <memory>
@@ -157,6 +158,48 @@ TEST(GradientTest, StackedLstm) {
   net.Emplace<Lstm>(4, 3, /*return_sequences=*/false, &rng);
   net.Emplace<Dense>(3, 1, &rng);
   CheckLayer(&net, Random({2, 6, 3}, 19), 5e-2);
+}
+
+TEST(GradientCheckerSelfTest, FlagsAWrongGradient) {
+  // A layer lying about its gradient must be caught by the checker.
+  class LyingLayer : public Layer {
+   public:
+    Tensor Forward(const Tensor& input, bool) override {
+      cached_ = input;
+      return apots::tensor::Scale(input, 2.0f);
+    }
+    Tensor Backward(const Tensor& grad) override {
+      // True gradient is 2 * grad; report 3 * grad.
+      return apots::tensor::Scale(grad, 3.0f);
+    }
+    std::string Name() const override { return "LyingLayer"; }
+
+   private:
+    Tensor cached_;
+  };
+  LyingLayer layer;
+  const Tensor input = Random({2, 3}, 11);
+  const Tensor weights = Random({2, 3}, 12);
+  const auto result = CheckLayerGradients(&layer, input, weights, 1e-2);
+  EXPECT_GT(result.max_rel_error, 0.2);
+}
+
+TEST(GradientCheckerSelfTest, AcceptsACorrectGradient) {
+  class HonestLayer : public Layer {
+   public:
+    Tensor Forward(const Tensor& input, bool) override {
+      return apots::tensor::Scale(input, 2.0f);
+    }
+    Tensor Backward(const Tensor& grad) override {
+      return apots::tensor::Scale(grad, 2.0f);
+    }
+    std::string Name() const override { return "HonestLayer"; }
+  };
+  HonestLayer layer;
+  const Tensor input = Random({2, 3}, 13);
+  const Tensor weights = Random({2, 3}, 14);
+  const auto result = CheckLayerGradients(&layer, input, weights, 1e-2);
+  EXPECT_LT(result.max_rel_error, 1e-3);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the tensor::Workspace bump arena (S3): slot reuse across
 // Reset, alignment of borrowed storage, grow-only buffers, non-aliasing of
 // tensors borrowed within one generation, and the workspace forward path
-// being bitwise identical to the allocating forward.
+// being inference-only and bitwise identical to the allocating forward.
 
 #include <gtest/gtest.h>
 
@@ -96,15 +96,6 @@ TEST(WorkspaceTest, TensorsWithinOneGenerationNeverAlias) {
   }
 }
 
-TEST(WorkspaceTest, MaterializeKeepsValuesAndCountsAsSlot) {
-  Workspace ws;
-  Tensor t = Tensor::Full({3, 2}, 1.5f);
-  Tensor* slot = ws.Materialize(std::move(t));
-  ASSERT_EQ(slot->size(), 6u);
-  for (size_t i = 0; i < slot->size(); ++i) EXPECT_EQ((*slot)[i], 1.5f);
-  EXPECT_EQ(ws.slots_in_use(), 1u);
-}
-
 TEST(WorkspaceTest, WorkspaceForwardMatchesAllocatingForwardBitwise) {
   // A small Dense stack, random weights, random input: the 3-arg Forward
   // on a workspace must reproduce the 2-arg allocating Forward bit for bit
@@ -132,6 +123,22 @@ TEST(WorkspaceTest, WorkspaceForwardMatchesAllocatingForwardBitwise) {
                                         << gen;
     }
   }
+}
+
+TEST(WorkspaceTest, WorkspaceForwardIsInferenceOnly) {
+  // Training goes through the allocating forward, which caches for
+  // Backward; the workspace forward refuses it. A layer that never runs at
+  // inference has no workspace body and refuses every call.
+  Rng rng(9);
+  const apots::nn::Dense dense(4, 3, &rng);
+  const apots::nn::Sigmoid sigmoid;
+  const apots::nn::Layer& train_only = sigmoid;
+  const Tensor input = Tensor::Full({2, 4}, 0.5f);
+  Workspace ws;
+  EXPECT_DEATH((void)dense.Forward(input, /*training=*/true, &ws),
+               "!training");
+  EXPECT_DEATH((void)train_only.Forward(input, /*training=*/false, &ws),
+               "Sigmoid has no inference forward");
 }
 
 }  // namespace
