@@ -1,7 +1,7 @@
 // Inference latency/throughput benchmark for the batched zero-allocation
 // runtime. Times repeated PredictKmh rounds over a fixed anchor set under
 // the arms below and writes a machine-readable report (default
-// bench_out/perf_pr3.json) that CI archives and gates on:
+// bench_out/perf_infer.json) that CI archives and gates on:
 //   per_anchor        one allocating (training-path) forward per anchor,
 //                     outside the runtime, no feature cache — the seed's
 //                     one-anchor-at-a-time deployment path and the bitwise
@@ -304,5 +304,5 @@ int Run(const std::string& path, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return apots::bench::PerfMain(argc, argv, "bench_out/perf_pr3.json", Run);
+  return apots::bench::PerfMain(argc, argv, "bench_out/perf_infer.json", Run);
 }

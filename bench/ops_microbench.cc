@@ -3,7 +3,7 @@
 // family at the quick-profile sizes used by the experiment benches.
 //
 // `--perf_json[=path]` skips google-benchmark and writes a machine-readable
-// Matmul report (default bench_out/perf_pr2_ops.json) with one arm per
+// Matmul report (default bench_out/perf_ops.json) with one arm per
 // (kernel family, thread count): reference (seed kernel, 1 thread),
 // blocked_1t/blocked_4t (cache-blocked), simd_1t/simd_4t (packed-panel
 // microkernels, runtime ISA dispatch), and int8_1t/int8_4t (quantized
@@ -280,7 +280,7 @@ int RunPerfJson(const std::string& path) {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--perf_json", 11) == 0) {
-      std::string path = "bench_out/perf_pr2_ops.json";
+      std::string path = "bench_out/perf_ops.json";
       if (argv[i][11] == '=') path = argv[i] + 12;
       return perf::RunPerfJson(path);
     }

@@ -1,5 +1,5 @@
 // Fault-storm soak of the online serving stack (PR 4). Four arms, one
-// machine-readable report (default bench_out/perf_pr4.json) that CI
+// machine-readable report (default bench_out/perf_serve.json) that CI
 // archives and gates on:
 //   storm           full delivery-fault storm (delays, duplicates, drops,
 //                   outages, torn ticks) end to end; gates: availability
@@ -292,5 +292,5 @@ int Run(const std::string& path, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return apots::bench::PerfMain(argc, argv, "bench_out/perf_pr4.json", Run);
+  return apots::bench::PerfMain(argc, argv, "bench_out/perf_serve.json", Run);
 }

@@ -5,7 +5,7 @@
 //
 // `--perf_json[=path]` skips google-benchmark and instead times one guarded
 // adversarial FC training run under three execution arms, writing a
-// machine-readable report (default bench_out/perf_pr2.json) that CI archives
+// machine-readable report (default bench_out/perf_train.json) that CI archives
 // and gates on:
 //   serial          reference kernels, 1 thread, full-batch step (the seed's
 //                   exact execution path)
@@ -279,7 +279,7 @@ int RunPerfJson(const std::string& path) {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--perf_json", 11) == 0) {
-      std::string path = "bench_out/perf_pr2.json";
+      std::string path = "bench_out/perf_train.json";
       if (argv[i][11] == '=') path = argv[i] + 12;
       return perf::RunPerfJson(path);
     }

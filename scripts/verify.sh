@@ -80,8 +80,10 @@ frontdoor_regex='MpscQueue|Frontend'
 sharded_regex='RoadGraph|PartitionTest|ShardedService|ParseChaosKinds|ChaosScheduler|ChaosDriver'
 # The inference path: every prediction runs the workspace-arena forward,
 # whose slots are handed out dirty — the runtime, the arena itself, the
-# what-if context batches, and the attackers' secondary runtimes.
-arena_regex='InferenceRuntime|InferenceConfigGuard|WorkspaceTest|ContextSpec|ContextTable|ContextAssembly|ContextRuntime|PlausibilityBudget|AttackerTest|ResidualDetector|RdatDefense'
+# what-if context batches, and the attackers' secondary runtimes — plus the
+# one sample-layout encoder's raw-pointer scatter, which training batches
+# run too.
+arena_regex='InferenceRuntime|InferenceConfigGuard|WorkspaceTest|ContextSpec|ContextTable|ContextAssembly|ContextRuntime|PlausibilityBudget|AttackerTest|ResidualDetector|RdatDefense|FeatureAssemblerTest'
 
 if [[ ${lane_tier1} -eq 1 ]]; then
   echo "=== lane 1: tier-1 (Release build + labeled ctest) ==="
@@ -102,7 +104,7 @@ if [[ ${lane_asan} -eq 1 ]]; then
     feature_cache_stream_test serve_test obs_metrics_test obs_trace_test \
     mpsc_queue_test frontend_test kernel_equivalence_test quant_kernel_test \
     road_graph_test sharded_service_test chaos_test inference_runtime_test \
-    workspace_test context_test attack_test
+    workspace_test context_test attack_test features_test
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
     -R "FaultInjector|FaultKinds|ValidityMask|Imputation|FeatureAssemblerMask|TrafficDatasetBounds|TrainGuard|GuardedTraining|SerializeV2|CheckpointStore|KillRestore|FeatureCacheKey|FeatureCacheStream|FaultyFeed|StreamIngestor|ServeWatchdog|Supervisor|Harness|${parallel_regex}|${obs_regex}|${frontdoor_regex}|${kernel_regex}|${sharded_regex}|${arena_regex}"
 fi
@@ -120,7 +122,7 @@ if [[ ${lane_tsan} -eq 1 ]]; then
     -R "${parallel_regex}|ServeWatchdog|Supervisor|${obs_regex}|${frontdoor_regex}|${kernel_regex}|ShardedService|ChaosDriver"
   # One quick soak under TSan: the watchdog sampler thread races the
   # serving thread's arm/disarm window on every neural batch.
-  ./build-tsan/bench/serve_soak --quick --perf_json=build-tsan/perf_pr4_tsan.json
+  ./build-tsan/bench/serve_soak --quick --perf_json=build-tsan/perf_serve_tsan.json
   # One quick frontend load run under TSan: closed-loop producers, the
   # open-loop dispatcher, and overload shedding all race the consumer.
   ./build-tsan/bench/frontend_qps --quick --perf_json=build-tsan/perf_frontend_tsan.json

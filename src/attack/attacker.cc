@@ -82,12 +82,11 @@ Status MakeContext(ApotsModel* model, const std::vector<long>& anchors,
   ctx->assembler = std::make_unique<FeatureAssembler>(
       ctx->attacked.get(), clean_assembler.config());
   ctx->assembler->Fit();
-  // Loss queries ride the batched zero-alloc path at the precision the
-  // model serves: the attack probes the deployed model, and a runtime in
-  // any other precision would re-pack the shared predictor under the
-  // serving runtime's feet.
+  // Loss queries ride the batched zero-alloc path on the shared predictor,
+  // so they probe the deployed model at the precision the model serves.
   ctx->runtime = std::make_unique<InferenceRuntime>(
-      &model->predictor(), ctx->assembler.get(), model->config().inference);
+      &model->predictor(), ctx->assembler.get(),
+      model->config().inference.batch_size);
   ctx->targets = clean_assembler.BatchTargets(ctx->anchors);
   ctx->target_road = clean_assembler.target_road();
   ctx->num_adjacent = clean_assembler.config().num_adjacent;

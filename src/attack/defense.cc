@@ -127,10 +127,8 @@ Result<DefenseReport> RdatDefense::Run(
     attacked_assembler.Fit();
     std::vector<long> finetune = train_anchors;
     if (config_.resample_copies > 0 && config_.resample_fraction > 0.0f) {
-      // The served precision: any other would re-pack the shared
-      // predictor under the serving runtime's feet.
       InferenceRuntime runtime(&model->predictor(), &attacked_assembler,
-                               model->config().inference);
+                               model->config().inference.batch_size);
       const Tensor pred = runtime.Predict(attacked_anchors);
       const Tensor targets =
           clean_assembler.BatchTargets(attacked_anchors);

@@ -53,14 +53,14 @@ ApotsModel::ApotsModel(const TrafficDataset* dataset, ApotsConfig config)
         return MakePredictor(replica_hparams, replica_rows, replica_alpha,
                              &replica_rng);
       });
-  runtime_ = std::make_unique<InferenceRuntime>(predictor_.get(), &assembler_,
-                                                config_.inference);
+  SetInferenceConfig(config_.inference);
 }
 
 void ApotsModel::SetInferenceConfig(const InferenceConfig& config) {
-  config_.inference = config;
-  runtime_ = std::make_unique<InferenceRuntime>(predictor_.get(), &assembler_,
-                                                config_.inference);
+  config_.inference = SanitizeInferenceConfig(config);
+  RefreshQuantizedWeights();
+  runtime_ = std::make_unique<InferenceRuntime>(
+      predictor_.get(), &assembler_, config_.inference.batch_size);
   // The rebuilt runtime must keep answering registered contexts — bench
   // arms swap inference configs on a serving model mid-run.
   runtime_->SetContextTable(context_table_);
@@ -82,9 +82,7 @@ std::vector<double> ApotsModel::PredictKmhItems(
 }
 
 void ApotsModel::RefreshQuantizedWeights() {
-  if (config_.inference.quantize != apots::tensor::QuantMode::kOff) {
-    predictor_->PrepareQuantized(config_.inference.quantize);
-  }
+  predictor_->PrepareQuantized(config_.inference.quantize);
 }
 
 EpochStats ApotsModel::Train(const std::vector<long>& train_anchors) {

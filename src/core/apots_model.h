@@ -97,9 +97,13 @@ class ApotsModel {
   size_t last_fallback_count() const { return last_fallback_count_; }
 
   /// Swaps the inference configuration (batch size, precision),
-  /// rebuilding the runtime with a cold cache. fp32 predictions are
-  /// bitwise identical at every batch size; this is how benches and tests
-  /// switch arms on one trained model.
+  /// rebuilding the runtime with a cold cache. The model owns the served
+  /// precision: it packs the predictor's weights for `config.quantize`
+  /// (kOff drops the packs) here and after every weight mutation, so
+  /// runtimes built elsewhere on predictor() serve the same answers. A
+  /// batch_size of 0 is clamped to 1 (SanitizeInferenceConfig). fp32
+  /// predictions are bitwise identical at every batch size; this is how
+  /// benches and tests switch arms on one trained model.
   void SetInferenceConfig(const InferenceConfig& config);
   InferenceRuntime& inference_runtime() { return *runtime_; }
 
@@ -133,8 +137,9 @@ class ApotsModel {
   size_t NumWeights();
 
  private:
-  /// Re-packs quantized inference weights after a weight mutation (train,
-  /// copy, load). No-op when `config_.inference.quantize` is kOff.
+  /// Packs the predictor's inference weights for
+  /// `config_.inference.quantize`, or drops the packs under kOff. Runs
+  /// whenever the config or the weights change (train, copy, load).
   void RefreshQuantizedWeights();
 
   const apots::traffic::TrafficDataset* dataset_;  // not owned

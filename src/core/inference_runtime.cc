@@ -54,22 +54,16 @@ InferenceConfig SanitizeInferenceConfig(InferenceConfig config) {
 }
 
 InferenceRuntime::InferenceRuntime(
-    Predictor* predictor, const apots::data::FeatureAssembler* assembler,
-    InferenceConfig config)
-    : predictor_(predictor),
-      assembler_(assembler),
-      config_(SanitizeInferenceConfig(config)) {
+    const Predictor* predictor, const apots::data::FeatureAssembler* assembler,
+    size_t batch_size)
+    : predictor_(predictor), assembler_(assembler), batch_size_(batch_size) {
   APOTS_CHECK(predictor != nullptr);
   APOTS_CHECK(assembler != nullptr);
-  // Apply the precision mode unconditionally: packing for kInt8/kFp16,
-  // dropping any packed copies for kOff. A predictor follows the most
-  // recently constructed runtime — leaving stale packs active would serve
-  // quantized math under an fp32 label.
-  predictor_->PrepareQuantized(config_.quantize);
+  APOTS_CHECK_GT(batch_size, 0u);
 }
 
 size_t InferenceRuntime::NumBatches(size_t count) const {
-  return (count + config_.batch_size - 1) / config_.batch_size;
+  return (count + batch_size_ - 1) / batch_size_;
 }
 
 void InferenceRuntime::ForEachBatch(
@@ -77,8 +71,8 @@ void InferenceRuntime::ForEachBatch(
     const std::function<void(size_t, size_t, size_t)>& fn) const {
   const size_t num_batches = NumBatches(count);
   for (size_t b = 0; b < num_batches; ++b) {
-    const size_t lo = b * config_.batch_size;
-    const size_t hi = std::min(count, lo + config_.batch_size);
+    const size_t lo = b * batch_size_;
+    const size_t hi = std::min(count, lo + batch_size_);
     fn(b, lo, hi);
   }
 }
@@ -175,8 +169,8 @@ Tensor InferenceRuntime::PredictImpl(
   pool.ParallelFor(0, num_batches, 1, [&](size_t b0, size_t b1,
                                           size_t worker) {
     for (size_t b = b0; b < b1; ++b) {
-      const size_t lo = b * config_.batch_size;
-      const size_t hi = std::min(count, lo + config_.batch_size);
+      const size_t lo = b * batch_size_;
+      const size_t hi = std::min(count, lo + batch_size_);
       run_batch(lo, hi, worker);
     }
   });

@@ -14,15 +14,16 @@
 
 namespace apots::core {
 
-/// Knobs of the batched inference path. Under `quantize == kOff` every
-/// batch size produces bitwise identical predictions — it trades only
-/// speed and memory. Reduced-precision modes trade bitwise equality for a
-/// benched accuracy band (MAE delta vs fp32 gated in CI).
+/// How an ApotsModel serves. Under `quantize == kOff` every batch size
+/// produces bitwise identical predictions — it trades only speed and
+/// memory. Reduced-precision modes trade bitwise equality for a benched
+/// accuracy band (MAE delta vs fp32 gated in CI).
 struct InferenceConfig {
   /// Anchors packed into one predictor forward.
   size_t batch_size = 64;
-  /// Inference weight precision (tensor::QuantMode). Non-kOff modes pack
-  /// the predictor's matmul weights at runtime construction.
+  /// Inference weight precision (tensor::QuantMode). The model packs its
+  /// predictor's matmul weights when it takes the config and after every
+  /// weight mutation; runtimes never see it.
   apots::tensor::QuantMode quantize = apots::tensor::QuantMode::kOff;
 };
 
@@ -56,21 +57,20 @@ struct WorkItem {
 /// size, pool size, and cache temperature.
 ///
 /// The predictor and assembler are borrowed and must outlive the runtime.
-/// Predict must not run concurrently with training steps on the same
-/// predictor (training mutates weights); concurrent Predict calls are safe.
+/// The runtime only reads the predictor and serves whatever precision its
+/// owner prepared (see ApotsModel::SetInferenceConfig), so any number of
+/// runtimes on one predictor compute the same answers. Predict must not
+/// run concurrently with training steps on the same predictor (training
+/// mutates weights); concurrent Predict calls are safe.
 class InferenceRuntime {
  public:
   /// Feature-cache entries (per-interval columns) kept before LRU eviction.
   static constexpr size_t kFeatureCacheCapacity = 8192;
 
-  /// Prepares the predictor for `config.quantize` — packing for kInt8 /
-  /// kFp16, dropping packed copies for kOff. A predictor serves the
-  /// precision of the most recently constructed runtime, so a secondary
-  /// runtime on a served predictor must take the serving config's
-  /// precision.
-  InferenceRuntime(Predictor* predictor,
+  /// Packs `batch_size` (positive) anchors into each predictor forward.
+  InferenceRuntime(const Predictor* predictor,
                    const apots::data::FeatureAssembler* assembler,
-                   InferenceConfig config);
+                   size_t batch_size);
 
   /// Scaled predictions for `anchors` as an [N, 1] tensor.
   Tensor Predict(const std::vector<long>& anchors);
@@ -111,7 +111,6 @@ class InferenceRuntime {
   /// dataset must call it before the next Predict.
   void InvalidateCache();
 
-  const InferenceConfig& config() const { return config_; }
   apots::data::FeatureCache* feature_cache() { return &cache_; }
   /// Arena high-water mark of worker 0 (diagnostics; 0 before first use).
   size_t workspace_high_water_floats() const;
@@ -123,11 +122,11 @@ class InferenceRuntime {
                      const apots::data::ResolvedContext* contexts,
                      size_t count);
 
-  Predictor* predictor_;                            // not owned
+  const Predictor* predictor_;                      // not owned
   const apots::data::FeatureAssembler* assembler_;  // not owned
   const apots::data::ContextTable* context_table_ = nullptr;  // not owned
   uint64_t unknown_context_items_ = 0;
-  InferenceConfig config_;
+  size_t batch_size_;
   apots::data::FeatureCache cache_{kFeatureCacheCapacity};
   /// Per-ThreadPool-worker arenas, grown on the main thread before any
   /// parallel region so workers never mutate the vector concurrently.

@@ -71,7 +71,9 @@ class Predictor {
   /// Forward consults the packed copies, training always runs fp32, and
   /// the packed copies snapshot the weights at call time — call again
   /// after training steps, or with kOff to return to exact fp32. Conv
-  /// layers have no quantized path and stay fp32 in every mode.
+  /// layers have no quantized path and stay fp32 in every mode. The
+  /// owning ApotsModel is the only caller, so every runtime on a predictor
+  /// serves the model's precision.
   virtual void PrepareQuantized(apots::tensor::QuantMode mode) {
     (void)mode;
   }

@@ -82,70 +82,11 @@ int FeatureAssembler::NumRows() const {
   return 2 * config_.num_adjacent + 1 + 8;
 }
 
-Tensor FeatureAssembler::SampleMatrix(long anchor) const {
-  APOTS_CHECK(speed_scaler_.fitted());
-  const int alpha = config_.alpha;
-  const int m = config_.num_adjacent;
-  APOTS_CHECK_GE(anchor - alpha, 0);
-  APOTS_CHECK_LT(anchor + config_.beta, dataset_->num_intervals());
-
-  Tensor matrix({static_cast<size_t>(NumRows()),
-                 static_cast<size_t>(alpha)});
-  // Speed rows: roads target-m .. target+m, zeroed (except the target)
-  // when adjacent data is disabled.
-  for (int offset = -m; offset <= m; ++offset) {
-    const int row = offset + m;
-    const bool active = offset == 0 || config_.use_adjacent;
-    if (!active) continue;
-    const int road = target_road_ + offset;
-    for (int i = 0; i < alpha; ++i) {
-      const long t = anchor - alpha + i;
-      matrix.At(static_cast<size_t>(row), static_cast<size_t>(i)) =
-          speed_scaler_.Transform(dataset_->Speed(road, t));
-    }
-  }
-  const int base = 2 * m + 1;
-  for (int i = 0; i < alpha; ++i) {
-    const long t = anchor - alpha + i;
-    if (config_.use_event) {
-      matrix.At(base + 0, static_cast<size_t>(i)) =
-          dataset_->EventFlag(target_road_, t);
-    }
-    if (config_.use_weather) {
-      matrix.At(base + 1, static_cast<size_t>(i)) =
-          temperature_scaler_.Transform(dataset_->Weather(t).temperature_c);
-      matrix.At(base + 2, static_cast<size_t>(i)) =
-          precipitation_scaler_.Transform(
-              dataset_->Weather(t).precipitation_mm);
-    }
-    if (config_.use_time) {
-      matrix.At(base + 3, static_cast<size_t>(i)) =
-          static_cast<float>(dataset_->FractionalHour(t) / 24.0);
-    }
-  }
-  if (config_.use_time) {
-    // Day type of the anchor day, broadcast across the window (the paper
-    // notes the day type is constant within a sequence).
-    const DayInfo day = dataset_->Day(anchor);
-    const std::array<float, 4> type = day.TypeVector();
-    for (int k = 0; k < 4; ++k) {
-      for (int i = 0; i < alpha; ++i) {
-        matrix.At(base + 4 + k, static_cast<size_t>(i)) = type[k];
-      }
-    }
-  }
-  return matrix;
-}
-
 Tensor FeatureAssembler::BatchMatrix(const std::vector<long>& anchors) const {
-  const size_t rows = static_cast<size_t>(NumRows());
-  const size_t alpha = static_cast<size_t>(config_.alpha);
-  Tensor batch({anchors.size(), rows, alpha});
-  for (size_t n = 0; n < anchors.size(); ++n) {
-    const Tensor sample = SampleMatrix(anchors[n]);
-    std::copy(sample.data(), sample.data() + rows * alpha,
-              batch.data() + n * rows * alpha);
-  }
+  Tensor batch({anchors.size(), static_cast<size_t>(NumRows()),
+                static_cast<size_t>(config_.alpha)});
+  AssembleBatchInto(anchors.data(), /*contexts=*/nullptr, anchors.size(),
+                    /*cache=*/nullptr, &batch);
   return batch;
 }
 
@@ -248,6 +189,8 @@ void FeatureAssembler::AssembleBatchInto(const long* anchors,
       }
     }
     if (config_.use_time) {
+      // Day type of the anchor day, broadcast across the window (the paper
+      // notes the day type is constant within a sequence).
       const DayInfo day = dataset_->Day(anchor);
       std::array<float, 4> type = day.TypeVector();
       if (spec != nullptr) {

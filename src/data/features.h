@@ -55,6 +55,10 @@ struct FeatureConfig {
 ///                       broadcast across the alpha columns
 /// FC flattens it, the CNN reads it as a 1-channel image, the LSTM reads
 /// the transpose as an alpha-step sequence of per-interval features.
+///
+/// AssembleBatchInto is the one encoder of this layout. Training (J_P,
+/// J_D), the attacker's gradient passes, serving and what-if all run it;
+/// BatchMatrix is its allocating, uncached form.
 class FeatureAssembler {
  public:
   /// Scalers must be fit by the caller (on training data); `Fit` does the
@@ -79,18 +83,16 @@ class FeatureAssembler {
   /// Flat feature width (= NumRows() * alpha).
   int FlatWidth() const { return NumRows() * config_.alpha; }
 
-  /// Builds the [NumRows, alpha] matrix for anchor `t` (present time).
-  apots::tensor::Tensor SampleMatrix(long anchor) const;
-
-  /// Builds a batch [N, NumRows, alpha] for a set of anchors.
+  /// Builds a batch [N, NumRows, alpha] for a set of anchors (present
+  /// times): a fresh tensor filled by the uncached AssembleBatchInto.
   apots::tensor::Tensor BatchMatrix(const std::vector<long>& anchors) const;
 
   /// Batched assembly into a preallocated [count, NumRows, alpha] tensor
   /// (typically a workspace slot — `out` may be dirty, every element is
   /// written). With a non-null `cache`, per-interval columns are served
   /// from / inserted into it, exploiting the alpha-1 column overlap
-  /// between adjacent anchors. Bitwise identical to BatchMatrix with or
-  /// without the cache, warm or cold.
+  /// between adjacent anchors. Bitwise identical to the uncached path,
+  /// warm or cold.
   void AssembleBatchInto(const long* anchors, size_t count,
                          FeatureCache* cache,
                          apots::tensor::Tensor* out) const;

@@ -1,7 +1,6 @@
 #include "data/scaler.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.h"
 
@@ -33,32 +32,6 @@ float MinMaxScaler::Transform(float value) const {
 float MinMaxScaler::Inverse(float scaled) const {
   APOTS_DCHECK(fitted_);
   return scaled * (max_ - min_) + min_;
-}
-
-void StandardScaler::Fit(const float* values, size_t count) {
-  APOTS_CHECK_GT(count, 0u);
-  double sum = 0.0;
-  for (size_t i = 0; i < count; ++i) sum += values[i];
-  const double mean = sum / static_cast<double>(count);
-  double var = 0.0;
-  for (size_t i = 0; i < count; ++i) {
-    const double d = values[i] - mean;
-    var += d * d;
-  }
-  var /= static_cast<double>(count);
-  mean_ = static_cast<float>(mean);
-  stddev_ = static_cast<float>(std::sqrt(std::max(var, 1e-12)));
-  fitted_ = true;
-}
-
-float StandardScaler::Transform(float value) const {
-  APOTS_DCHECK(fitted_);
-  return (value - mean_) / stddev_;
-}
-
-float StandardScaler::Inverse(float scaled) const {
-  APOTS_DCHECK(fitted_);
-  return scaled * stddev_ + mean_;
 }
 
 }  // namespace apots::data

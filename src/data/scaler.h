@@ -35,29 +35,6 @@ class MinMaxScaler {
   float max_ = 1.0f;
 };
 
-/// Z-score scaler: (x - mean) / std.
-class StandardScaler {
- public:
-  StandardScaler() = default;
-
-  void Fit(const float* values, size_t count);
-  void Fit(const std::vector<float>& values) {
-    Fit(values.data(), values.size());
-  }
-
-  float Transform(float value) const;
-  float Inverse(float scaled) const;
-
-  bool fitted() const { return fitted_; }
-  float mean() const { return mean_; }
-  float stddev() const { return stddev_; }
-
- private:
-  bool fitted_ = false;
-  float mean_ = 0.0f;
-  float stddev_ = 1.0f;
-};
-
 }  // namespace apots::data
 
 #endif  // APOTS_DATA_SCALER_H_

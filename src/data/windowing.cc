@@ -99,24 +99,4 @@ std::vector<long> DiscardOverlapping(const std::vector<long>& anchors,
   return kept;
 }
 
-std::pair<std::vector<long>, std::vector<long>> HoldOut(
-    const std::vector<long>& anchors, double fraction, uint64_t seed) {
-  APOTS_CHECK_GE(fraction, 0.0);
-  APOTS_CHECK_LT(fraction, 1.0);
-  std::vector<size_t> order(anchors.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  apots::Rng rng(seed);
-  rng.Shuffle(&order);
-  const size_t held = static_cast<size_t>(anchors.size() * fraction);
-  std::vector<long> main_part, held_part;
-  main_part.reserve(anchors.size() - held);
-  held_part.reserve(held);
-  for (size_t i = 0; i < order.size(); ++i) {
-    (i < held ? held_part : main_part).push_back(anchors[order[i]]);
-  }
-  std::sort(main_part.begin(), main_part.end());
-  std::sort(held_part.begin(), held_part.end());
-  return {main_part, held_part};
-}
-
 }  // namespace apots::data

@@ -42,12 +42,6 @@ std::vector<long> DiscardOverlapping(const std::vector<long>& anchors,
                                      const std::vector<long>& reference,
                                      int alpha, int beta);
 
-/// Splits `anchors` into two parts: the first `1 - fraction` share and the
-/// remainder, after a deterministic shuffle — used to carve a validation
-/// set out of training anchors (the paper's 20% validation).
-std::pair<std::vector<long>, std::vector<long>> HoldOut(
-    const std::vector<long>& anchors, double fraction, uint64_t seed);
-
 }  // namespace apots::data
 
 #endif  // APOTS_DATA_WINDOWING_H_

@@ -4,7 +4,6 @@
 
 #include "baseline/ar_model.h"
 #include "baseline/historical_average.h"
-#include "baseline/knn_model.h"
 #include "baseline/prophet.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -224,20 +223,6 @@ EvalRow Experiment::RunArModel() const {
                  TruthsAt(dataset_, target_road_, test_anchors_,
                           profile_.beta),
                  watch.ElapsedSeconds(), profile_.alpha + 1);
-}
-
-EvalRow Experiment::RunKnn() const {
-  apots::Stopwatch watch;
-  apots::baseline::KnnModel model(profile_.alpha);
-  const apots::Status status =
-      model.Fit(dataset_, target_road_, train_anchors_, profile_.beta);
-  APOTS_CHECK(status.ok()) << status.ToString();
-  std::vector<double> predictions =
-      model.PredictAtAnchors(dataset_, test_anchors_);
-  return MakeRow("KNN", std::move(predictions),
-                 TruthsAt(dataset_, target_road_, test_anchors_,
-                          profile_.beta),
-                 watch.ElapsedSeconds(), 0);
 }
 
 }  // namespace apots::eval

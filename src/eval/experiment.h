@@ -68,9 +68,6 @@ class Experiment {
   /// Evaluates the AR(alpha) baseline.
   EvalRow RunArModel() const;
 
-  /// Evaluates the ST-KNN-style nearest-neighbour baseline.
-  EvalRow RunKnn() const;
-
   /// Builds an EvalRow (segmented metrics) from raw predictions.
   EvalRow MakeRow(const std::string& label,
                   std::vector<double> predictions,

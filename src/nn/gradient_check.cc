@@ -35,8 +35,7 @@ GradCheckResult CheckLayerGradients(Layer* layer, const Tensor& input,
   GradCheckResult result;
   if (stride == 0) stride = 1;
 
-  // Analytic pass: forward (training mode off so dropout is identity),
-  // backward with dL/dout = loss_weights.
+  // Analytic pass: forward, then backward with dL/dout = loss_weights.
   for (Parameter* p : layer->Parameters()) p->ZeroGrad();
   Tensor output = layer->Forward(input, /*training=*/false);
   APOTS_CHECK(output.SameShape(loss_weights));

@@ -52,23 +52,4 @@ LossResult AdversarialGeneratorLoss(const Tensor& fake_logits) {
   return BceWithLogitsLoss(fake_logits, ones);
 }
 
-LossResult MaeLoss(const Tensor& prediction, const Tensor& target) {
-  APOTS_CHECK(prediction.SameShape(target));
-  APOTS_CHECK_GT(prediction.size(), 0u);
-  LossResult result;
-  result.grad = Tensor(prediction.shape());
-  const float* pp = prediction.data();
-  const float* pt = target.data();
-  float* pg = result.grad.data();
-  const float inv_n = 1.0f / static_cast<float>(prediction.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < prediction.size(); ++i) {
-    const float diff = pp[i] - pt[i];
-    acc += std::fabs(diff);
-    pg[i] = (diff > 0.0f ? 1.0f : (diff < 0.0f ? -1.0f : 0.0f)) * inv_n;
-  }
-  result.value = static_cast<float>(acc * inv_n);
-  return result;
-}
-
 }  // namespace apots::nn

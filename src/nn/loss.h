@@ -26,9 +26,6 @@ LossResult BceWithLogitsLoss(const Tensor& logits, const Tensor& target);
 /// fixed point), i.e. BCE against target 1.
 LossResult AdversarialGeneratorLoss(const Tensor& fake_logits);
 
-/// Mean absolute error (used for reporting, with subgradient at 0).
-LossResult MaeLoss(const Tensor& prediction, const Tensor& target);
-
 }  // namespace apots::nn
 
 #endif  // APOTS_NN_LOSS_H_

@@ -44,9 +44,10 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Computes the layer output. `training` toggles train-only behaviour
-  /// (e.g. dropout). This allocating forward is the training path and the
-  /// bitwise reference of the inference forward below.
+  /// Computes the layer output. `training` marks the training path; no
+  /// layer behaves differently under it. This allocating forward is the
+  /// training path and the bitwise reference of the inference forward
+  /// below.
   virtual Tensor Forward(const Tensor& input, bool training) = 0;
 
   /// Inference forward: borrows the output (and any scratch) from `ws`

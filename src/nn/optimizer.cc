@@ -4,41 +4,16 @@
 
 namespace apots::nn {
 
-void Optimizer::StepAndZero(const std::vector<Parameter*>& params) {
-  Step(params);
-  ZeroAllGrads(params);
-}
-
-Sgd::Sgd(float learning_rate, float momentum)
-    : Optimizer(learning_rate), momentum_(momentum) {}
-
-void Sgd::Step(const std::vector<Parameter*>& params) {
-  for (Parameter* p : params) {
-    if (momentum_ == 0.0f) {
-      float* w = p->value.data();
-      const float* g = p->grad.data();
-      for (size_t i = 0; i < p->value.size(); ++i) {
-        w[i] -= learning_rate_ * g[i];
-      }
-      continue;
-    }
-    auto [it, inserted] = velocity_.try_emplace(p, Tensor(p->value.shape()));
-    Tensor& vel = it->second;
-    float* v = vel.data();
-    float* w = p->value.data();
-    const float* g = p->grad.data();
-    for (size_t i = 0; i < p->value.size(); ++i) {
-      v[i] = momentum_ * v[i] + g[i];
-      w[i] -= learning_rate_ * v[i];
-    }
-  }
-}
-
 Adam::Adam(float learning_rate, float beta1, float beta2, float epsilon)
-    : Optimizer(learning_rate),
+    : learning_rate_(learning_rate),
       beta1_(beta1),
       beta2_(beta2),
       epsilon_(epsilon) {}
+
+void Adam::StepAndZero(const std::vector<Parameter*>& params) {
+  Step(params);
+  ZeroAllGrads(params);
+}
 
 void Adam::Step(const std::vector<Parameter*>& params) {
   ++step_count_;

@@ -1,7 +1,6 @@
 #ifndef APOTS_NN_OPTIMIZER_H_
 #define APOTS_NN_OPTIMIZER_H_
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -9,66 +8,40 @@
 
 namespace apots::nn {
 
-/// Base optimizer interface: applies a step from accumulated gradients,
-/// then the caller zeroes the grads (or uses StepAndZero).
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Updates every parameter in `params` from its `grad`.
-  virtual void Step(const std::vector<Parameter*>& params) = 0;
-
-  /// Step followed by ZeroAllGrads.
-  void StepAndZero(const std::vector<Parameter*>& params);
-
-  /// Discards accumulated optimizer state (moments/velocity). Used when
-  /// training rolls back to a checkpoint: stale moments describe the
-  /// diverged trajectory, not the restored weights.
-  virtual void ResetState() {}
-
-  float learning_rate() const { return learning_rate_; }
-  void set_learning_rate(float lr) { learning_rate_ = lr; }
-
- protected:
-  explicit Optimizer(float learning_rate) : learning_rate_(learning_rate) {}
-
-  float learning_rate_;
-};
-
-/// Stochastic gradient descent with classical momentum.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float learning_rate, float momentum = 0.0f);
-
-  void Step(const std::vector<Parameter*>& params) override;
-  void ResetState() override { velocity_.clear(); }
-
- private:
-  float momentum_;
-  std::unordered_map<Parameter*, Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba). Per-parameter first/second moment state keyed by
+/// Adam (Kingma & Ba), the optimizer of every predictor, discriminator
+/// and trainer. Per-parameter first/second moment state keyed by
 /// parameter pointer; the step counter is global to the optimizer.
-class Adam : public Optimizer {
+class Adam {
  public:
   explicit Adam(float learning_rate, float beta1 = 0.9f, float beta2 = 0.999f,
                 float epsilon = 1e-8f);
 
-  void Step(const std::vector<Parameter*>& params) override;
-  void ResetState() override {
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
+
+  /// Updates every parameter in `params` from its `grad`.
+  void Step(const std::vector<Parameter*>& params);
+
+  /// Step followed by ZeroAllGrads.
+  void StepAndZero(const std::vector<Parameter*>& params);
+
+  /// Discards the moments and the step counter. Used when training rolls
+  /// back to a checkpoint: stale moments describe the diverged trajectory,
+  /// not the restored weights.
+  void ResetState() {
     moments_.clear();
     step_count_ = 0;
   }
+
+  float learning_rate() const { return learning_rate_; }
+  void set_learning_rate(float lr) { learning_rate_ = lr; }
 
  private:
   struct Moments {
     Tensor m;
     Tensor v;
   };
+  float learning_rate_;
   float beta1_;
   float beta2_;
   float epsilon_;

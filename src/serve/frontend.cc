@@ -223,19 +223,12 @@ size_t Frontend::RunCycle() {
     }
     const std::pair<long, uint64_t> key{pending->request_.anchor,
                                         pending->request_.context};
-    if (config_.coalesce) {
-      auto [it, inserted] = key_index.try_emplace(key, groups.size());
-      if (inserted) {
-        work.push_back(
-            {pending->request_.anchor, pending->request_.context});
-        groups.emplace_back();
-      }
-      groups[it->second].push_back(std::move(pending));
-    } else {
+    auto [it, inserted] = key_index.try_emplace(key, groups.size());
+    if (inserted) {
       work.push_back({pending->request_.anchor, pending->request_.context});
       groups.emplace_back();
-      groups.back().push_back(std::move(pending));
     }
+    groups[it->second].push_back(std::move(pending));
   }
 
   if (!work.empty()) {

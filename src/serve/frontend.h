@@ -22,9 +22,6 @@ struct FrontendConfig {
   size_t queue_capacity = 4096;
   /// Coalesced keys drained into one supervisor batch per cycle.
   size_t max_batch = 64;
-  /// Merge duplicate in-flight (anchor, context) requests into one
-  /// inference slot and fan the result out bit-for-bit.
-  bool coalesce = true;
   /// Per-request wall budget applied when a request does not carry its
   /// own; 0 = no deadline.
   double default_deadline_ms = 0.0;

@@ -300,25 +300,10 @@ Tensor Im2Col(const Tensor& input, size_t kh, size_t kw, size_t pad) {
 }  // namespace reference
 
 Tensor Matmul(const Tensor& a, const Tensor& b) {
-  if (GetKernelMode() == KernelMode::kReference) {
-    return reference::Matmul(a, b);
-  }
   APOTS_CHECK_EQ(a.rank(), 2u);
   APOTS_CHECK_EQ(b.rank(), 2u);
-  APOTS_CHECK_EQ(a.cols(), b.rows());
-  const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  Tensor out({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  if (GetKernelMode() == KernelMode::kSimd) {
-    simd::GemmStrided(pa, k, 1, pb, n, 1, po, m, k, n);
-    return out;
-  }
-  GlobalPool().ParallelFor(0, m, RowGrain(k * n),
-                           [&](size_t r0, size_t r1, size_t) {
-                             MatmulRowRange(pa, pb, po, r0, r1, k, n);
-                           });
+  Tensor out({a.rows(), b.cols()});
+  MatmulInto(a, b, &out);
   return out;
 }
 
@@ -449,17 +434,8 @@ Tensor Transpose(const Tensor& a) {
 
 Tensor Transpose12(const Tensor& a) {
   APOTS_CHECK_EQ(a.rank(), 3u);
-  const size_t n = a.dim(0), rows = a.dim(1), cols = a.dim(2);
-  Tensor out({n, cols, rows});
-  const float* pa = a.data();
-  float* po = out.data();
-  for (size_t i = 0; i < n; ++i) {
-    const float* src = pa + i * rows * cols;
-    float* dst = po + i * rows * cols;
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
-    }
-  }
+  Tensor out({a.dim(0), a.dim(2), a.dim(1)});
+  Transpose12Into(a, &out);
   return out;
 }
 

@@ -44,8 +44,8 @@ KernelMode GetKernelMode();
 /// "blocked" / "reference" / "simd".
 const char* KernelModeName(KernelMode mode);
 
-/// Matrix product of rank-2 tensors: [m,k] x [k,n] -> [m,n]. Blocked inner
-/// loop over k for cache friendliness; this is the hot path of training.
+/// Matrix product of rank-2 tensors: [m,k] x [k,n] -> [m,n]. MatmulInto
+/// on a fresh tensor, so training and inference share one dispatch.
 Tensor Matmul(const Tensor& a, const Tensor& b);
 
 /// a^T b without materializing the transpose: [k,m]^T x [k,n] -> [m,n].
@@ -66,9 +66,9 @@ Tensor Im2Col(const Tensor& input, size_t kh, size_t kw, size_t pad);
 }  // namespace reference
 
 /// Workspace-friendly kernel variants: write into a preallocated output of
-/// the correct shape instead of returning a fresh tensor. Bitwise identical
-/// to the allocating forms in every kernel mode; `out` contents may be
-/// dirty (every element is overwritten).
+/// the correct shape instead of returning a fresh tensor; `out` contents
+/// may be dirty (every element is overwritten). Matmul, Im2Col and
+/// Transpose12 are these on a fresh tensor.
 void MatmulInto(const Tensor& a, const Tensor& b, Tensor* out);
 void Im2ColInto(const Tensor& input, size_t kh, size_t kw, size_t pad,
                 Tensor* out);

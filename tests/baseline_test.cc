@@ -4,7 +4,6 @@
 
 #include "baseline/ar_model.h"
 #include "baseline/historical_average.h"
-#include "baseline/knn_model.h"
 #include "baseline/linreg.h"
 #include "baseline/prophet.h"
 #include "traffic/dataset_generator.h"
@@ -187,47 +186,6 @@ TEST(ArModelTest, FitValidation) {
   ArModel model(12);
   EXPECT_FALSE(model.Fit(dataset, 0, {}, 1).ok());
   EXPECT_FALSE(model.fitted());
-}
-
-TEST(KnnModelTest, RecallsTrainingPatterns) {
-  // On a clean periodic signal the nearest neighbour of any window is the
-  // same phase on another day, so predictions are near-exact.
-  const TrafficDataset dataset = SyntheticDaily();
-  std::vector<long> train, test;
-  for (long t = 12; t < dataset.num_intervals() - 4; ++t) {
-    (t < 21 * 96 ? train : test).push_back(t);
-  }
-  KnnModel model(/*order=*/12, /*k=*/5);
-  ASSERT_TRUE(model.Fit(dataset, 0, train, /*beta=*/3).ok());
-  double max_err = 0.0;
-  for (size_t i = 0; i < test.size(); i += 17) {
-    const long anchor = test[i];
-    max_err = std::max(max_err, std::fabs(model.PredictOne(dataset, anchor) -
-                                          dataset.Speed(0, anchor + 3)));
-  }
-  EXPECT_LT(max_err, 3.0);
-}
-
-TEST(KnnModelTest, ExactMatchDominatesPrediction) {
-  const TrafficDataset dataset = SyntheticDaily();
-  std::vector<long> train;
-  for (long t = 12; t < 500; ++t) train.push_back(t);
-  KnnModel model(12, 3);
-  ASSERT_TRUE(model.Fit(dataset, 0, train, 3).ok());
-  // Querying a training anchor: the zero-distance window dominates the
-  // inverse-distance weighting.
-  const long anchor = 100;
-  EXPECT_NEAR(model.PredictOne(dataset, anchor),
-              dataset.Speed(0, anchor + 3), 1.5);
-}
-
-TEST(KnnModelTest, ValidationErrors) {
-  const TrafficDataset dataset = SyntheticDaily();
-  KnnModel model(12, 5);
-  EXPECT_FALSE(model.Fit(dataset, 0, {}, 3).ok());
-  EXPECT_FALSE(model.fitted());
-  // Anchor whose window leaves the dataset.
-  EXPECT_FALSE(model.Fit(dataset, 0, {5}, 3).ok());
 }
 
 TEST(BaselinesOnSimulatedData, ProphetWorseThanAr) {

@@ -165,11 +165,8 @@ TEST_F(ContextAssemblyTest, NullContextsRowIsBitwiseBasePath) {
   // An explicit all-base context row must be byte-for-byte the base path.
   const ResolvedContext none{0, nullptr};
   EXPECT_TRUE(SameBits(base, Assemble(anchor, &none)));
-  // And SampleMatrix (the original per-anchor entry point) agrees too.
-  const apots::tensor::Tensor sample = assembler_->SampleMatrix(anchor);
-  EXPECT_EQ(std::memcmp(base.data(), sample.data(),
-                        sample.dim(0) * sample.dim(1) * sizeof(float)),
-            0);
+  // And BatchMatrix (the allocating, cache-free entry point) agrees too.
+  EXPECT_TRUE(SameBits(base, assembler_->BatchMatrix({anchor})));
 }
 
 TEST_F(ContextAssemblyTest, EventOverlayForcesFlagBothWays) {

@@ -39,12 +39,12 @@ TEST(FeatureAssemblerTest, SpeedRowsMatchDataset) {
   FeatureAssembler assembler(&d, SmallConfig(FeatureConfig::Both()));
   assembler.Fit();
   const long anchor = 500;
-  const Tensor matrix = assembler.SampleMatrix(anchor);
+  const Tensor matrix = assembler.BatchMatrix({anchor});
   for (int road = 0; road < 3; ++road) {
     for (int i = 0; i < 12; ++i) {
       const float expected =
           assembler.ScaleSpeed(d.Speed(road, anchor - 12 + i));
-      EXPECT_FLOAT_EQ(matrix.At(road, i), expected);
+      EXPECT_FLOAT_EQ(matrix.At3(0, road, i), expected);
     }
   }
 }
@@ -53,18 +53,18 @@ TEST(FeatureAssemblerTest, SpeedOnlyZeroFillsEverythingElse) {
   const auto& d = SharedDataset();
   FeatureAssembler assembler(&d, SmallConfig(FeatureConfig::SpeedOnly()));
   assembler.Fit();
-  const Tensor matrix = assembler.SampleMatrix(400);
+  const Tensor matrix = assembler.BatchMatrix({400});
   // Adjacent rows (0 and 2) and all context rows must be zero.
   for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(matrix.At(0, i), 0.0f);
-    EXPECT_EQ(matrix.At(2, i), 0.0f);
+    EXPECT_EQ(matrix.At3(0, 0, i), 0.0f);
+    EXPECT_EQ(matrix.At3(0, 2, i), 0.0f);
     for (int row = 3; row < 11; ++row) {
-      EXPECT_EQ(matrix.At(row, i), 0.0f) << row;
+      EXPECT_EQ(matrix.At3(0, row, i), 0.0f) << row;
     }
   }
   // Target row still carries data.
   float target_sum = 0.0f;
-  for (int i = 0; i < 12; ++i) target_sum += matrix.At(1, i);
+  for (int i = 0; i < 12; ++i) target_sum += matrix.At3(0, 1, i);
   EXPECT_GT(target_sum, 0.0f);
 }
 
@@ -85,14 +85,14 @@ TEST(FeatureAssemblerTest, HourRowNormalized) {
   FeatureAssembler assembler(&d, SmallConfig(FeatureConfig::Both()));
   assembler.Fit();
   const long anchor = 700;
-  const Tensor matrix = assembler.SampleMatrix(anchor);
+  const Tensor matrix = assembler.BatchMatrix({anchor});
   const int hour_row = 3 + 3;  // speeds(3) + event + temp + precip
   for (int i = 0; i < 12; ++i) {
     const float expected =
         static_cast<float>(d.FractionalHour(anchor - 12 + i) / 24.0);
-    EXPECT_FLOAT_EQ(matrix.At(hour_row, i), expected);
-    EXPECT_GE(matrix.At(hour_row, i), 0.0f);
-    EXPECT_LT(matrix.At(hour_row, i), 1.0f);
+    EXPECT_FLOAT_EQ(matrix.At3(0, hour_row, i), expected);
+    EXPECT_GE(matrix.At3(0, hour_row, i), 0.0f);
+    EXPECT_LT(matrix.At3(0, hour_row, i), 1.0f);
   }
 }
 
@@ -100,12 +100,12 @@ TEST(FeatureAssemblerTest, DayTypeBroadcastConstant) {
   const auto& d = SharedDataset();
   FeatureAssembler assembler(&d, SmallConfig(FeatureConfig::Both()));
   assembler.Fit();
-  const Tensor matrix = assembler.SampleMatrix(600);
+  const Tensor matrix = assembler.BatchMatrix({600});
   for (int k = 0; k < 4; ++k) {
     const int row = 3 + 4 + k;
-    const float first = matrix.At(row, 0);
+    const float first = matrix.At3(0, row, 0);
     for (int i = 1; i < 12; ++i) {
-      EXPECT_EQ(matrix.At(row, i), first);
+      EXPECT_EQ(matrix.At3(0, row, i), first);
     }
     EXPECT_TRUE(first == 0.0f || first == 1.0f);
   }
@@ -116,11 +116,11 @@ TEST(FeatureAssemblerTest, ContextFeaturesInUnitRange) {
   FeatureAssembler assembler(&d, SmallConfig(FeatureConfig::Both()));
   assembler.Fit();
   for (long anchor : {20L, 500L, 2000L, 3500L}) {
-    const Tensor matrix = assembler.SampleMatrix(anchor);
+    const Tensor matrix = assembler.BatchMatrix({anchor});
     for (int row = 3; row < 11; ++row) {
       for (int i = 0; i < 12; ++i) {
-        EXPECT_GE(matrix.At(row, i), -0.1f);
-        EXPECT_LE(matrix.At(row, i), 1.1f);
+        EXPECT_GE(matrix.At3(0, row, i), -0.1f);
+        EXPECT_LE(matrix.At3(0, row, i), 1.1f);
       }
     }
   }
@@ -156,7 +156,7 @@ TEST(FeatureAssemblerTest, BatchMatchesSingles) {
   const Tensor batch = assembler.BatchMatrix(anchors);
   EXPECT_EQ(batch.dim(0), 3u);
   for (size_t n = 0; n < anchors.size(); ++n) {
-    const Tensor single = assembler.SampleMatrix(anchors[n]);
+    const Tensor single = assembler.BatchMatrix({anchors[n]});
     for (size_t i = 0; i < single.size(); ++i) {
       EXPECT_EQ(batch[n * single.size() + i], single[i]);
     }

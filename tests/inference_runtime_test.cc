@@ -281,6 +281,27 @@ TEST(InferenceRuntimeTest, QuantizedPacksRefreshOnWeightMutation) {
   EXPECT_LE(MeanAbsDiff(dest.PredictKmh(env.test), fp32), 2.0);
 }
 
+TEST(InferenceRuntimeTest, SecondaryRuntimeLeavesServedPrecisionIntact) {
+  // The model owns the served precision: a runtime built elsewhere on its
+  // predictor (as Attacker and RdatDefense do) reads the int8 packs the
+  // model prepared and cannot re-pack them.
+  Env& env = GetEnv();
+  ApotsConfig config = ConfigFor(PredictorType::kFc);
+  config.inference.quantize = tensor::QuantMode::kInt8;
+  ApotsModel model(&env.dataset, config);
+  const std::vector<double> served = model.PredictKmh(env.test);
+
+  InferenceRuntime secondary(&model.predictor(), &model.assembler(),
+                             model.config().inference.batch_size);
+  const Tensor scaled = secondary.Predict(env.test);
+  std::vector<double> secondary_kmh;
+  for (size_t i = 0; i < env.test.size(); ++i) {
+    secondary_kmh.push_back(model.assembler().UnscaleSpeed(scaled[i]));
+  }
+  ExpectIdentical(secondary_kmh, served, "secondary runtime");
+  ExpectIdentical(model.PredictKmh(env.test), served, "served after");
+}
+
 TEST(InferenceConfigGuardTest, ValidateRejectsDegenerateConfigs) {
   InferenceConfig zero_batch;
   zero_batch.batch_size = 0;

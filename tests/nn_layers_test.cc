@@ -5,7 +5,6 @@
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/dropout.h"
 #include "nn/flatten.h"
 #include "nn/lstm.h"
 #include "nn/sequential.h"
@@ -88,41 +87,6 @@ TEST(SigmoidScalarTest, StableAtExtremes) {
   EXPECT_NEAR(SigmoidScalar(500.0f), 1.0f, 1e-7f);
   EXPECT_NEAR(SigmoidScalar(-500.0f), 0.0f, 1e-7f);
   EXPECT_FALSE(std::isnan(SigmoidScalar(-10000.0f)));
-}
-
-TEST(DropoutTest, IdentityAtInference) {
-  apots::Rng rng(3);
-  Dropout dropout(0.5f, &rng);
-  const Tensor in = Random({8, 8}, 4);
-  const Tensor out = dropout.Forward(in, /*training=*/false);
-  for (size_t i = 0; i < in.size(); ++i) EXPECT_FLOAT_EQ(out[i], in[i]);
-}
-
-TEST(DropoutTest, ZeroesAboutRateAndRescales) {
-  apots::Rng rng(5);
-  Dropout dropout(0.5f, &rng);
-  const Tensor in = Tensor::Full({10000}, 1.0f);
-  const Tensor out = dropout.Forward(in, /*training=*/true);
-  size_t zeros = 0;
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (out[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(out[i], 2.0f);  // 1 / keep
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / out.size(), 0.5, 0.03);
-}
-
-TEST(DropoutTest, BackwardUsesSameMask) {
-  apots::Rng rng(6);
-  Dropout dropout(0.4f, &rng);
-  const Tensor in = Tensor::Full({100}, 1.0f);
-  const Tensor out = dropout.Forward(in, true);
-  const Tensor grad = dropout.Backward(Tensor::Full({100}, 1.0f));
-  for (size_t i = 0; i < 100; ++i) {
-    EXPECT_FLOAT_EQ(grad[i], out[i]);  // identical mask and scale
-  }
 }
 
 TEST(FlattenTest, RoundTripShapes) {

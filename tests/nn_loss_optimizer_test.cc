@@ -96,35 +96,6 @@ TEST(AdversarialGeneratorLossTest, GradientPushesLogitsUp) {
   for (size_t i = 0; i < 3; ++i) EXPECT_LT(gen.grad[i], 0.0f);
 }
 
-TEST(MaeLossTest, KnownValueAndSubgradient) {
-  const Tensor pred = Tensor::FromVector({1.0f, -1.0f, 2.0f});
-  const Tensor target = Tensor::FromVector({0.0f, 0.0f, 2.0f});
-  const LossResult result = MaeLoss(pred, target);
-  EXPECT_NEAR(result.value, 2.0f / 3.0f, 1e-6f);
-  EXPECT_GT(result.grad[0], 0.0f);
-  EXPECT_LT(result.grad[1], 0.0f);
-  EXPECT_FLOAT_EQ(result.grad[2], 0.0f);
-}
-
-TEST(SgdTest, PlainStepMath) {
-  Parameter p("p", Tensor::FromVector({1.0f}));
-  p.grad[0] = 2.0f;
-  Sgd sgd(0.1f);
-  sgd.Step({&p});
-  EXPECT_NEAR(p.value[0], 0.8f, 1e-6f);
-}
-
-TEST(SgdTest, MomentumAccumulates) {
-  Parameter p("p", Tensor::FromVector({0.0f}));
-  Sgd sgd(1.0f, 0.5f);
-  p.grad[0] = 1.0f;
-  sgd.Step({&p});  // v = 1, w = -1
-  EXPECT_NEAR(p.value[0], -1.0f, 1e-6f);
-  p.grad[0] = 1.0f;
-  sgd.Step({&p});  // v = 1.5, w = -2.5
-  EXPECT_NEAR(p.value[0], -2.5f, 1e-6f);
-}
-
 TEST(AdamTest, FirstStepHasLearningRateMagnitude) {
   Parameter p("p", Tensor::FromVector({1.0f}));
   p.grad[0] = 123.0f;  // Adam normalizes the scale away
@@ -142,16 +113,6 @@ TEST(AdamTest, ConvergesOnQuadratic) {
     adam.StepAndZero({&p});
   }
   EXPECT_NEAR(p.value[0], 3.0f, 1e-2f);
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Parameter p("p", Tensor::FromVector({0.0f}));
-  Sgd sgd(0.1f, 0.9f);
-  for (int i = 0; i < 300; ++i) {
-    p.grad[0] = 2.0f * (p.value[0] - 3.0f);
-    sgd.StepAndZero({&p});
-  }
-  EXPECT_NEAR(p.value[0], 3.0f, 1e-3f);
 }
 
 TEST(OptimizerTest, StepAndZeroClearsGradients) {

@@ -36,37 +36,13 @@ TEST(MinMaxScalerTest, OutOfRangeValuesMapOutside) {
   EXPECT_LT(scaler.Transform(-5.0f), 0.0f);
 }
 
-TEST(StandardScalerTest, ZeroMeanUnitVariance) {
-  StandardScaler scaler;
-  std::vector<float> values;
-  for (int i = 0; i < 1000; ++i) values.push_back(static_cast<float>(i % 10));
-  scaler.Fit(values);
-  double sum = 0.0, sum_sq = 0.0;
-  for (float v : values) {
-    const float z = scaler.Transform(v);
-    sum += z;
-    sum_sq += z * z;
-  }
-  EXPECT_NEAR(sum / values.size(), 0.0, 1e-4);
-  EXPECT_NEAR(sum_sq / values.size(), 1.0, 1e-3);
-}
-
-TEST(StandardScalerTest, InverseRoundtrip) {
-  StandardScaler scaler;
-  scaler.Fit({1.0f, 2.0f, 3.0f, 4.0f});
-  EXPECT_NEAR(scaler.Inverse(scaler.Transform(2.7f)), 2.7f, 1e-5f);
-}
-
 class ScalerRoundtripSweep : public ::testing::TestWithParam<float> {};
 
 TEST_P(ScalerRoundtripSweep, BothScalersInvert) {
   MinMaxScaler minmax;
   minmax.SetRange(-50.0f, 150.0f);
-  StandardScaler standard;
-  standard.Fit({-10.0f, 0.0f, 25.0f, 90.0f});
   const float v = GetParam();
   EXPECT_NEAR(minmax.Inverse(minmax.Transform(v)), v, 1e-3f);
-  EXPECT_NEAR(standard.Inverse(standard.Transform(v)), v, 1e-3f);
 }
 
 INSTANTIATE_TEST_SUITE_P(Values, ScalerRoundtripSweep,
@@ -170,24 +146,6 @@ TEST(DiscardOverlappingTest, ExactRadius) {
 TEST(DiscardOverlappingTest, EmptyReferenceKeepsAll) {
   const std::vector<long> anchors = {1, 2, 3};
   EXPECT_EQ(DiscardOverlapping(anchors, {}, 12, 1), anchors);
-}
-
-TEST(HoldOutTest, SplitsBySizeAndDisjoint) {
-  std::vector<long> anchors;
-  for (long i = 0; i < 100; ++i) anchors.push_back(i);
-  const auto [main_part, held_part] = HoldOut(anchors, 0.2, 5);
-  EXPECT_EQ(main_part.size(), 80u);
-  EXPECT_EQ(held_part.size(), 20u);
-  std::set<long> all(main_part.begin(), main_part.end());
-  all.insert(held_part.begin(), held_part.end());
-  EXPECT_EQ(all.size(), 100u);
-}
-
-TEST(HoldOutTest, ZeroFractionKeepsEverything) {
-  const std::vector<long> anchors = {5, 6, 7};
-  const auto [main_part, held_part] = HoldOut(anchors, 0.0, 1);
-  EXPECT_EQ(main_part.size(), 3u);
-  EXPECT_TRUE(held_part.empty());
 }
 
 }  // namespace
