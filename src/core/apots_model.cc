@@ -219,6 +219,13 @@ Status ApotsModel::Load(const std::string& path) {
   return status;
 }
 
+Result<apots::nn::CheckpointStore::RecoverInfo> ApotsModel::Recover(
+    const apots::nn::CheckpointStore& store) {
+  auto recovered = store.Recover(TrainableParameters());
+  if (recovered.ok()) RefreshQuantizedWeights();
+  return recovered;
+}
+
 size_t ApotsModel::NumWeights() {
   size_t n = apots::nn::CountWeights(predictor_->Parameters());
   if (discriminator_ != nullptr) {

@@ -11,6 +11,7 @@
 #include "core/inference_runtime.h"
 #include "core/predictor.h"
 #include "data/features.h"
+#include "nn/checkpoint.h"
 #include "traffic/fault_injector.h"
 #include "traffic/traffic_dataset.h"
 #include "util/status.h"
@@ -123,6 +124,10 @@ class ApotsModel {
   /// Saves / restores all trainable weights.
   Status Save(const std::string& path);
   Status Load(const std::string& path);
+  /// Restores all trainable weights from the newest loadable generation
+  /// in `store` (CheckpointStore::Recover) and re-packs them like Load.
+  Result<apots::nn::CheckpointStore::RecoverInfo> Recover(
+      const apots::nn::CheckpointStore& store);
 
   /// Every trainable parameter (predictor, then discriminator when
   /// adversarial) in a stable order — the serialization / checkpoint /

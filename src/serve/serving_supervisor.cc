@@ -420,7 +420,7 @@ Result<apots::nn::CheckpointStore::RecoverInfo> ServingSupervisor::Recover() {
     return Status::FailedPrecondition(
         "no checkpoint store configured (ServeConfig.checkpoint_dir empty)");
   }
-  auto recovered = store_->Recover(model_->TrainableParameters());
+  auto recovered = model_->Recover(*store_);
   if (!recovered.ok()) return recovered.status();
   APOTS_RETURN_IF_ERROR(
       ingestor_->RestoreState(recovered.value().aux));

@@ -211,7 +211,9 @@ class ServingSupervisor {
   /// Unconditional checkpoint (weights + ingestor state).
   Status CheckpointNow();
   /// Restores weights and ingestor state from the newest readable
-  /// generation; falls back generation by generation on corruption.
+  /// generation; falls back generation by generation on corruption. The
+  /// weights go through ApotsModel::Recover, so a quantized model serves
+  /// packs of the restored weights.
   Result<apots::nn::CheckpointStore::RecoverInfo> Recover();
 
   const ServeReport& report() const;

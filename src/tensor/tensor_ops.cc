@@ -34,52 +34,62 @@ size_t RowGrain(size_t fma_per_row) {
   return std::max<size_t>(1, kGemmGrainFma / std::max<size_t>(1, fma_per_row));
 }
 
-/// Register-tile dimensions for the blocked GEMM kernels. A full tile keeps
-/// a kRowTile x kColTile block of the output in registers across the whole
-/// k loop (8 vector accumulators + 2 b vectors at AVX2 width), so the inner
-/// loop is load-b / broadcast-a / fma with no output traffic.
-constexpr size_t kRowTile = 4;
-constexpr size_t kColTile = 16;
+/// Writes the R x C output block at (i, j) of a * b where `lhs_at(i, kk)`
+/// reads element (i, kk) of the logical left operand and `pb` is the
+/// row-major right operand. Each k step loads C values of b once and
+/// multiply-adds them into all R rows of a fixed-shape accumulator block,
+/// whose column loop the compiler vectorizes. Each output element
+/// accumulates its k products in ascending-k order inside one scalar chain
+/// — exactly the reference kernels' order, so results are bitwise identical
+/// to them for finite inputs regardless of tile shape or row partition.
+template <size_t R, size_t C, typename LhsAt>
+void GemmTile(LhsAt lhs_at, const float* pb, float* po, size_t i, size_t j,
+              size_t k, size_t n) {
+  float acc[R][C] = {};
+  for (size_t kk = 0; kk < k; ++kk) {
+    const float* b_row = pb + kk * n + j;
+    for (size_t r = 0; r < R; ++r) {
+      const float a_rk = lhs_at(i + r, kk);
+      for (size_t c = 0; c < C; ++c) acc[r][c] += a_rk * b_row[c];
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    float* out_row = po + (i + r) * n + j;
+    for (size_t c = 0; c < C; ++c) out_row[c] = acc[r][c];
+  }
+}
 
-/// Writes out rows [r0, r1) of a * b where `lhs_at(i, kk)` reads element
-/// (i, kk) of the logical left operand and `pb` is the row-major right
-/// operand. Each output element accumulates its k products in ascending-k
-/// order inside one scalar chain — exactly the reference kernels' order, so
-/// results are bitwise identical to them for finite inputs regardless of
-/// tile shape or row partition.
+/// Writes rows [i, i + R) with R x C tiles, then R x 8 tiles over the
+/// column tail, then R x 1 tiles over the last few columns.
+template <size_t R, size_t C, typename LhsAt>
+void GemmRowStrip(LhsAt lhs_at, const float* pb, float* po, size_t i,
+                  size_t k, size_t n) {
+  size_t j = 0;
+  for (; j + C <= n; j += C) GemmTile<R, C>(lhs_at, pb, po, i, j, k, n);
+  for (; j + 8 <= n; j += 8) GemmTile<R, 8>(lhs_at, pb, po, i, j, k, n);
+  for (; j < n; ++j) GemmTile<R, 1>(lhs_at, pb, po, i, j, k, n);
+}
+
+/// Writes out rows [r0, r1) of a * b. Full 4-row groups run 4 x 16 tiles;
+/// a 3-, 2- or 1-row remainder runs a 3 x 16, 2 x 32 or 1 x 64 tile, so
+/// every tile holds 48-64 accumulators. Remainders are common: one-key
+/// serving runs m = 1, and the pool cuts a 64-row training product into
+/// 2-row chunks.
 template <typename LhsAt>
 void GemmRowRangeImpl(LhsAt lhs_at, const float* pb, float* po, size_t r0,
                       size_t r1, size_t k, size_t n) {
-  for (size_t i = r0; i < r1; i += kRowTile) {
-    const size_t rows = std::min(kRowTile, r1 - i);
-    size_t j = 0;
-    for (; rows == kRowTile && j + kColTile <= n; j += kColTile) {
-      float acc[kRowTile][kColTile] = {};
-      for (size_t kk = 0; kk < k; ++kk) {
-        const float* b_row = pb + kk * n + j;
-        for (size_t r = 0; r < kRowTile; ++r) {
-          const float a_rk = lhs_at(i + r, kk);
-          for (size_t c = 0; c < kColTile; ++c) {
-            acc[r][c] += a_rk * b_row[c];
-          }
-        }
-      }
-      for (size_t r = 0; r < kRowTile; ++r) {
-        float* out_row = po + (i + r) * n + j;
-        for (size_t c = 0; c < kColTile; ++c) out_row[c] = acc[r][c];
-      }
-    }
-    // Ragged edges (last rows, last columns): plain scalar chains.
-    for (size_t r = 0; r < rows; ++r) {
-      float* out_row = po + (i + r) * n;
-      for (size_t jj = j; jj < n; ++jj) {
-        float acc = 0.0f;
-        for (size_t kk = 0; kk < k; ++kk) {
-          acc += lhs_at(i + r, kk) * pb[kk * n + jj];
-        }
-        out_row[jj] = acc;
-      }
-    }
+  size_t i = r0;
+  for (; i + 4 <= r1; i += 4) GemmRowStrip<4, 16>(lhs_at, pb, po, i, k, n);
+  switch (r1 - i) {
+    case 3:
+      GemmRowStrip<3, 16>(lhs_at, pb, po, i, k, n);
+      break;
+    case 2:
+      GemmRowStrip<2, 32>(lhs_at, pb, po, i, k, n);
+      break;
+    case 1:
+      GemmRowStrip<1, 64>(lhs_at, pb, po, i, k, n);
+      break;
   }
 }
 

@@ -136,6 +136,7 @@ TEST(InferenceRuntimeTest, BatchedMatchesPerAnchorBitwiseAllPredictors) {
     };
     const Arm arms[] = {
         {"batch1_1t", 1, 1},
+        {"batch2_1t", 2, 1},
         {"batch7_1t", 7, 1},
         {"batch64_1t", 64, 1},
         {"batch7_4t", 7, 4},

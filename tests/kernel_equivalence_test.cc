@@ -163,6 +163,38 @@ INSTANTIATE_TEST_SUITE_P(AllOps, KernelEquivalenceTest,
                            }
                          });
 
+TEST(KernelEquivalenceEdgeTest, BlockedTailsMatchReference) {
+  // Every blocked tile shape against the reference: m = 1..9 leaves each
+  // row remainder (4x16, 3x16, 2x32, 1x64 tiles) twice, the n values run
+  // the 8-wide and single-column tails at the workloads' widths (conv dW
+  // 9, conv depth 36, LSTM 104 and 256, conv output 156), and pool size 4
+  // cuts the deeper products into 1-, 2- and 3-row chunks.
+  for (size_t threads : {1u, 4u}) {
+    ResetGlobalPool(threads);
+    for (int op = 0; op < 3; ++op) {
+      for (size_t m = 1; m <= 9; ++m) {
+        for (size_t k : {9u, 64u, 156u}) {
+          for (size_t n : {1u, 8u, 9u, 12u, 36u, 104u, 156u, 256u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "op " << op << " m " << m << " k " << k << " n "
+                         << n << " threads " << threads);
+            Tensor a, b;
+            MakeOperands(op, m, k, n, &a, &b);
+            const Tensor ref = RunOp(op, a, b, KernelMode::kReference);
+            const Tensor blocked = RunOp(op, a, b, KernelMode::kBlocked);
+            ExpectBitwise(blocked, ref, "blocked tail vs reference");
+            if (HasFatalFailure()) {
+              ResetGlobalPool(1);
+              return;
+            }
+          }
+        }
+      }
+    }
+  }
+  ResetGlobalPool(1);
+}
+
 TEST(KernelEquivalenceEdgeTest, ZeroDepthProducesZeros) {
   SetKernelMode(KernelMode::kSimd);
   const Tensor a = Tensor::Zeros({5, 0});

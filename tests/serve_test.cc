@@ -217,7 +217,9 @@ class SupervisorTest : public ::testing::Test {
  protected:
   static constexpr long kStart = 96;
 
-  void Build(ServeConfig serve) {
+  void Build(ServeConfig serve,
+             apots::tensor::QuantMode quantize =
+                 apots::tensor::QuantMode::kOff) {
     dataset_ = apots::traffic::GenerateDataset(TinySpec());
     std::vector<long> warmup;
     for (long t = 0; t < kStart; ++t) warmup.push_back(t);
@@ -232,6 +234,7 @@ class SupervisorTest : public ::testing::Test {
     cfg.training.adversarial = false;
     cfg.training.verbose = false;
     cfg.fallback.enabled = false;
+    cfg.inference.quantize = quantize;
     model_ = std::make_unique<apots::core::ApotsModel>(&dataset_, cfg);
     ingestor_ = std::make_unique<StreamIngestor>(
         &dataset_, kStart, apots::data::ImputationConfig(),
@@ -381,6 +384,31 @@ TEST_F(SupervisorTest, CheckpointCadenceAndRecovery) {
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(recovered.value().fell_back());
   EXPECT_EQ(ingestor_->watermark(), kStart + 4);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(SupervisorTest, RecoverRepacksQuantizedWeights) {
+  const std::string dir = TempDir("apots_serve_ckpt_int8");
+  ServeConfig serve;
+  serve.checkpoint_dir = dir;
+  Build(serve, apots::tensor::QuantMode::kInt8);
+  FreshTick(kStart);
+  ASSERT_TRUE(supervisor_->CheckpointNow().ok());
+  apots::core::ApotsModel loaded(&dataset_, model_->config());
+  ASSERT_TRUE(
+      loaded.Load(supervisor_->checkpoint_store()->GenerationPath(1)).ok());
+
+  // Move the served weights away from the checkpoint, as a restart that
+  // builds a fresh model (other seed) before recovering does.
+  apots::core::ApotsConfig other_cfg = model_->config();
+  other_cfg.seed = 99;
+  apots::core::ApotsModel other(&dataset_, other_cfg);
+  ASSERT_TRUE(model_->CopyWeightsFrom(other).ok());
+  const std::vector<long> anchors = {kStart - 20, kStart - 7, kStart};
+  ASSERT_NE(model_->PredictKmh(anchors), loaded.PredictKmh(anchors));
+
+  ASSERT_TRUE(supervisor_->Recover().ok());
+  EXPECT_EQ(model_->PredictKmh(anchors), loaded.PredictKmh(anchors));
   std::filesystem::remove_all(dir);
 }
 
