@@ -10,13 +10,13 @@
 //   batched_parallel  batch 64, workspace arenas + feature cache, batches
 //                     sharded across min(4, hardware_concurrency) threads
 //                     (APOTS_NUM_THREADS overrides when > 1)
-//   simd              batched config on the packed-panel SIMD microkernels
-//                     (runtime ISA dispatch; fp32, epsilon-exact)
 //   int8 / fp16       batched config with quantized inference weights on
 //                     the SIMD kernels
-// Every fp32 blocked arm must produce bitwise identical predictions — the
-// report records the comparison (cold and warm cache) next to the timings.
-// The simd/int8/fp16 arms trade bitwise equality for an accuracy band:
+// Every fp32 arm must produce bitwise identical predictions, although in
+// FMA builds per_anchor runs 1-row products on the register tiles and the
+// batched arms run 64-row products on the packed panels — the report
+// records the comparison (cold and warm cache) next to the timings.
+// The int8/fp16 arms trade bitwise equality for an accuracy band:
 // each reports mae_delta_kmh, its true-MAE (vs ground-truth speeds) minus
 // the fp32 arm's, and the bench fails if any |delta| exceeds 0.5 km/h —
 // quantization noise is near-zero-mean, so a healthy kernel moves accuracy
@@ -41,7 +41,6 @@
 #include "obs/metrics.h"
 #include "tensor/cpu_features.h"
 #include "tensor/quant.h"
-#include "tensor/tensor_ops.h"
 #include "traffic/dataset_generator.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -77,11 +76,10 @@ core::ApotsConfig ModelConfig() {
 struct ArmSpec {
   const char* name;
   core::InferenceConfig cfg;
-  tensor::KernelMode mode;
   size_t threads;
   size_t rounds;
-  /// Bitwise-identity arms (blocked fp32). SIMD/quantized arms are gated
-  /// on mae_delta_kmh instead.
+  /// Bitwise-identity arms (fp32). Quantized arms are gated on
+  /// mae_delta_kmh instead.
   bool exact;
   /// Runs PerAnchorKmh instead of the runtime.
   bool per_anchor = false;
@@ -127,7 +125,6 @@ ArmResult RunArm(core::ApotsModel* model, const std::vector<long>& anchors,
                  const std::vector<double>& baseline) {
   ArmResult result;
   result.spec = spec;
-  tensor::SetKernelMode(spec.mode);
   ResetGlobalPool(spec.threads);
   model->SetInferenceConfig(spec.cfg);  // fresh runtime: cold cache + arenas
 
@@ -158,7 +155,6 @@ ArmResult RunArm(core::ApotsModel* model, const std::vector<long>& anchors,
   const auto stats = model->inference_runtime().feature_cache()->stats();
   result.cache_hits = stats.hits;
   result.cache_misses = stats.misses;
-  tensor::SetKernelMode(tensor::KernelMode::kBlocked);
   ResetGlobalPool(1);
   return result;
 }
@@ -188,16 +184,12 @@ int Run(const std::string& path, bool quick) {
 
   const size_t slow_rounds = quick ? 2 : 8;
   const size_t fast_rounds = quick ? 4 : 24;
-  using tensor::KernelMode;
   const ArmSpec arms[] = {
-      {"per_anchor", per_anchor, KernelMode::kBlocked, 1, slow_rounds, true,
-       /*per_anchor=*/true},
-      {"batched", batched, KernelMode::kBlocked, 1, fast_rounds, true},
-      {"batched_parallel", batched, KernelMode::kBlocked, threads,
-       fast_rounds, true},
-      {"simd", batched, KernelMode::kSimd, 1, fast_rounds, false},
-      {"int8", int8_cfg, KernelMode::kSimd, 1, fast_rounds, false},
-      {"fp16", fp16_cfg, KernelMode::kSimd, 1, fast_rounds, false},
+      {"per_anchor", per_anchor, 1, slow_rounds, true, /*per_anchor=*/true},
+      {"batched", batched, 1, fast_rounds, true},
+      {"batched_parallel", batched, threads, fast_rounds, true},
+      {"int8", int8_cfg, 1, fast_rounds, false},
+      {"fp16", fp16_cfg, 1, fast_rounds, false},
   };
 
   // Ground truth for the bitwise comparison: the seed path.
@@ -229,7 +221,7 @@ int Run(const std::string& path, bool quick) {
     std::fprintf(stderr, "missing arm %s\n", name);
     std::exit(1);
   };
-  bool bitwise_all = true;  // over the exact (blocked fp32) arms only
+  bool bitwise_all = true;  // over the exact (fp32) arms only
   bool accuracy_ok = true;  // |mae_delta| <= 0.5 km/h on the inexact arms
   for (const ArmResult& r : results) {
     if (r.spec.exact) {
@@ -259,8 +251,7 @@ int Run(const std::string& path, bool quick) {
         << ", \"threads\": " << r.spec.threads
         << ", \"workspace\": " << (r.spec.per_anchor ? "false" : "true")
         << ", \"feature_cache\": " << (r.spec.per_anchor ? "false" : "true")
-        << ", \"kernel\": \"" << tensor::KernelModeName(r.spec.mode)
-        << "\", \"quantize\": \""
+        << ", \"quantize\": \""
         << tensor::QuantModeName(r.spec.cfg.quantize)
         << "\", \"exact\": " << (r.spec.exact ? "true" : "false")
         << ", \"rounds\": " << r.spec.rounds << ", \"p50_ms\": " << r.p50_ms
@@ -280,9 +271,6 @@ int Run(const std::string& path, bool quick) {
       << arm("batched").anchors_per_sec / base_rate << ",\n"
       << "  \"speedup_batched_parallel_vs_per_anchor\": "
       << arm("batched_parallel").anchors_per_sec / base_rate << ",\n"
-      << "  \"speedup_simd_vs_batched\": "
-      << arm("simd").anchors_per_sec / arm("batched").anchors_per_sec
-      << ",\n"
       << "  \"speedup_int8_vs_batched\": "
       << arm("int8").anchors_per_sec / arm("batched").anchors_per_sec
       << ",\n"

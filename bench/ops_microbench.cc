@@ -4,12 +4,13 @@
 //
 // `--perf_json[=path]` skips google-benchmark and writes a machine-readable
 // Matmul report (default bench_out/perf_ops.json) with one arm per
-// (kernel family, thread count): reference (seed kernel, 1 thread),
-// blocked_1t/blocked_4t (cache-blocked), simd_1t/simd_4t (packed-panel
-// microkernels, runtime ISA dispatch), and int8_1t/int8_4t (quantized
-// weights + VNNI/scalar dot products). The report carries the dispatched
-// ISA and derived speedups at the 512x512 gate shape; CI gates that simd
-// is not slower than blocked and that int8 clears 2x over blocked_1t when
+// (kernel family, thread count): reference (tensor::reference::Matmul, the
+// seed's serial loops), fp32_1t/fp32_4t (tensor::Matmul: register tiles
+// below 16 rows, packed-panel microkernels with runtime ISA dispatch from
+// 16 rows), and int8_1t/int8_4t (quantized weights + VNNI/scalar dot
+// products). The report carries the dispatched ISA and derived speedups at
+// the 512x512 gate shape; CI gates that fp32 clears 3x over reference (a
+// scalar ISA fallback cannot) and that int8 clears 1.5x over fp32_1t when
 // the host has VNNI.
 
 #include <benchmark/benchmark.h>
@@ -145,43 +146,45 @@ BENCHMARK(BM_BceLoss);
 
 namespace perf {
 
+enum class Kernel { kReference, kFp32, kInt8 };
+
 struct MatmulArm {
   const char* name;
-  ops::KernelMode mode;
+  /// kInt8 packs the weights to int8 panels ahead of time (as the
+  /// inference runtime does) and quantizes activations per call.
+  Kernel kernel;
   size_t threads;
-  /// Quantized-inference path: weights packed to int8 panels ahead of
-  /// time (as the inference runtime does), activations quantized per call.
-  bool int8 = false;
 };
 
 // Times n x n Matmul for the given arm: repeats until ~80ms of work has
 // accumulated (min 5 iterations), reporting seconds per call.
 double TimeMatmul(const MatmulArm& arm, size_t n) {
-  ops::SetKernelMode(arm.mode);
   apots::ResetGlobalPool(arm.threads);
   const Tensor a = RandomTensor({n, n}, 1);
   const Tensor b = RandomTensor({n, n}, 2);
-  if (arm.int8) {
-    const ops::Int8Matrix packed = ops::PackInt8Weights(b);
-    Tensor out({n, n});
-    ops::Int8MatmulInto(a, packed, &out, nullptr);  // warm-up
-    size_t iters = 0;
-    apots::Stopwatch watch;
-    double elapsed = 0.0;
-    while (iters < 5 || elapsed < 0.08) {
-      ops::Int8MatmulInto(a, packed, &out, nullptr);
-      benchmark::DoNotOptimize(out.data());
-      ++iters;
-      elapsed = watch.ElapsedSeconds();
+  const ops::Int8Matrix packed =
+      arm.kernel == Kernel::kInt8 ? ops::PackInt8Weights(b) : ops::Int8Matrix{};
+  Tensor out({n, n});
+  const auto call = [&] {
+    switch (arm.kernel) {
+      case Kernel::kReference:
+        benchmark::DoNotOptimize(ops::reference::Matmul(a, b));
+        break;
+      case Kernel::kFp32:
+        benchmark::DoNotOptimize(ops::Matmul(a, b));
+        break;
+      case Kernel::kInt8:
+        ops::Int8MatmulInto(a, packed, &out, nullptr);
+        benchmark::DoNotOptimize(out.data());
+        break;
     }
-    return elapsed / static_cast<double>(iters);
-  }
-  benchmark::DoNotOptimize(ops::Matmul(a, b));  // warm-up
+  };
+  call();  // warm-up
   size_t iters = 0;
   apots::Stopwatch watch;
   double elapsed = 0.0;
   while (iters < 5 || elapsed < 0.08) {
-    benchmark::DoNotOptimize(ops::Matmul(a, b));
+    call();
     ++iters;
     elapsed = watch.ElapsedSeconds();
   }
@@ -199,13 +202,11 @@ size_t ParallelThreads() {
 int RunPerfJson(const std::string& path) {
   const size_t threads = ParallelThreads();
   const MatmulArm arms[] = {
-      {"reference", ops::KernelMode::kReference, 1},
-      {"blocked_1t", ops::KernelMode::kBlocked, 1},
-      {"blocked_4t", ops::KernelMode::kBlocked, threads},
-      {"simd_1t", ops::KernelMode::kSimd, 1},
-      {"simd_4t", ops::KernelMode::kSimd, threads},
-      {"int8_1t", ops::KernelMode::kSimd, 1, /*int8=*/true},
-      {"int8_4t", ops::KernelMode::kSimd, threads, /*int8=*/true},
+      {"reference", Kernel::kReference, 1},
+      {"fp32_1t", Kernel::kFp32, 1},
+      {"fp32_4t", Kernel::kFp32, threads},
+      {"int8_1t", Kernel::kInt8, 1},
+      {"int8_4t", Kernel::kInt8, threads},
   };
   const size_t sizes[] = {32, 64, 128, 256, 512};
 
@@ -227,7 +228,6 @@ int RunPerfJson(const std::string& path) {
                    arm.name, n, sec * 1e6, gflops);
     }
   }
-  ops::SetKernelMode(ops::KernelMode::kBlocked);
   apots::ResetGlobalPool(1);
 
   // Derived speedups at the gate shape (the largest size, where the
@@ -241,7 +241,7 @@ int RunPerfJson(const std::string& path) {
     std::exit(1);
   };
   const size_t gate_n = 512;
-  const double blocked_1t = seconds_of("blocked_1t", gate_n);
+  const double fp32_1t = seconds_of("fp32_1t", gate_n);
 
   std::ofstream out;
   if (!apots::bench::OpenReport(path, &out)) return 1;
@@ -261,15 +261,12 @@ int RunPerfJson(const std::string& path) {
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n"
-      << "  \"speedup_simd_1t_vs_blocked_1t_n512\": "
-      << blocked_1t / seconds_of("simd_1t", gate_n) << ",\n"
-      << "  \"speedup_int8_1t_vs_blocked_1t_n512\": "
-      << blocked_1t / seconds_of("int8_1t", gate_n) << ",\n"
-      << "  \"speedup_blocked_4t_vs_blocked_1t_n512\": "
-      << blocked_1t / seconds_of("blocked_4t", gate_n) << ",\n"
-      << "  \"speedup_simd_4t_vs_simd_1t_n512\": "
-      << seconds_of("simd_1t", gate_n) / seconds_of("simd_4t", gate_n)
-      << "\n}\n";
+      << "  \"speedup_fp32_1t_vs_reference_n512\": "
+      << seconds_of("reference", gate_n) / fp32_1t << ",\n"
+      << "  \"speedup_int8_1t_vs_fp32_1t_n512\": "
+      << fp32_1t / seconds_of("int8_1t", gate_n) << ",\n"
+      << "  \"speedup_fp32_4t_vs_fp32_1t_n512\": "
+      << fp32_1t / seconds_of("fp32_4t", gate_n) << "\n}\n";
   return 0;
 }
 

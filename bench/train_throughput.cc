@@ -4,24 +4,17 @@
 // profiles.
 //
 // `--perf_json[=path]` skips google-benchmark and instead times one guarded
-// adversarial FC training run under three execution arms, writing a
-// machine-readable report (default bench_out/perf_train.json) that CI archives
-// and gates on:
-//   serial          reference kernels, 1 thread, full-batch step (the seed's
-//                   exact execution path)
-//   serial_blocked  blocked kernels, 1 thread, full-batch step (isolates the
-//                   single-core kernel rewrite)
-//   blocked_4t      blocked kernels, multiple threads, full-batch step
-//                   (kernel-level parallelism only — no data-parallel
-//                   sharding, no replica syncing)
-//   simd_1t         packed-panel SIMD microkernels (runtime ISA dispatch),
-//                   1 thread, full-batch step
-//   simd_4t         SIMD microkernels, multiple threads, full-batch step
-//   parallel        blocked kernels, multiple threads, data-parallel
-//                   micro-batches
-// The thread count is APOTS_NUM_THREADS when set (>1), else
-// min(4, hardware_concurrency) — oversubscribing a small machine makes the
-// multi-threaded arms slower than serial and tells us nothing.
+// adversarial LSTM training run under three execution arms, writing a
+// machine-readable report (default bench_out/perf_train.json) that CI
+// archives and gates on:
+//   full_batch_1t   1 thread, full-batch step
+//   full_batch_4t   multiple threads, full-batch step (row-parallel kernels
+//                   only — no data-parallel sharding, no replica syncing)
+//   micro_batch_4t  multiple threads, data-parallel micro-batches
+// Every arm runs the one matmul dispatch (tensor_ops.h). The thread count
+// is APOTS_NUM_THREADS when set (>1), else min(4, hardware_concurrency) —
+// oversubscribing a small machine makes the multi-threaded arms slower than
+// serial and tells us nothing.
 
 #include <benchmark/benchmark.h>
 
@@ -39,7 +32,6 @@
 #include "core/adversarial_trainer.h"
 #include "core/apots_model.h"
 #include "data/windowing.h"
-#include "tensor/tensor_ops.h"
 #include "traffic/dataset_generator.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -124,8 +116,6 @@ BENCHMARK(BM_TrainHybridAdv)->Unit(benchmark::kMillisecond);
 
 namespace perf {
 
-namespace ops = apots::tensor;
-
 constexpr size_t kEpochs = 2;
 constexpr size_t kMicroBatch = 32;
 constexpr size_t kRepeats = 2;  // best-of, to shave scheduler noise
@@ -155,8 +145,6 @@ core::ApotsConfig PerfConfig(size_t micro_batch) {
 
 struct ArmSpec {
   const char* name;
-  const char* kernels;  // "reference" | "blocked"
-  ops::KernelMode mode;
   size_t threads;
   size_t micro_batch;  // 0 = full-batch step
 };
@@ -173,7 +161,6 @@ ArmResult RunArm(const ArmSpec& spec) {
   result.spec = spec;
   result.seconds = 1e100;
   for (size_t rep = 0; rep < kRepeats; ++rep) {
-    ops::SetKernelMode(spec.mode);
     ResetGlobalPool(spec.threads);
     core::ApotsModel model(&env.dataset, PerfConfig(spec.micro_batch));
     Stopwatch watch;
@@ -204,12 +191,9 @@ int RunPerfJson(const std::string& path) {
   Env& env = GetEnv();
   const size_t threads = ParallelThreads();
   const ArmSpec arms[] = {
-      {"serial", "reference", ops::KernelMode::kReference, 1, 0},
-      {"serial_blocked", "blocked", ops::KernelMode::kBlocked, 1, 0},
-      {"blocked_4t", "blocked", ops::KernelMode::kBlocked, threads, 0},
-      {"simd_1t", "simd", ops::KernelMode::kSimd, 1, 0},
-      {"simd_4t", "simd", ops::KernelMode::kSimd, threads, 0},
-      {"parallel", "blocked", ops::KernelMode::kBlocked, threads, kMicroBatch},
+      {"full_batch_1t", 1, 0},
+      {"full_batch_4t", threads, 0},
+      {"micro_batch_4t", threads, kMicroBatch},
   };
   std::vector<ArmResult> results;
   for (const ArmSpec& spec : arms) {
@@ -218,7 +202,6 @@ int RunPerfJson(const std::string& path) {
                  results.back().spec.name, results.back().seconds,
                  results.back().samples_per_sec);
   }
-  ops::SetKernelMode(ops::KernelMode::kBlocked);
   ResetGlobalPool(1);
   // Name-based lookup — never positional, so adding arms cannot silently
   // skew the derived speedups.
@@ -247,28 +230,21 @@ int RunPerfJson(const std::string& path) {
       << "  \"arms\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const ArmResult& r = results[i];
-    out << "    {\"name\": \"" << r.spec.name << "\", \"kernels\": \""
-        << r.spec.kernels << "\", \"threads\": " << r.spec.threads
+    out << "    {\"name\": \"" << r.spec.name
+        << "\", \"threads\": " << r.spec.threads
         << ", \"micro_batch\": " << r.spec.micro_batch << ", \"seconds\": "
         << r.seconds << ", \"samples_per_sec\": " << r.samples_per_sec << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  const double serial = arm_seconds("serial");
+  const double full_batch_4t = arm_seconds("full_batch_4t");
   out << "  ],\n"
-      << "  \"speedup_parallel_vs_serial\": "
-      << serial / arm_seconds("parallel") << ",\n"
-      << "  \"speedup_blocked_1t_vs_serial\": "
-      << serial / arm_seconds("serial_blocked") << ",\n"
-      << "  \"speedup_blocked_4t_vs_serial\": "
-      << serial / arm_seconds("blocked_4t") << ",\n"
-      << "  \"speedup_simd_1t_vs_serial\": "
-      << serial / arm_seconds("simd_1t") << ",\n"
-      << "  \"speedup_simd_4t_vs_serial\": "
-      << serial / arm_seconds("simd_4t") << "\n"
+      << "  \"speedup_full_batch_4t_vs_1t\": "
+      << arm_seconds("full_batch_1t") / full_batch_4t << ",\n"
+      << "  \"speedup_micro_batch_vs_full_batch_4t\": "
+      << full_batch_4t / arm_seconds("micro_batch_4t") << "\n"
       << "}\n";
   out.close();
-  std::fprintf(stderr, "wrote %s (parallel vs serial: %.2fx)\n", path.c_str(),
-               serial / arm_seconds("parallel"));
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
   return 0;
 }
 

@@ -116,7 +116,7 @@ if [[ ${lane_tsan} -eq 1 ]]; then
     serve_test serve_soak obs_metrics_test obs_trace_test \
     mpsc_queue_test frontend_test frontend_qps kernel_equivalence_test \
     quant_kernel_test sharded_service_test chaos_test chaos_soak whatif_fanout
-  # The kernel suites ride along under TSan because the blocked/SIMD panel
+  # The kernel suites ride along under TSan because the tile and panel
   # loops and the int8 pack+compute path all fan out across the global pool.
   ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
     -R "${parallel_regex}|ServeWatchdog|Supervisor|${obs_regex}|${frontdoor_regex}|${kernel_regex}|ShardedService|ChaosDriver"

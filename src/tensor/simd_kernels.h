@@ -7,12 +7,12 @@
 
 namespace apots::tensor::simd {
 
-/// Internal microkernel interface behind KernelMode::kSimd and the
-/// quantized inference paths. The drivers here pack the right-hand operand
-/// into zero-padded column panels once per call, then sweep row ranges of
-/// the output through an ISA-dispatched register-tiled kernel (see
-/// cpu_features.h for the dispatch ladder and DESIGN.md §15 for the
-/// numerics contract).
+/// Internal microkernel interface behind the matmul family's products of
+/// 16 rows or more (tensor_ops.h) and the quantized inference paths. The
+/// entry points here pack the right-hand operand into zero-padded column
+/// panels once per call, then sweep row ranges of the output through an
+/// ISA-dispatched register-tiled kernel (see cpu_features.h for the
+/// dispatch ladder and DESIGN.md §15 for the numerics contract).
 ///
 /// Panel layout (fp32): panel `p` covers output columns [p*nr, p*nr+width)
 /// and stores k rows of nr floats, `panel[kk*nr + c]` = B(kk, p*nr + c),
@@ -122,9 +122,9 @@ void FloatToHalf(const float* src, uint16_t* dst, size_t count);
 /// out[m,n] = A x B with both operands strided: A(i,kk) = a[i*a_rs +
 /// kk*a_cs], B(kk,j) = b[kk*b_rs + j*b_cs]. Packs B into panels on the
 /// calling thread, then parallelizes disjoint output row ranges over the
-/// global pool. This is the KernelMode::kSimd entry point for Matmul
-/// (b_rs=n, b_cs=1), MatmulTransposeA (a_rs=1, a_cs=m), and
-/// MatmulTransposeB (b_rs=1, b_cs=k).
+/// global pool. Matmul (b_rs=n, b_cs=1), MatmulTransposeA (a_rs=1,
+/// a_cs=m) and MatmulTransposeB (b_rs=1, b_cs=k) call it for products of
+/// 16 rows or more in FMA builds.
 void GemmStrided(const float* a, size_t a_rs, size_t a_cs, const float* b,
                  size_t b_rs, size_t b_cs, float* out, size_t m, size_t k,
                  size_t n);

@@ -1,7 +1,6 @@
 #include "tensor/tensor_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "tensor/simd_kernels.h"
@@ -19,8 +18,6 @@ void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
   }
 }
 
-std::atomic<KernelMode> g_kernel_mode{KernelMode::kBlocked};
-
 /// Elementwise kernels are memory-bound; a range must be well past the
 /// last-level-cache scale before extra cores beat the wakeup cost, so only
 /// large ranges are handed to the pool.
@@ -33,6 +30,24 @@ constexpr size_t kGemmGrainFma = 1 << 15;
 size_t RowGrain(size_t fma_per_row) {
   return std::max<size_t>(1, kGemmGrainFma / std::max<size_t>(1, fma_per_row));
 }
+
+/// The panel microkernels fuse every multiply-add; the tiles and the
+/// reference loops fuse theirs only when the compiler targets FMA. Without
+/// it the two kernels would round differently, and a row's bits would
+/// depend on the size of the product it rides in.
+#ifdef __FMA__
+constexpr bool kPanelsMatchTiles = true;
+#else
+constexpr bool kPanelsMatchTiles = false;
+#endif
+
+/// Products of at least this many rows run the packed panels. Packing B
+/// costs O(k*n) per call, as much as the multiply at m = 1: on the model's
+/// k x n shapes, single-threaded, the panels lose 1.8-7x to the tiles at
+/// 1-3 rows and win 1.4-2.0x at 32-64, crossing over at 12-16.
+constexpr size_t kPanelMinRows = 16;
+
+bool UsePanels(size_t m) { return kPanelsMatchTiles && m >= kPanelMinRows; }
 
 /// Writes the R x C output block at (i, j) of a * b where `lhs_at(i, kk)`
 /// reads element (i, kk) of the logical left operand and `pb` is the
@@ -100,74 +115,14 @@ void MatmulRowRange(const float* pa, const float* pb, float* po, size_t r0,
                    pb, po, r0, r1, k, n);
 }
 
-/// Reference im2col triple loop writing every element of `pc`.
-void ReferenceIm2ColInto(const Tensor& input, size_t kh, size_t kw,
-                         size_t pad, float* pc) {
-  const size_t channels = input.dim(0);
-  const size_t height = input.dim(1);
-  const size_t width = input.dim(2);
-  const size_t out_h = height + 2 * pad - kh + 1;
-  const size_t out_w = width + 2 * pad - kw + 1;
-  const size_t col_width = out_h * out_w;
-  for (size_t c = 0; c < channels; ++c) {
-    for (size_t ki = 0; ki < kh; ++ki) {
-      for (size_t kj = 0; kj < kw; ++kj) {
-        const size_t row = (c * kh + ki) * kw + kj;
-        float* dst = pc + row * col_width;
-        for (size_t oi = 0; oi < out_h; ++oi) {
-          const long src_i =
-              static_cast<long>(oi + ki) - static_cast<long>(pad);
-          for (size_t oj = 0; oj < out_w; ++oj) {
-            const long src_j =
-                static_cast<long>(oj + kj) - static_cast<long>(pad);
-            float value = 0.0f;
-            if (src_i >= 0 && src_i < static_cast<long>(height) &&
-                src_j >= 0 && src_j < static_cast<long>(width)) {
-              value = input.At3(c, static_cast<size_t>(src_i),
-                                static_cast<size_t>(src_j));
-            }
-            dst[oi * out_w + oj] = value;
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Reference ikj matmul accumulating into `po`, which must be zeroed.
-void ReferenceMatmulAccumulate(const float* pa, const float* pb, float* po,
-                               size_t m, size_t k, size_t n) {
-  for (size_t i = 0; i < m; ++i) {
-    float* out_row = po + i * n;
-    for (size_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[i * k + kk];
-      if (aik == 0.0f) continue;
-      const float* b_row = pb + kk * n;
-      for (size_t j = 0; j < n; ++j) out_row[j] += aik * b_row[j];
-    }
-  }
-}
-
 }  // namespace
 
-void SetKernelMode(KernelMode mode) {
-  g_kernel_mode.store(mode, std::memory_order_relaxed);
-}
-
 KernelMode GetKernelMode() {
-  return g_kernel_mode.load(std::memory_order_relaxed);
+  return kPanelsMatchTiles ? KernelMode::kTilesAndPanels : KernelMode::kTiles;
 }
 
 const char* KernelModeName(KernelMode mode) {
-  switch (mode) {
-    case KernelMode::kBlocked:
-      return "blocked";
-    case KernelMode::kReference:
-      return "reference";
-    case KernelMode::kSimd:
-      return "simd";
-  }
-  return "unknown";
+  return mode == KernelMode::kTilesAndPanels ? "tiles+panels" : "tiles";
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {
@@ -178,30 +133,6 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   GlobalPool().ParallelFor(0, out.size(), kElementwiseGrain,
                            [&](size_t lo, size_t hi, size_t) {
                              for (size_t i = lo; i < hi; ++i) po[i] += pb[i];
-                           });
-  return out;
-}
-
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  CheckSameShape(a, b, "Sub");
-  Tensor out = a;
-  const float* pb = b.data();
-  float* po = out.data();
-  GlobalPool().ParallelFor(0, out.size(), kElementwiseGrain,
-                           [&](size_t lo, size_t hi, size_t) {
-                             for (size_t i = lo; i < hi; ++i) po[i] -= pb[i];
-                           });
-  return out;
-}
-
-Tensor Mul(const Tensor& a, const Tensor& b) {
-  CheckSameShape(a, b, "Mul");
-  Tensor out = a;
-  const float* pb = b.data();
-  float* po = out.data();
-  GlobalPool().ParallelFor(0, out.size(), kElementwiseGrain,
-                           [&](size_t lo, size_t hi, size_t) {
-                             for (size_t i = lo; i < hi; ++i) po[i] *= pb[i];
                            });
   return out;
 }
@@ -244,8 +175,19 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
   APOTS_CHECK_EQ(a.cols(), b.rows());
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
   Tensor out({m, n});
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
   // ikj loop order: the inner loop streams both b and out rows.
-  ReferenceMatmulAccumulate(a.data(), b.data(), out.data(), m, k, n);
+  for (size_t i = 0; i < m; ++i) {
+    float* out_row = po + i * n;
+    for (size_t kk = 0; kk < k; ++kk) {
+      const float aik = pa[i * k + kk];
+      if (aik == 0.0f) continue;
+      const float* b_row = pb + kk * n;
+      for (size_t j = 0; j < n; ++j) out_row[j] += aik * b_row[j];
+    }
+  }
   return out;
 }
 
@@ -302,8 +244,32 @@ Tensor Im2Col(const Tensor& input, size_t kh, size_t kw, size_t pad) {
   APOTS_CHECK_GE(width + 2 * pad + 1, kw);
   const size_t out_h = height + 2 * pad - kh + 1;
   const size_t out_w = width + 2 * pad - kw + 1;
-  Tensor columns({channels * kh * kw, out_h * out_w});
-  ReferenceIm2ColInto(input, kh, kw, pad, columns.data());
+  const size_t col_width = out_h * out_w;
+  Tensor columns({channels * kh * kw, col_width});
+  float* pc = columns.data();
+  for (size_t c = 0; c < channels; ++c) {
+    for (size_t ki = 0; ki < kh; ++ki) {
+      for (size_t kj = 0; kj < kw; ++kj) {
+        const size_t row = (c * kh + ki) * kw + kj;
+        float* dst = pc + row * col_width;
+        for (size_t oi = 0; oi < out_h; ++oi) {
+          const long src_i =
+              static_cast<long>(oi + ki) - static_cast<long>(pad);
+          for (size_t oj = 0; oj < out_w; ++oj) {
+            const long src_j =
+                static_cast<long>(oj + kj) - static_cast<long>(pad);
+            float value = 0.0f;
+            if (src_i >= 0 && src_i < static_cast<long>(height) &&
+                src_j >= 0 && src_j < static_cast<long>(width)) {
+              value = input.At3(c, static_cast<size_t>(src_i),
+                                static_cast<size_t>(src_j));
+            }
+            dst[oi * out_w + oj] = value;
+          }
+        }
+      }
+    }
+  }
   return columns;
 }
 
@@ -318,9 +284,6 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor MatmulTransposeA(const Tensor& a, const Tensor& b) {
-  if (GetKernelMode() == KernelMode::kReference) {
-    return reference::MatmulTransposeA(a, b);
-  }
   APOTS_CHECK_EQ(a.rank(), 2u);
   APOTS_CHECK_EQ(b.rank(), 2u);
   APOTS_CHECK_EQ(a.rows(), b.rows());
@@ -329,7 +292,7 @@ Tensor MatmulTransposeA(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  if (GetKernelMode() == KernelMode::kSimd) {
+  if (UsePanels(m)) {
     // The strided left operand (rs=1, cs=m) expresses a^T without
     // materializing it; broadcast loads don't care about the stride.
     simd::GemmStrided(pa, 1, m, pb, n, 1, po, m, k, n);
@@ -348,14 +311,11 @@ Tensor MatmulTransposeA(const Tensor& a, const Tensor& b) {
 }
 
 Tensor MatmulTransposeB(const Tensor& a, const Tensor& b) {
-  if (GetKernelMode() == KernelMode::kReference) {
-    return reference::MatmulTransposeB(a, b);
-  }
   APOTS_CHECK_EQ(a.rank(), 2u);
   APOTS_CHECK_EQ(b.rank(), 2u);
   APOTS_CHECK_EQ(a.cols(), b.cols());
   const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  if (GetKernelMode() == KernelMode::kSimd) {
+  if (UsePanels(m)) {
     // Panels are packed straight from b's rows (B(kk, j) = b[j*k + kk]),
     // so no b^T materialization is needed on this path.
     Tensor out({m, n});
@@ -399,12 +359,7 @@ void MatmulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out->data();
-  if (GetKernelMode() == KernelMode::kReference) {
-    out->Fill(0.0f);
-    ReferenceMatmulAccumulate(pa, pb, po, m, k, n);
-    return;
-  }
-  if (GetKernelMode() == KernelMode::kSimd) {
+  if (UsePanels(m)) {
     simd::GemmStrided(pa, k, 1, pb, n, 1, po, m, k, n);
     return;
   }
@@ -479,38 +434,6 @@ Tensor SumRows(const Tensor& matrix) {
   return out;
 }
 
-float Sum(const Tensor& a) {
-  double acc = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) acc += a[i];
-  return static_cast<float>(acc);
-}
-
-float Mean(const Tensor& a) {
-  APOTS_CHECK_GT(a.size(), 0u);
-  return Sum(a) / static_cast<float>(a.size());
-}
-
-float MinValue(const Tensor& a) {
-  APOTS_CHECK_GT(a.size(), 0u);
-  float best = a[0];
-  for (size_t i = 1; i < a.size(); ++i) best = std::min(best, a[i]);
-  return best;
-}
-
-float MaxValue(const Tensor& a) {
-  APOTS_CHECK_GT(a.size(), 0u);
-  float best = a[0];
-  for (size_t i = 1; i < a.size(); ++i) best = std::max(best, a[i]);
-  return best;
-}
-
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
-  Tensor out = a;
-  float* po = out.data();
-  for (size_t i = 0; i < out.size(); ++i) po[i] = fn(po[i]);
-  return out;
-}
-
 void FillUniform(Tensor* t, apots::Rng* rng, float lo, float hi) {
   float* p = t->data();
   for (size_t i = 0; i < t->size(); ++i) {
@@ -538,17 +461,11 @@ void Im2ColInto(const Tensor& input, size_t kh, size_t kw, size_t pad,
   APOTS_CHECK_EQ(out->rank(), 2u);
   APOTS_CHECK_EQ(out->rows(), channels * kh * kw);
   APOTS_CHECK_EQ(out->cols(), out_h * out_w);
-  if (GetKernelMode() == KernelMode::kReference) {
-    ReferenceIm2ColInto(input, kh, kw, pad, out->data());
-    return;
-  }
   float* pc = out->data();
   const float* pi = input.data();
   const size_t col_width = out_h * out_w;
   // Each output row is the sweep of one (channel, ki, kj) tap: disjoint
-  // writes, so rows parallelize freely. kSimd shares this path: im2col is
-  // a pure copy kernel, so there is no arithmetic for vector units to win
-  // on and the copies below already saturate memory bandwidth.
+  // writes, so rows parallelize freely.
   GlobalPool().ParallelFor(
       0, channels * kh * kw, RowGrain(col_width),
       [&](size_t row0, size_t row1, size_t) {

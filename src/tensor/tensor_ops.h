@@ -1,8 +1,6 @@
 #ifndef APOTS_TENSOR_TENSOR_OPS_H_
 #define APOTS_TENSOR_TENSOR_OPS_H_
 
-#include <functional>
-
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -10,10 +8,6 @@ namespace apots::tensor {
 
 /// Elementwise c = a + b (shapes must match).
 Tensor Add(const Tensor& a, const Tensor& b);
-/// Elementwise c = a - b.
-Tensor Sub(const Tensor& a, const Tensor& b);
-/// Elementwise (Hadamard) c = a * b.
-Tensor Mul(const Tensor& a, const Tensor& b);
 /// c = a * scalar.
 Tensor Scale(const Tensor& a, float scalar);
 
@@ -22,26 +16,20 @@ void AddInPlace(Tensor* a, const Tensor& b);
 /// In-place a += b * scalar (axpy).
 void Axpy(Tensor* a, const Tensor& b, float scalar);
 
-/// Selects the implementation behind the GEMM/im2col kernels. kBlocked
-/// (the default) is the cache-blocked path parallelized over row ranges
-/// of the global ThreadPool; kReference is the original serial
-/// triple-loop path, kept as the ground truth for kernel tests and as
-/// the pre-parallel baseline arm of the perf benches. The blocked
-/// kernels preserve the reference per-element accumulation order, so
-/// results are bit-identical across modes and across pool sizes.
-///
-/// kSimd routes the matmul family through explicit packed-panel
-/// microkernels with runtime CPUID dispatch (AVX-512 > AVX2 > scalar; see
-/// cpu_features.h). Each output element is still one k-ascending FMA
-/// chain, so kSimd is bit-reproducible across pool sizes and row
-/// partitions for a fixed ISA — but FMA contraction differences vs the
-/// scalar chains mean kSimd matches the other modes only within a small
-/// relative epsilon (DESIGN.md §15). Im2Col is a copy kernel with no
-/// arithmetic; kSimd uses the blocked path for it unchanged.
-enum class KernelMode { kBlocked, kReference, kSimd };
-void SetKernelMode(KernelMode mode);
+/// How the matmul family (Matmul/MatmulInto, MatmulTransposeA/B) picks a
+/// kernel in this build; fixed at compile time, with no setter. Products
+/// with fewer than 16 rows run register tiles; with kTilesAndPanels,
+/// products of 16 rows or more run the packed-panel microkernels of
+/// simd_kernels.h instead (runtime ISA dispatch, see cpu_features.h),
+/// which win there and lose below. Both keep the reference kernels'
+/// per-element k-ascending multiply-add chain, so every product returns
+/// the reference's bits. The panels always fuse multiply-adds and the
+/// tiles fuse them only where the build targets FMA, so builds without
+/// FMA (APOTS_NATIVE_ARCH=OFF) are kTiles: a row's bits never depend on
+/// the batch it rides in.
+enum class KernelMode { kTiles, kTilesAndPanels };
 KernelMode GetKernelMode();
-/// "blocked" / "reference" / "simd".
+/// "tiles" / "tiles+panels".
 const char* KernelModeName(KernelMode mode);
 
 /// Matrix product of rank-2 tensors: [m,k] x [k,n] -> [m,n]. MatmulInto
@@ -51,13 +39,13 @@ Tensor Matmul(const Tensor& a, const Tensor& b);
 /// a^T b without materializing the transpose: [k,m]^T x [k,n] -> [m,n].
 Tensor MatmulTransposeA(const Tensor& a, const Tensor& b);
 
-/// a b^T: [m,k] x [n,k]^T -> [m,n]. The blocked path materializes b^T
-/// once so the inner loop streams instead of running a latency-bound
-/// scalar dot product; the accumulation order per output element is
-/// unchanged.
+/// a b^T: [m,k] x [n,k]^T -> [m,n]. The tiles materialize b^T once so
+/// the inner loop streams instead of running a latency-bound scalar dot
+/// product; the accumulation order per output element is unchanged.
 Tensor MatmulTransposeB(const Tensor& a, const Tensor& b);
 
-/// Serial triple-loop ground-truth kernels (see KernelMode::kReference).
+/// Serial triple-loop kernels: the ground truth the tests hold the
+/// dispatched kernels to, bitwise.
 namespace reference {
 Tensor Matmul(const Tensor& a, const Tensor& b);
 Tensor MatmulTransposeA(const Tensor& a, const Tensor& b);
@@ -87,15 +75,6 @@ void AddRowBias(Tensor* matrix, const Tensor& bias);
 
 /// Column-wise sum of an [m,n] matrix -> length-n vector (bias gradient).
 Tensor SumRows(const Tensor& matrix);
-
-/// Sum / mean / min / max over all elements.
-float Sum(const Tensor& a);
-float Mean(const Tensor& a);
-float MinValue(const Tensor& a);
-float MaxValue(const Tensor& a);
-
-/// Applies `fn` elementwise, returning a new tensor.
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn);
 
 /// Fills with uniform / normal random values.
 void FillUniform(Tensor* t, apots::Rng* rng, float lo, float hi);

@@ -31,8 +31,7 @@
 //                      [--predictor F|L|C|H] [--epochs N] [--divisor N]
 //                      [--contexts "clear-event;rain+10;day=holiday"]
 //
-// Every model command also accepts --kernel-mode {reference,blocked,simd}
-// (process-wide matmul dispatch) and --quantize {off,fp16,int8} (inference
+// Every model command also accepts --quantize {off,fp16,int8} (inference
 // weight precision); serve and attack print the dispatched kernel and ISA.
 //
 // `attack` trains a model, perturbs its speed inputs under the
@@ -114,27 +113,6 @@ core::PredictorType ParsePredictor(const std::string& name) {
   return core::PredictorType::kFc;
 }
 
-// Applies --kernel-mode to the process-wide matmul dispatch switch.
-// Unknown values are rejected (after printing the valid set), mirroring
-// --fault-kinds. Absent flag keeps the library default (blocked).
-bool ApplyKernelModeFlag(const std::map<std::string, std::string>& flags) {
-  const std::string name = Flag(flags, "kernel-mode", "");
-  if (name.empty()) return true;
-  if (name == "reference") {
-    tensor::SetKernelMode(tensor::KernelMode::kReference);
-  } else if (name == "blocked") {
-    tensor::SetKernelMode(tensor::KernelMode::kBlocked);
-  } else if (name == "simd") {
-    tensor::SetKernelMode(tensor::KernelMode::kSimd);
-  } else {
-    std::fprintf(stderr,
-                 "bad --kernel-mode: %s (valid: reference, blocked, simd)\n",
-                 name.c_str());
-    return false;
-  }
-  return true;
-}
-
 // Reads --quantize into `mode`; rejects unknown values like --fault-kinds.
 bool ParseQuantizeFlag(const std::map<std::string, std::string>& flags,
                        tensor::QuantMode* mode) {
@@ -153,9 +131,8 @@ bool ParseQuantizeFlag(const std::map<std::string, std::string>& flags,
   return true;
 }
 
-// One-line dispatch summary: which kernel family the matmuls route
-// through, the ISA rung runtime dispatch lands on, and the inference
-// weight precision.
+// One-line dispatch summary: the build's matmul kernel rule, the ISA rung
+// runtime dispatch lands on, and the inference weight precision.
 void PrintDispatch(tensor::QuantMode quantize) {
   std::printf("kernels: %s (isa %s), quantize %s\n",
               tensor::KernelModeName(tensor::GetKernelMode()),
@@ -1398,11 +1375,9 @@ int Usage() {
       "  every command also takes --metrics-json PATH (dump the metrics\n"
       "           registry as JSON on exit) and --trace PATH (record\n"
       "           chrome://tracing spans; open the file in a trace viewer)\n"
-      "  model commands also take --kernel-mode reference|blocked|simd\n"
-      "           (matmul dispatch; simd picks the best ISA at runtime)\n"
-      "           and --quantize off|fp16|int8 (inference weight\n"
-      "           precision; serve/attack print the dispatched kernel,\n"
-      "           ISA, and precision)\n");
+      "  model commands also take --quantize off|fp16|int8 (inference\n"
+      "           weight precision; serve/attack print the dispatched\n"
+      "           kernel, ISA, and precision)\n");
   return 2;
 }
 
@@ -1444,7 +1419,6 @@ int main(int argc, char** argv) {
   if (!Flag(flags, "trace", "").empty()) {
     obs::TraceRecorder::Default().Enable({});
   }
-  if (!ApplyKernelModeFlag(flags)) return 1;
   int rc = -1;
   if (command == "generate") rc = Generate(flags);
   else if (command == "train") rc = Train(flags);

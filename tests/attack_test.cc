@@ -189,15 +189,12 @@ TEST(AttackerTest, SpsaPlanRespectsBudgetAcrossSeedsAndRaisesLoss) {
 
 TEST(AttackerTest, PgdIsBitwiseReproducibleOnReferenceKernels) {
   Victim& victim = SharedVictim();
-  const apots::tensor::KernelMode saved = apots::tensor::GetKernelMode();
-  apots::tensor::SetKernelMode(apots::tensor::KernelMode::kReference);
   AttackConfig config;
   config.steps = 3;
   auto first = Attacker(config).BuildPgdPlan(victim.model.get(),
                                              victim.split.test, 0);
   auto second = Attacker(config).BuildPgdPlan(victim.model.get(),
                                               victim.split.test, 0);
-  apots::tensor::SetKernelMode(saved);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   const PerturbationPlan& a = first.value();

@@ -1,20 +1,25 @@
-// Property-style equivalence suite for the KernelMode::kSimd microkernels:
-// every matmul op, swept over odd/aligned/ragged shapes, against the
-// reference oracle and the blocked path, across forced ISA rungs and pool
-// sizes. The numerics contract under test (DESIGN.md §15):
-//  - blocked == reference bitwise (unchanged from PR 2);
-//  - simd == reference within a small relative epsilon (FMA contraction
-//    and panel padding may differ, the accumulation order may not);
-//  - simd is bitwise self-consistent across pool sizes and row partitions
-//    for a fixed ISA, and *Into forms match allocating forms bitwise.
+// Property-style equivalence suite for the matmul family's two kernels: the
+// register tiles (products under 16 rows) and the packed-panel microkernels
+// of simd::GemmStrided (16 rows and up in FMA builds), swept over odd,
+// aligned and ragged shapes, across forced ISA rungs and pool sizes. The
+// numerics contract under test (DESIGN.md §15):
+//  - the public entry points == reference bitwise, in every build, at
+//    every ISA rung and pool size;
+//  - the panels called directly == reference bitwise where the library
+//    targets FMA (GetKernelMode() == kTilesAndPanels), and within a small
+//    relative epsilon elsewhere: the panels always fuse multiply-adds, the
+//    reference loops of a build without FMA do not;
+//  - the panels are bitwise self-consistent across pool sizes and row
+//    partitions, and *Into forms match allocating forms bitwise.
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "tensor/cpu_features.h"
+#include "tensor/simd_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
@@ -23,13 +28,14 @@
 namespace apots::tensor {
 namespace {
 
-/// Relative tolerance for simd-vs-reference float accumulation. Both sides
-/// sum k products in ascending order; they differ only in FMA contraction
-/// (one rounding per step vs two), so the error is a few ULPs per step —
-/// 1e-4 relative at k <= 65 with inputs in [-1, 1] is generous.
+/// Relative tolerance for panels-vs-reference in builds without FMA. Both
+/// sides sum k products in ascending order; they differ only in FMA
+/// contraction (one rounding per step vs two), so the error is a few ULPs
+/// per step — 1e-4 relative at k <= 65 with inputs in [-1, 1] is generous.
 constexpr float kRelEps = 1e-4f;
 
 const size_t kDims[] = {1, 7, 8, 9, 63, 64, 65};
+const SimdIsa kRungs[] = {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kAvx512};
 
 Tensor Random(std::vector<size_t> shape, uint64_t seed) {
   Tensor t(std::move(shape));
@@ -45,7 +51,13 @@ void ExpectBitwise(const Tensor& a, const Tensor& b, const char* what) {
   }
 }
 
-void ExpectRelNear(const Tensor& a, const Tensor& b, const char* what) {
+/// Panels against the reference: bitwise when the library fuses its
+/// multiply-adds like the panels do, within kRelEps otherwise.
+void ExpectPanelsMatch(const Tensor& a, const Tensor& b, const char* what) {
+  if (GetKernelMode() == KernelMode::kTilesAndPanels) {
+    ExpectBitwise(a, b, what);
+    return;
+  }
   ASSERT_TRUE(a.SameShape(b)) << what;
   for (size_t i = 0; i < a.size(); ++i) {
     const float tol = kRelEps * std::max(1.0f, std::fabs(b[i]));
@@ -53,23 +65,41 @@ void ExpectRelNear(const Tensor& a, const Tensor& b, const char* what) {
   }
 }
 
-/// Runs one op in a given mode. op: 0=Matmul, 1=TransposeA, 2=TransposeB.
-Tensor RunOp(int op, const Tensor& a, const Tensor& b, KernelMode mode) {
-  const KernelMode prev = GetKernelMode();
-  SetKernelMode(mode);
-  Tensor out;
+/// Runs one op through the public dispatch. op: 0=Matmul, 1=TransposeA,
+/// 2=TransposeB.
+Tensor RunOp(int op, const Tensor& a, const Tensor& b) {
   switch (op) {
     case 0:
-      out = Matmul(a, b);
-      break;
+      return Matmul(a, b);
     case 1:
-      out = MatmulTransposeA(a, b);
-      break;
+      return MatmulTransposeA(a, b);
     default:
-      out = MatmulTransposeB(a, b);
-      break;
+      return MatmulTransposeB(a, b);
   }
-  SetKernelMode(prev);
+}
+
+Tensor RunReference(int op, const Tensor& a, const Tensor& b) {
+  switch (op) {
+    case 0:
+      return reference::Matmul(a, b);
+    case 1:
+      return reference::MatmulTransposeA(a, b);
+    default:
+      return reference::MatmulTransposeB(a, b);
+  }
+}
+
+/// Runs one op on the panel kernel directly, whatever its row count, with
+/// the strides the public entry points pass.
+Tensor RunPanels(int op, const Tensor& a, const Tensor& b) {
+  const bool ta = op == 1;
+  const bool tb = op == 2;
+  const size_t m = ta ? a.cols() : a.rows();
+  const size_t k = ta ? a.rows() : a.cols();
+  const size_t n = tb ? b.rows() : b.cols();
+  Tensor out({m, n});
+  simd::GemmStrided(a.data(), ta ? 1 : k, ta ? m : 1, b.data(), tb ? 1 : n,
+                    tb ? k : 1, out.data(), m, k, n);
   return out;
 }
 
@@ -94,7 +124,6 @@ void MakeOperands(int op, size_t m, size_t k, size_t n, Tensor* a, Tensor* b) {
 class KernelEquivalenceTest : public ::testing::TestWithParam<int> {
  protected:
   void TearDown() override {
-    SetKernelMode(KernelMode::kBlocked);
     internal::ClearIsaOverrideForTesting();
     ResetGlobalPool(1);
   }
@@ -107,11 +136,9 @@ TEST_P(KernelEquivalenceTest, ShapeSweepAgainstReference) {
       for (size_t n : kDims) {
         Tensor a, b;
         MakeOperands(op, m, k, n, &a, &b);
-        const Tensor ref = RunOp(op, a, b, KernelMode::kReference);
-        const Tensor blocked = RunOp(op, a, b, KernelMode::kBlocked);
-        ExpectBitwise(blocked, ref, "blocked vs reference");
-        const Tensor simd = RunOp(op, a, b, KernelMode::kSimd);
-        ExpectRelNear(simd, ref, "simd vs reference");
+        const Tensor ref = RunReference(op, a, b);
+        ExpectBitwise(RunOp(op, a, b), ref, "dispatch vs reference");
+        ExpectPanelsMatch(RunPanels(op, a, b), ref, "panels vs reference");
         if (HasFatalFailure()) return;
       }
     }
@@ -120,19 +147,16 @@ TEST_P(KernelEquivalenceTest, ShapeSweepAgainstReference) {
 
 TEST_P(KernelEquivalenceTest, EveryIsaRungMatchesReference) {
   const int op = GetParam();
-  const SimdIsa rungs[] = {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kAvx512};
-  for (SimdIsa rung : rungs) {
+  for (SimdIsa rung : kRungs) {
     internal::OverrideIsaForTesting(rung);
     for (size_t m : {3u, 64u, 65u}) {
       Tensor a, b;
       MakeOperands(op, m, 63, 33, &a, &b);
-      const Tensor ref = RunOp(op, a, b, KernelMode::kReference);
-      const Tensor simd = RunOp(op, a, b, KernelMode::kSimd);
-      ExpectRelNear(simd, ref, IsaName(rung));
+      ExpectPanelsMatch(RunPanels(op, a, b), RunReference(op, a, b),
+                        IsaName(rung));
       if (HasFatalFailure()) return;
     }
   }
-  internal::ClearIsaOverrideForTesting();
 }
 
 TEST_P(KernelEquivalenceTest, BitwiseStableAcrossPoolSizes) {
@@ -140,14 +164,12 @@ TEST_P(KernelEquivalenceTest, BitwiseStableAcrossPoolSizes) {
   Tensor a, b;
   MakeOperands(op, 65, 64, 63, &a, &b);
   ResetGlobalPool(1);
-  const Tensor base = RunOp(op, a, b, KernelMode::kSimd);
+  const Tensor base = RunPanels(op, a, b);
   for (size_t threads : {2u, 3u, 4u}) {
     ResetGlobalPool(threads);
-    const Tensor again = RunOp(op, a, b, KernelMode::kSimd);
-    ExpectBitwise(again, base, "simd across pool sizes");
-    if (HasFatalFailure()) break;
+    ExpectBitwise(RunPanels(op, a, b), base, "panels across pool sizes");
+    if (HasFatalFailure()) return;
   }
-  ResetGlobalPool(1);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOps, KernelEquivalenceTest,
@@ -163,121 +185,111 @@ INSTANTIATE_TEST_SUITE_P(AllOps, KernelEquivalenceTest,
                            }
                          });
 
-TEST(KernelEquivalenceEdgeTest, BlockedTailsMatchReference) {
-  // Every blocked tile shape against the reference: m = 1..9 leaves each
-  // row remainder (4x16, 3x16, 2x32, 1x64 tiles) twice, the n values run
-  // the 8-wide and single-column tails at the workloads' widths (conv dW
-  // 9, conv depth 36, LSTM 104 and 256, conv output 156), and pool size 4
-  // cuts the deeper products into 1-, 2- and 3-row chunks.
+class KernelEquivalenceEdgeTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    internal::ClearIsaOverrideForTesting();
+    ResetGlobalPool(1);
+  }
+};
+
+TEST_F(KernelEquivalenceEdgeTest, BlockedTailsMatchReference) {
+  // Every tile shape and the switch to the panels, against the reference
+  // through the public entry points. m = 1..9 leaves each row remainder
+  // (4x16, 3x16, 2x32, 1x64 tiles) twice; m = 15, 16, 17 straddle the
+  // 16-row switch and m = 64 is the training and what-if batch, each at
+  // every ISA rung the panels dispatch on. The n values run the 8-wide and
+  // single-column tails at the workloads' widths (conv dW 9, conv depth
+  // 36, LSTM 104 and 256, conv output 156), and pool size 4 cuts the
+  // deeper products into 1-, 2- and 3-row chunks.
   for (size_t threads : {1u, 4u}) {
     ResetGlobalPool(threads);
-    for (int op = 0; op < 3; ++op) {
-      for (size_t m = 1; m <= 9; ++m) {
-        for (size_t k : {9u, 64u, 156u}) {
-          for (size_t n : {1u, 8u, 9u, 12u, 36u, 104u, 156u, 256u}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "op " << op << " m " << m << " k " << k << " n "
-                         << n << " threads " << threads);
-            Tensor a, b;
-            MakeOperands(op, m, k, n, &a, &b);
-            const Tensor ref = RunOp(op, a, b, KernelMode::kReference);
-            const Tensor blocked = RunOp(op, a, b, KernelMode::kBlocked);
-            ExpectBitwise(blocked, ref, "blocked tail vs reference");
-            if (HasFatalFailure()) {
-              ResetGlobalPool(1);
-              return;
+    for (SimdIsa rung : kRungs) {
+      internal::OverrideIsaForTesting(rung);
+      std::vector<size_t> rows = {15, 16, 17, 64};
+      if (rung == SimdIsa::kAvx512) {
+        for (size_t m = 1; m <= 9; ++m) rows.push_back(m);
+      }
+      for (int op = 0; op < 3; ++op) {
+        for (size_t m : rows) {
+          for (size_t k : {9u, 64u, 156u}) {
+            for (size_t n : {1u, 8u, 9u, 12u, 36u, 104u, 156u, 256u}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "op " << op << " m " << m << " k " << k
+                           << " n " << n << " threads " << threads << " isa "
+                           << IsaName(rung));
+              Tensor a, b;
+              MakeOperands(op, m, k, n, &a, &b);
+              ExpectBitwise(RunOp(op, a, b), RunReference(op, a, b),
+                            "dispatch vs reference");
+              if (HasFatalFailure()) return;
             }
           }
         }
       }
     }
   }
-  ResetGlobalPool(1);
 }
 
-TEST(KernelEquivalenceEdgeTest, ZeroDepthProducesZeros) {
-  SetKernelMode(KernelMode::kSimd);
-  const Tensor a = Tensor::Zeros({5, 0});
-  const Tensor b = Tensor::Zeros({0, 9});
-  const Tensor out = Matmul(a, b);
-  SetKernelMode(KernelMode::kBlocked);
-  ASSERT_EQ(out.rows(), 5u);
-  ASSERT_EQ(out.cols(), 9u);
-  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], 0.0f);
-}
-
-TEST(KernelEquivalenceEdgeTest, MatmulIntoMatchesAllocatingForm) {
-  for (KernelMode mode :
-       {KernelMode::kReference, KernelMode::kBlocked, KernelMode::kSimd}) {
-    SetKernelMode(mode);
-    const Tensor a = Random({9, 65}, 77);
-    const Tensor b = Random({65, 17}, 78);
-    const Tensor expect = Matmul(a, b);
-    Tensor out({9, 17});
+TEST_F(KernelEquivalenceEdgeTest, ZeroDepthProducesZeros) {
+  for (size_t m : {5u, 17u}) {  // tiles, then panels
+    const Tensor a = Tensor::Zeros({m, 0});
+    const Tensor b = Tensor::Zeros({0, 9});
+    Tensor out({m, 9});
     out.Fill(123.0f);  // dirty contents must be fully overwritten
     MatmulInto(a, b, &out);
-    ExpectBitwise(out, expect, KernelModeName(mode));
+    for (size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], 0.0f) << m;
   }
-  SetKernelMode(KernelMode::kBlocked);
 }
 
-TEST(KernelEquivalenceEdgeTest, WorkspaceSlotReuseIsAliasingFree) {
+TEST_F(KernelEquivalenceEdgeTest, MatmulIntoMatchesAllocatingForm) {
+  for (size_t m : {9u, 17u}) {  // tiles, then panels
+    const Tensor a = Random({m, 65}, 77);
+    const Tensor b = Random({65, 17}, 78);
+    const Tensor expect = Matmul(a, b);
+    Tensor out({m, 17});
+    out.Fill(123.0f);  // dirty contents must be fully overwritten
+    MatmulInto(a, b, &out);
+    ExpectBitwise(out, expect, m < 16 ? "tiles" : "panels");
+  }
+}
+
+TEST_F(KernelEquivalenceEdgeTest, WorkspaceSlotReuseIsAliasingFree) {
   // Two *Into calls into recycled workspace slots across generations: the
-  // second result must not see the first call's bytes.
-  SetKernelMode(KernelMode::kSimd);
+  // second result must not see the first call's bytes. 17 rows take the
+  // panel path where the build has one.
   Workspace ws;
-  const Tensor a1 = Random({7, 64}, 91);
+  const Tensor a1 = Random({17, 64}, 91);
   const Tensor b1 = Random({64, 33}, 92);
-  const Tensor a2 = Random({7, 64}, 93);
+  const Tensor a2 = Random({17, 64}, 93);
   const Tensor b2 = Random({64, 33}, 94);
-  Tensor* out = ws.Acquire({7, 33});
+  Tensor* out = ws.Acquire({17, 33});
   MatmulInto(a1, b1, out);
   const Tensor first = *out;
   ws.Reset();
-  out = ws.Acquire({7, 33});
+  out = ws.Acquire({17, 33});
   MatmulInto(a2, b2, out);
-  const Tensor expect2 = Matmul(a2, b2);
-  SetKernelMode(KernelMode::kBlocked);
-  ExpectBitwise(*out, expect2, "recycled slot");
+  ExpectBitwise(*out, reference::Matmul(a2, b2), "recycled slot");
   // And the first result recomputed still matches (pack buffers are not
   // corrupted by interleaved calls).
-  SetKernelMode(KernelMode::kSimd);
-  const Tensor again = Matmul(a1, b1);
-  SetKernelMode(KernelMode::kBlocked);
-  ExpectBitwise(again, first, "first result recomputed");
+  ExpectBitwise(Matmul(a1, b1), first, "first result recomputed");
 }
 
-TEST(KernelEquivalenceEdgeTest, Im2ColMatchesReferenceInSimdMode) {
-  const Tensor input = Random({3, 9, 7}, 55);
-  SetKernelMode(KernelMode::kReference);
-  const Tensor ref = Im2Col(input, 3, 3, 1);
-  SetKernelMode(KernelMode::kSimd);
-  const Tensor simd = Im2Col(input, 3, 3, 1);
-  SetKernelMode(KernelMode::kBlocked);
-  ExpectBitwise(simd, ref, "im2col");
-}
-
-TEST(KernelEquivalenceEdgeTest, DispatchLadderNeverExceedsHost) {
+TEST_F(KernelEquivalenceEdgeTest, DispatchLadderNeverExceedsHost) {
   // Forcing an ISA above the host must clamp, not crash: run a matmul at
-  // every override and confirm a sane result each time.
+  // every override and confirm the reference's bits each time.
   const Tensor a = Random({33, 65}, 11);
   const Tensor b = Random({65, 31}, 12);
-  SetKernelMode(KernelMode::kReference);
-  const Tensor ref = Matmul(a, b);
-  SetKernelMode(KernelMode::kSimd);
+  const Tensor ref = reference::Matmul(a, b);
   for (SimdIsa rung : {SimdIsa::kAvx512, SimdIsa::kAvx2, SimdIsa::kScalar}) {
     internal::OverrideIsaForTesting(rung);
-    const Tensor out = Matmul(a, b);
-    ExpectRelNear(out, ref, IsaName(DetectedIsa()));
+    ExpectBitwise(Matmul(a, b), ref, IsaName(DetectedIsa()));
   }
-  internal::ClearIsaOverrideForTesting();
-  SetKernelMode(KernelMode::kBlocked);
 }
 
-TEST(KernelEquivalenceEdgeTest, KernelModeNamesRoundTrip) {
-  EXPECT_STREQ(KernelModeName(KernelMode::kBlocked), "blocked");
-  EXPECT_STREQ(KernelModeName(KernelMode::kReference), "reference");
-  EXPECT_STREQ(KernelModeName(KernelMode::kSimd), "simd");
+TEST_F(KernelEquivalenceEdgeTest, KernelModeNamesRoundTrip) {
+  EXPECT_STREQ(KernelModeName(KernelMode::kTiles), "tiles");
+  EXPECT_STREQ(KernelModeName(KernelMode::kTilesAndPanels), "tiles+panels");
   EXPECT_STREQ(IsaName(SimdIsa::kScalar), "scalar");
   EXPECT_STREQ(IsaName(SimdIsa::kAvx2), "avx2");
   EXPECT_STREQ(IsaName(SimdIsa::kAvx512), "avx512");

@@ -87,17 +87,6 @@ TEST_F(PoolSizeSweep, BlockedKernelsMatchReferenceKernels) {
   }
 }
 
-TEST_F(PoolSizeSweep, KernelModeSwitchSelectsReferencePath) {
-  ops::SetKernelMode(ops::KernelMode::kReference);
-  EXPECT_EQ(ops::GetKernelMode(), ops::KernelMode::kReference);
-  const Tensor a = Random({17, 19}, 11);
-  const Tensor b = Random({19, 23}, 12);
-  ExpectBitIdentical(ops::reference::Matmul(a, b), ops::Matmul(a, b),
-                     "reference mode Matmul");
-  ops::SetKernelMode(ops::KernelMode::kBlocked);
-  EXPECT_EQ(ops::GetKernelMode(), ops::KernelMode::kBlocked);
-}
-
 core::ApotsConfig TrainingConfig(size_t micro_batch) {
   core::ApotsConfig config;
   config.predictor = core::PredictorHparams::Scaled(core::PredictorType::kFc, 8);

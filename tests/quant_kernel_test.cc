@@ -42,7 +42,6 @@ class QuantKernelTest : public ::testing::Test {
  protected:
   void TearDown() override {
     internal::ClearIsaOverrideForTesting();
-    SetKernelMode(KernelMode::kBlocked);
     ResetGlobalPool(1);
   }
 };

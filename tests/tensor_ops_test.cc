@@ -39,12 +39,10 @@ void ExpectNear(const Tensor& a, const Tensor& b, float tolerance = 1e-4f) {
   }
 }
 
-TEST(ElementwiseTest, AddSubMulScale) {
+TEST(ElementwiseTest, AddAndScale) {
   const Tensor a = Tensor::FromVector({1, 2, 3});
   const Tensor b = Tensor::FromVector({4, 5, 6});
   ExpectNear(Add(a, b), Tensor::FromVector({5, 7, 9}));
-  ExpectNear(Sub(a, b), Tensor::FromVector({-3, -3, -3}));
-  ExpectNear(Mul(a, b), Tensor::FromVector({4, 10, 18}));
   ExpectNear(Scale(a, 2.0f), Tensor::FromVector({2, 4, 6}));
 }
 
@@ -121,28 +119,18 @@ TEST(RowOpsTest, AddRowBiasAndSumRows) {
   ExpectNear(SumRows(m), Tensor::FromVector({25, 47, 69}));
 }
 
-TEST(ReductionTest, SumMeanMinMax) {
-  const Tensor a = Tensor::FromVector({-1, 3, 2});
-  EXPECT_FLOAT_EQ(Sum(a), 4.0f);
-  EXPECT_NEAR(Mean(a), 4.0f / 3.0f, 1e-6);
-  EXPECT_FLOAT_EQ(MinValue(a), -1.0f);
-  EXPECT_FLOAT_EQ(MaxValue(a), 3.0f);
-}
-
-TEST(MapTest, AppliesFunction) {
-  const Tensor a = Tensor::FromVector({1, 4, 9});
-  const Tensor r = Map(a, [](float x) { return std::sqrt(x); });
-  ExpectNear(r, Tensor::FromVector({1, 2, 3}));
-}
-
 TEST(FillTest, UniformWithinBoundsNormalCentered) {
   Tensor t({10000});
   apots::Rng rng(9);
   FillUniform(&t, &rng, 2.0f, 3.0f);
-  EXPECT_GE(MinValue(t), 2.0f);
-  EXPECT_LT(MaxValue(t), 3.0f);
+  for (size_t i = 0; i < t.size(); ++i) {
+    ASSERT_GE(t[i], 2.0f);
+    ASSERT_LT(t[i], 3.0f);
+  }
   FillNormal(&t, &rng, 0.0f, 1.0f);
-  EXPECT_NEAR(Mean(t), 0.0f, 0.05f);
+  double sum = 0.0;
+  for (size_t i = 0; i < t.size(); ++i) sum += t[i];
+  EXPECT_NEAR(sum / static_cast<double>(t.size()), 0.0, 0.05);
 }
 
 TEST(Im2ColTest, IdentityKernelNoPadding) {
