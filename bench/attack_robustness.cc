@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -295,58 +294,43 @@ int Run(const std::string& path, bool quick) {
                static_cast<unsigned long long>(compared),
                bitwise_clean ? 1 : 0);
 
-  std::ofstream out;
-  if (!bench::OpenReport(path, &out)) return 1;
-  out << "{\n"
-      << "  \"bench\": \"attack_robustness\",\n"
-      << "  \"config\": {\"quick\": " << (quick ? "true" : "false")
-      << "},\n"
-      << "  \"attack\": {\n"
-      << "    \"clean_mae\": " << offline.clean_mae << ",\n"
-      << "    \"attacked_mae\": " << offline.attacked_mae << ",\n"
-      << "    \"mae_inflation\": " << offline.inflation() << ",\n"
-      << "    \"spsa_mae\": " << offline.spsa_mae << ",\n"
-      << "    \"spsa_inflation\": " << offline.spsa_inflation() << ",\n"
-      << "    \"max_abs_delta\": " << offline.max_abs_delta << ",\n"
-      << "    \"max_temporal_step\": " << offline.max_temporal_step << ",\n"
-      << "    \"nonzero_cells\": " << offline.nonzero_cells << ",\n"
-      << "    \"pgd_queries\": " << offline.pgd_queries << ",\n"
-      << "    \"pgd_grad_passes\": " << offline.pgd_grad_passes << ",\n"
-      << "    \"spsa_queries\": " << offline.spsa_queries << "\n"
-      << "  },\n"
-      << "  \"defense\": {\n"
-      << "    \"defended_clean_mae\": " << offline.defended_clean_mae
-      << ",\n"
-      << "    \"defended_transfer_mae\": " << offline.defended_transfer_mae
-      << ",\n"
-      << "    \"defended_adaptive_mae\": " << offline.defended_adaptive_mae
-      << ",\n"
-      << "    \"recovery_ratio\": " << offline.recovery_ratio() << ",\n"
-      << "    \"adaptive_recovery\": " << offline.adaptive_recovery() << "\n"
-      << "  },\n"
-      << "  \"serve_poisoned\": {\n"
-      << "    \"poisoned\": " << serve.poisoned << ",\n"
-      << "    \"detector_observed\": " << serve.detector_observed << ",\n"
-      << "    \"detector_anomalous\": " << serve.detector_anomalous << ",\n"
-      << "    \"detector_flagged_roads\": " << serve.detector_flagged_roads
-      << ",\n"
-      << "    \"availability\": " << serve.availability << "\n"
-      << "  },\n"
-      << "  \"clean_bitwise_match\": " << (bitwise_clean ? "true" : "false")
-      << ",\n"
-      << "  \"wall_seconds\": " << total.ElapsedMillis() / 1000.0 << "\n"
-      << "}\n";
-  out.close();
+  bench::Report report("attack_robustness");
+  report.Set("config.quick", quick)
+      .Set("attack.clean_mae", offline.clean_mae)
+      .Set("attack.attacked_mae", offline.attacked_mae)
+      .Set("attack.mae_inflation", offline.inflation())
+      .Set("attack.spsa_mae", offline.spsa_mae)
+      .Set("attack.spsa_inflation", offline.spsa_inflation())
+      .Set("attack.max_abs_delta", offline.max_abs_delta)
+      .Set("attack.max_temporal_step", offline.max_temporal_step)
+      .Set("attack.nonzero_cells", offline.nonzero_cells)
+      .Set("attack.pgd_queries", offline.pgd_queries)
+      .Set("attack.pgd_grad_passes", offline.pgd_grad_passes)
+      .Set("attack.spsa_queries", offline.spsa_queries)
+      .Set("defense.defended_clean_mae", offline.defended_clean_mae)
+      .Set("defense.defended_transfer_mae", offline.defended_transfer_mae)
+      .Set("defense.defended_adaptive_mae", offline.defended_adaptive_mae)
+      .Set("defense.recovery_ratio", offline.recovery_ratio())
+      .Set("defense.adaptive_recovery", offline.adaptive_recovery())
+      .Set("serve_poisoned.poisoned", serve.poisoned)
+      .Set("serve_poisoned.detector_observed", serve.detector_observed)
+      .Set("serve_poisoned.detector_anomalous", serve.detector_anomalous)
+      .Set("serve_poisoned.detector_flagged_roads",
+           serve.detector_flagged_roads)
+      .Set("serve_poisoned.availability", serve.availability)
+      .Set("clean_bitwise_match", bitwise_clean)
+      .Set("wall_seconds", total.ElapsedMillis() / 1000.0);
 
-  const bool healthy = offline.inflation() >= 2.0 &&
-                       offline.recovery_ratio() >= 0.5 && bitwise_clean &&
-                       serve.poisoned > 0 &&
-                       serve.detector_flagged_roads >= 1;
-  std::fprintf(stderr,
-               "wrote %s (inflation %.2fx, recovery %.0f%%, healthy=%d)\n",
-               path.c_str(), offline.inflation(),
-               100.0 * offline.recovery_ratio(), healthy ? 1 : 0);
-  return healthy ? 0 : 1;
+  // The attack at least doubles the clean MAE at the default plausibility
+  // budget, RDAT claws back half the gap against the transferred plan, the
+  // detector flags a poisoned road, and attack wiring leaves the clean
+  // serving path bitwise identical.
+  report.ExpectAtLeast("attack.mae_inflation", 2.0);
+  report.ExpectAtLeast("defense.recovery_ratio", 0.5);
+  report.ExpectTrue("clean_bitwise_match");
+  report.ExpectAtLeast("serve_poisoned.poisoned", 1);
+  report.ExpectAtLeast("serve_poisoned.detector_flagged_roads", 1);
+  return report.Write(path);
 }
 
 }  // namespace

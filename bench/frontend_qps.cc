@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -467,74 +466,65 @@ int Run(const std::string& path, bool quick) {
                static_cast<unsigned long long>(quant.stats.sheds()),
                quant_mae, clean_mae, mae_delta, quant_accuracy_ok ? 1 : 0);
 
-  std::ofstream out;
-  if (!bench::OpenReport(path, &out)) return 1;
-  out << "{\n"
-      << "  \"bench\": \"frontend_qps\",\n"
-      << "  \"config\": {\"quick\": " << (quick ? "true" : "false")
-      << ", \"slo_ms\": " << slo_ms << ", \"threads\": " << threads
-      << "},\n"
-      << "  \"clean\": {\n"
-      << "    \"requests\": " << clean.stats.submitted << ",\n"
-      << "    \"qps\": " << clean.qps << ",\n"
-      << "    \"p50_ms\": " << clean.p50_ms << ",\n"
-      << "    \"p99_ms\": " << clean.p99_ms << ",\n"
-      << "    \"sheds\": " << clean.stats.sheds() << ",\n"
-      << "    \"coalesce_rate\": " << clean.stats.coalesce_rate() << ",\n"
-      << "    \"bitwise_match\": " << (bitwise_clean ? "true" : "false")
-      << "\n  },\n"
-      << "  \"coalesce\": {\n"
-      << "    \"keys\": " << coalesce.keys << ",\n"
-      << "    \"hits\": " << coalesce.stats.coalesce_hits << ",\n"
-      << "    \"expected_hits\": " << coalesce.expected_hits << ",\n"
-      << "    \"inference_calls\": " << coalesce.stats.inference_calls
-      << ",\n"
-      << "    \"counts_exact\": "
-      << (coalesce.counts_exact ? "true" : "false") << ",\n"
-      << "    \"fanout_bitwise\": "
-      << (coalesce.fanout_bitwise ? "true" : "false") << "\n  },\n"
-      << "  \"open_loop\": {\n"
-      << "    \"slo_ms\": " << slo_ms << ",\n"
-      << "    \"max_sustainable_qps\": " << max_sustainable_qps << ",\n"
-      << "    \"sustainable_p99_ms\": " << sustainable_p99 << "\n  },\n"
-      << "  \"overload\": {\n"
-      << "    \"submitted\": " << overload.stats.submitted << ",\n"
-      << "    \"answered\": " << overload.stats.answered() << ",\n"
-      << "    \"availability\": " << overload.availability << ",\n"
-      << "    \"sheds\": " << overload.stats.sheds() << ",\n"
-      << "    \"shed_rate\": " << overload.stats.shed_rate() << ",\n"
-      << "    \"max_queue_depth\": " << overload.stats.max_queue_depth
-      << ",\n"
-      << "    \"queue_capacity\": " << overload.capacity << ",\n"
-      << "    \"sheds_structural\": "
-      << (overload.sheds_structural ? "true" : "false") << ",\n"
-      << "    \"depth_bounded\": "
-      << (overload.depth_bounded ? "true" : "false") << "\n  },\n"
-      << "  \"quantized\": {\n"
-      << "    \"quantize\": \""
-      << tensor::QuantModeName(tensor::QuantMode::kInt8) << "\",\n"
-      << "    \"requests\": " << quant.stats.submitted << ",\n"
-      << "    \"qps\": " << quant.qps << ",\n"
-      << "    \"p50_ms\": " << quant.p50_ms << ",\n"
-      << "    \"p99_ms\": " << quant.p99_ms << ",\n"
-      << "    \"sheds\": " << quant.stats.sheds() << ",\n"
-      << "    \"mae_kmh\": " << quant_mae << ",\n"
-      << "    \"mae_delta_kmh\": " << mae_delta << ",\n"
-      << "    \"accuracy_band_ok\": "
-      << (quant_accuracy_ok ? "true" : "false") << "\n  }\n"
-      << "}\n";
-  out.close();
+  bench::Report report("frontend_qps");
+  report.Set("config.quick", quick)
+      .Set("config.slo_ms", slo_ms)
+      .Set("config.threads", threads)
+      .Set("clean.requests", clean.stats.submitted)
+      .Set("clean.qps", clean.qps)
+      .Set("clean.p50_ms", clean.p50_ms)
+      .Set("clean.p99_ms", clean.p99_ms)
+      .Set("clean.sheds", clean.stats.sheds())
+      .Set("clean.coalesce_rate", clean.stats.coalesce_rate())
+      .Set("clean.bitwise_match", bitwise_clean)
+      .Set("coalesce.keys", coalesce.keys)
+      .Set("coalesce.hits", coalesce.stats.coalesce_hits)
+      .Set("coalesce.expected_hits", coalesce.expected_hits)
+      .Set("coalesce.inference_calls", coalesce.stats.inference_calls)
+      .Set("coalesce.counts_exact", coalesce.counts_exact)
+      .Set("coalesce.fanout_bitwise", coalesce.fanout_bitwise)
+      .Set("open_loop.slo_ms", slo_ms)
+      .Set("open_loop.max_sustainable_qps", max_sustainable_qps)
+      .Set("open_loop.sustainable_p99_ms", sustainable_p99)
+      .Set("overload.submitted", overload.stats.submitted)
+      .Set("overload.answered", overload.stats.answered())
+      .Set("overload.availability", overload.availability)
+      .Set("overload.sheds", overload.stats.sheds())
+      .Set("overload.shed_rate", overload.stats.shed_rate())
+      .Set("overload.max_queue_depth", overload.stats.max_queue_depth)
+      .Set("overload.queue_capacity", overload.capacity)
+      .Set("overload.sheds_structural", overload.sheds_structural)
+      .Set("overload.depth_bounded", overload.depth_bounded)
+      .Set("quantized.quantize",
+           tensor::QuantModeName(tensor::QuantMode::kInt8))
+      .Set("quantized.requests", quant.stats.submitted)
+      .Set("quantized.qps", quant.qps)
+      .Set("quantized.p50_ms", quant.p50_ms)
+      .Set("quantized.p99_ms", quant.p99_ms)
+      .Set("quantized.sheds", quant.stats.sheds())
+      .Set("quantized.mae_kmh", quant_mae)
+      .Set("quantized.mae_delta_kmh", mae_delta)
+      .Set("quantized.accuracy_band_ok", quant_accuracy_ok);
 
-  const bool healthy = bitwise_clean && clean.stats.sheds() == 0 &&
-                       coalesce.counts_exact && coalesce.fanout_bitwise &&
-                       max_sustainable_qps > 0.0 &&
-                       overload.sheds_structural && overload.depth_bounded &&
-                       quant.qps > 0.0 && quant_accuracy_ok;
-  std::fprintf(stderr,
-               "wrote %s (max sustainable %.0f qps @ p99<=%.0fms, "
-               "healthy=%d)\n",
-               path.c_str(), max_sustainable_qps, slo_ms, healthy ? 1 : 0);
-  return healthy ? 0 : 1;
+  // The clean closed loop never sheds and answers bitwise identically to
+  // InferenceRuntime::Predict, with exact coalescing counts.
+  report.ExpectTrue("clean.bitwise_match");
+  report.ExpectAtMost("clean.sheds", 0);
+  report.ExpectTrue("coalesce.counts_exact");
+  report.ExpectTrue("coalesce.fanout_bitwise");
+  // An absolute floor at the p99 SLO: the committed baseline tracks the
+  // real number, this catches a collapsed serving loop on a slow host.
+  report.ExpectAtLeast("open_loop.max_sustainable_qps", 300);
+  // A 4x-capacity burst is answered in full: sheds are the ladder
+  // answering, not drops.
+  report.ExpectAtLeast("overload.availability", 1.0);
+  report.ExpectAtLeast("overload.sheds", 1);
+  report.ExpectTrue("overload.sheds_structural");
+  report.ExpectTrue("overload.depth_bounded");
+  // The int8 arm answers and holds the accuracy band against fp32.
+  report.Check("quantized.qps > 0", report.Number("quantized.qps") > 0.0);
+  report.ExpectTrue("quantized.accuracy_band_ok");
+  return report.Write(path);
 }
 
 }  // namespace

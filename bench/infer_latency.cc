@@ -20,7 +20,9 @@
 // each reports mae_delta_kmh, its true-MAE (vs ground-truth speeds) minus
 // the fp32 arm's, and the bench fails if any |delta| exceeds 0.5 km/h —
 // quantization noise is near-zero-mean, so a healthy kernel moves accuracy
-// by far less while a broken one blows the bound immediately.
+// by far less while a broken one blows the bound immediately. It also
+// fails when batched serves fewer anchors/s than per_anchor, or when
+// fewer than 3 exact or 2 quantized arms ran.
 //
 // Flags: --perf_json[=path] selects the output file; --quick shrinks the
 // anchor set and round counts for CI smoke runs.
@@ -29,8 +31,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -214,79 +214,69 @@ int Run(const std::string& path, bool quick) {
                  r.mae_delta_kmh);
   }
 
-  const auto arm = [&results](const char* name) -> const ArmResult& {
-    for (const ArmResult& r : results) {
-      if (std::strcmp(r.spec.name, name) == 0) return r;
-    }
-    std::fprintf(stderr, "missing arm %s\n", name);
-    std::exit(1);
-  };
+  bench::Report report("infer_latency");
+  report.Set("config.predictor", "lstm_scaled_2")
+      .Set("config.anchors", anchors.size())
+      .Set("config.quick", quick)
+      .Set("config.parallel_threads", threads)
+      .Set("config.isa", tensor::ActiveIsaLabel())
+      .Set("config.vnni", tensor::HasVnni());
   bool bitwise_all = true;  // over the exact (fp32) arms only
   bool accuracy_ok = true;  // |mae_delta| <= 0.5 km/h on the inexact arms
+  std::vector<std::string> rows;
   for (const ArmResult& r : results) {
     if (r.spec.exact) {
       bitwise_all = bitwise_all && r.bitwise_cold && r.bitwise_warm;
     } else {
       accuracy_ok = accuracy_ok && std::fabs(r.mae_delta_kmh) <= 0.5;
     }
+    rows.push_back(report.AddRow("arms")
+                       .Set("name", r.spec.name)
+                       .Set("batch_size", r.spec.cfg.batch_size)
+                       .Set("threads", r.spec.threads)
+                       .Set("workspace", !r.spec.per_anchor)
+                       .Set("feature_cache", !r.spec.per_anchor)
+                       .Set("quantize",
+                            tensor::QuantModeName(r.spec.cfg.quantize))
+                       .Set("exact", r.spec.exact)
+                       .Set("rounds", r.spec.rounds)
+                       .Set("p50_ms", r.p50_ms)
+                       .Set("p99_ms", r.p99_ms)
+                       .Set("anchors_per_sec", r.anchors_per_sec)
+                       .Set("cache_hits", r.cache_hits)
+                       .Set("cache_misses", r.cache_misses)
+                       .Set("mae_kmh", r.mae_kmh)
+                       .Set("mae_delta_kmh", r.mae_delta_kmh)
+                       .Set("bitwise_match_cold", r.bitwise_cold)
+                       .Set("bitwise_match_warm", r.bitwise_warm)
+                       .key());
   }
+  // Rows in `arms` order: per_anchor, batched, batched_parallel, int8, fp16.
+  const auto rate = [&](size_t row) {
+    return results[row].anchors_per_sec;
+  };
+  report.Set("speedup_batched_vs_per_anchor", rate(1) / rate(0))
+      .Set("speedup_batched_parallel_vs_per_anchor", rate(2) / rate(0))
+      .Set("speedup_int8_vs_batched", rate(3) / rate(1))
+      .Set("bitwise_match_all", bitwise_all)
+      .Set("accuracy_band_ok", accuracy_ok);
 
-  std::ofstream out;
-  if (!bench::OpenReport(path, &out)) return 1;
-  out << "{\n"
-      << "  \"bench\": \"infer_latency\",\n"
-      << "  \"config\": {\n"
-      << "    \"predictor\": \"lstm_scaled_2\",\n"
-      << "    \"anchors\": " << anchors.size() << ",\n"
-      << "    \"quick\": " << (quick ? "true" : "false") << ",\n"
-      << "    \"parallel_threads\": " << threads << ",\n"
-      << "    \"isa\": \"" << tensor::ActiveIsaLabel() << "\",\n"
-      << "    \"vnni\": " << (tensor::HasVnni() ? "true" : "false") << "\n"
-      << "  },\n"
-      << "  \"arms\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ArmResult& r = results[i];
-    out << "    {\"name\": \"" << r.spec.name
-        << "\", \"batch_size\": " << r.spec.cfg.batch_size
-        << ", \"threads\": " << r.spec.threads
-        << ", \"workspace\": " << (r.spec.per_anchor ? "false" : "true")
-        << ", \"feature_cache\": " << (r.spec.per_anchor ? "false" : "true")
-        << ", \"quantize\": \""
-        << tensor::QuantModeName(r.spec.cfg.quantize)
-        << "\", \"exact\": " << (r.spec.exact ? "true" : "false")
-        << ", \"rounds\": " << r.spec.rounds << ", \"p50_ms\": " << r.p50_ms
-        << ", \"p99_ms\": " << r.p99_ms
-        << ", \"anchors_per_sec\": " << r.anchors_per_sec
-        << ", \"cache_hits\": " << r.cache_hits
-        << ", \"cache_misses\": " << r.cache_misses
-        << ", \"mae_kmh\": " << r.mae_kmh
-        << ", \"mae_delta_kmh\": " << r.mae_delta_kmh
-        << ", \"bitwise_match_cold\": " << (r.bitwise_cold ? "true" : "false")
-        << ", \"bitwise_match_warm\": " << (r.bitwise_warm ? "true" : "false")
-        << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+  report.ExpectTrue("bitwise_match_all");
+  report.ExpectTrue("accuracy_band_ok");
+  // The batched path must never fall below the per-anchor baseline; the
+  // committed baseline tracks the real speedup.
+  report.Check("batched anchors_per_sec >= per_anchor anchors_per_sec",
+               report.Number(rows[1] + ".anchors_per_sec") >=
+                   report.Number(rows[0] + ".anchors_per_sec"));
+  size_t exact_arms = 0;
+  size_t quantized_arms = 0;
+  for (const std::string& row : rows) {
+    exact_arms += report.Flag(row + ".exact") ? 1 : 0;
+    quantized_arms += report.Text(row + ".quantize") != "\"off\"" ? 1 : 0;
   }
-  const double base_rate = arm("per_anchor").anchors_per_sec;
-  out << "  ],\n"
-      << "  \"speedup_batched_vs_per_anchor\": "
-      << arm("batched").anchors_per_sec / base_rate << ",\n"
-      << "  \"speedup_batched_parallel_vs_per_anchor\": "
-      << arm("batched_parallel").anchors_per_sec / base_rate << ",\n"
-      << "  \"speedup_int8_vs_batched\": "
-      << arm("int8").anchors_per_sec / arm("batched").anchors_per_sec
-      << ",\n"
-      << "  \"bitwise_match_all\": " << (bitwise_all ? "true" : "false")
-      << ",\n"
-      << "  \"accuracy_band_ok\": " << (accuracy_ok ? "true" : "false")
-      << "\n"
-      << "}\n";
-  out.close();
-  std::fprintf(stderr,
-               "wrote %s (batched+parallel vs per-anchor: %.2fx, "
-               "accuracy band %s)\n",
-               path.c_str(),
-               arm("batched_parallel").anchors_per_sec / base_rate,
-               accuracy_ok ? "ok" : "EXCEEDED");
-  return bitwise_all && accuracy_ok ? 0 : 1;
+  report.Check("at least 3 exact arms", exact_arms >= 3);
+  report.Check("at least 2 quantized arms", quantized_arms >= 2);
+  return report.Write(path);
 }
 
 }  // namespace

@@ -2,22 +2,24 @@
 // instrumenting the hot paths costs nothing measurable: counters are one
 // relaxed atomic add, histograms one clock read plus one atomic add, and a
 // disabled TraceSpan is a single relaxed load. This bench proves it on the
-// most instrumented path we have — the PR 3 batched inference runtime —
-// by timing identical PredictKmh workloads under three arms:
+// most instrumented path we have — the batched inference runtime — by
+// timing identical PredictKmh workloads under three arms:
 //   baseline      SetMetricsEnabled(false), trace disabled — instruments
 //                 compile in but take the cheap early-out branch
 //   metrics_on    metrics enabled (the production default), trace disabled
 //   metrics_trace metrics AND the trace ring enabled
-// and writes bench_out/perf_obs.json with the relative overheads. The
-// gate: metrics_on must be within 2% of baseline (min-of-repeats timing,
-// so scheduler noise cannot manufacture a pass or a fail on its own).
+// and writes bench_out/perf_obs.json with the relative overheads. Each
+// instrumented arm is timed against baseline in interleaved pairs
+// (bench::TimePairs), and its overhead is the median per-pair ratio minus
+// one, so a host whose speed drifts over seconds cannot manufacture a pass
+// or a fail. The gate: metrics_on within 2% of baseline.
 //
 // Flags: --perf_json[=path] selects the output file; --quick shrinks the
 // workload for CI smoke runs.
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -27,7 +29,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "traffic/dataset_generator.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -47,111 +48,68 @@ core::ApotsConfig ModelConfig() {
   return config;
 }
 
-struct ArmResult {
-  const char* name;
-  double seconds = 0.0;  // min over repeats
-  double anchors_per_sec = 0.0;
-};
-
-// One timed pass: `rounds` PredictKmh calls over the anchor set. Returns
-// wall seconds for the whole pass.
-double TimedPass(core::ApotsModel* model, const std::vector<long>& anchors,
-                 size_t rounds) {
-  Stopwatch watch;
-  for (size_t round = 0; round < rounds; ++round) {
-    const std::vector<double> pred = model->PredictKmh(anchors);
-    if (pred.empty()) std::abort();  // keep the call observable
-  }
-  return watch.ElapsedSeconds();
-}
-
-ArmResult RunArm(const char* name, core::ApotsModel* model,
-                 const std::vector<long>& anchors, size_t rounds,
-                 size_t repeats, bool metrics, bool trace) {
-  obs::SetMetricsEnabled(metrics);
-  if (trace) {
-    obs::TraceRecorder::Default().Enable({});
-  } else {
-    obs::TraceRecorder::Default().Disable();
-  }
-  // Fresh runtime per arm so cache warmth is identical across arms; one
-  // untimed warm-up pass fills the feature cache and the arenas.
-  model->SetInferenceConfig(core::InferenceConfig());
-  TimedPass(model, anchors, 1);
-
-  ArmResult result;
-  result.name = name;
-  result.seconds = TimedPass(model, anchors, rounds);
-  for (size_t rep = 1; rep < repeats; ++rep) {
-    result.seconds = std::min(result.seconds,
-                              TimedPass(model, anchors, rounds));
-  }
-  result.anchors_per_sec =
-      static_cast<double>(anchors.size() * rounds) / result.seconds;
-  obs::SetMetricsEnabled(true);
-  obs::TraceRecorder::Default().Disable();
-  return result;
-}
-
 int Run(const std::string& path, bool quick) {
   traffic::TrafficDataset dataset =
       traffic::GenerateDataset(traffic::DatasetSpec::Small(3));
   auto split = data::MakeSplit(dataset, 12, 3, 0.2,
                                data::SplitStrategy::kBlockedByDay, 11);
-  const size_t cap = quick ? 96 : 384;
+  // One timed call is one PredictKmh over these anchors, a single batch:
+  // short calls keep the two calls of a pair close in time.
+  const size_t cap = quick ? 32 : 64;
   std::vector<long> anchors(split.test.begin(),
                             split.test.begin() +
                                 std::min<size_t>(cap, split.test.size()));
   core::ApotsModel model(&dataset, ModelConfig());
   ResetGlobalPool(1);  // single-threaded: no scheduler noise in the gate
 
-  const size_t rounds = quick ? 3 : 10;
-  const size_t repeats = quick ? 3 : 5;
-  const ArmResult arms[] = {
-      RunArm("baseline", &model, anchors, rounds, repeats,
-             /*metrics=*/false, /*trace=*/false),
-      RunArm("metrics_on", &model, anchors, rounds, repeats,
-             /*metrics=*/true, /*trace=*/false),
-      RunArm("metrics_trace", &model, anchors, rounds, repeats,
-             /*metrics=*/true, /*trace=*/true),
+  // Each arm's call switches its instruments on or off first. One runtime
+  // serves every arm, so cache warmth is identical; an untimed call first
+  // fills the cache and arenas.
+  const size_t pairs = quick ? 201 : 401;
+  const auto arm = [&model, &anchors](bool metrics, bool trace) {
+    return [&model, &anchors, metrics, trace] {
+      obs::SetMetricsEnabled(metrics);
+      if (trace) {
+        obs::TraceRecorder::Default().Enable({});
+      } else {
+        obs::TraceRecorder::Default().Disable();
+      }
+      if (model.PredictKmh(anchors).empty()) std::abort();
+    };
   };
-  const double base = arms[0].seconds;
-  const double metrics_overhead = arms[1].seconds / base - 1.0;
-  const double trace_overhead = arms[2].seconds / base - 1.0;
-  for (const ArmResult& arm : arms) {
-    std::fprintf(stderr, "%-14s %8.4fs  %10.1f anchors/s  (%+.2f%%)\n",
-                 arm.name, arm.seconds, arm.anchors_per_sec,
-                 (arm.seconds / base - 1.0) * 100.0);
-  }
+  arm(false, false)();
+  const bench::PairedTimes metrics =
+      bench::TimePairs(pairs, arm(false, false), arm(true, false));
+  const bench::PairedTimes trace =
+      bench::TimePairs(pairs, arm(false, false), arm(true, true));
+  obs::SetMetricsEnabled(true);
+  obs::TraceRecorder::Default().Disable();
 
-  std::ofstream out;
-  if (!bench::OpenReport(path, &out)) return 1;
-  out << "{\n"
-      << "  \"bench\": \"obs_overhead\",\n"
-      << "  \"config\": {\"quick\": " << (quick ? "true" : "false")
-      << ", \"anchors\": " << anchors.size() << ", \"rounds\": " << rounds
-      << ", \"repeats\": " << repeats << "},\n"
-      << "  \"arms\": [\n";
-  for (size_t i = 0; i < 3; ++i) {
-    out << "    {\"name\": \"" << arms[i].name
-        << "\", \"seconds\": " << arms[i].seconds
-        << ", \"anchors_per_sec\": " << arms[i].anchors_per_sec << "}"
-        << (i + 1 < 3 ? "," : "") << "\n";
-  }
-  out << "  ],\n"
-      << "  \"metrics_overhead\": " << metrics_overhead << ",\n"
-      << "  \"metrics_trace_overhead\": " << trace_overhead << "\n"
-      << "}\n";
-  out.close();
-
-  // The acceptance gate: metrics-on within 2% of instruments-disabled.
-  const bool ok = metrics_overhead < 0.02;
-  std::fprintf(stderr,
-               "wrote %s (metrics overhead %+.2f%%, +trace %+.2f%%, "
-               "gate <2%%: %s)\n",
-               path.c_str(), metrics_overhead * 100.0,
-               trace_overhead * 100.0, ok ? "pass" : "FAIL");
-  return ok ? 0 : 1;
+  bench::Report report("obs_overhead");
+  report.Set("config.quick", quick)
+      .Set("config.anchors", anchors.size())
+      .Set("config.rounds", 1)
+      .Set("config.repeats", pairs);
+  const auto add_arm = [&](const char* name, double seconds) {
+    const double rate = static_cast<double>(anchors.size()) / seconds;
+    report.AddRow("arms")
+        .Set("name", name)
+        .Set("seconds", seconds)
+        .Set("anchors_per_sec", rate);
+    std::fprintf(stderr, "%-14s %8.4fs  %10.1f anchors/s\n", name, seconds,
+                 rate);
+  };
+  add_arm("baseline", metrics.a_seconds);
+  add_arm("metrics_on", metrics.b_seconds);
+  add_arm("metrics_trace", trace.b_seconds);
+  report.Set("metrics_overhead", metrics.ratio - 1.0)
+      .Set("metrics_trace_overhead", trace.ratio - 1.0);
+  std::fprintf(stderr, "metrics overhead %+.2f%%, +trace %+.2f%% (median of "
+               "%zu pairs)\n", (metrics.ratio - 1.0) * 100.0,
+               (trace.ratio - 1.0) * 100.0, pairs);
+  report.Check("metrics_overhead < 0.02",
+               report.Number("metrics_overhead") < 0.02);
+  return report.Write(path);
 }
 
 }  // namespace

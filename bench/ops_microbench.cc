@@ -1,32 +1,30 @@
-// Engineering microbenchmarks for the tensor/nn substrate (google-
-// benchmark): matmul variants, im2col, and forward/backward of each layer
-// family at the quick-profile sizes used by the experiment benches.
+// Matmul microbenchmark of the tensor kernels. Writes a machine-readable
+// report (default bench_out/perf_ops.json) with one arm per (kernel
+// family, thread count): reference (tensor::reference::Matmul, the seed's
+// serial loops), fp32_1t/fp32_4t (tensor::Matmul: register tiles below 16
+// rows, packed-panel microkernels with runtime ISA dispatch from 16 rows),
+// and int8_1t/int8_4t (quantized weights + VNNI/scalar dot products). The
+// report carries the dispatched ISA and derived speedups at the 512x512
+// gate shape. Checks (exit 1 on failure):
+//   fp32_1t >= 3x reference at 512 (a scalar ISA fallback cannot);
+//   with VNNI, int8_1t >= 1.5x fp32_1t at 512; without it the int8 arm
+//   runs the exact scalar kernel, which must still clear 2x reference;
+//   fp32_4t no more than 1.10x slower than fp32_1t at 256;
+//   fp32_4t >= 1.15x fp32_1t at 512, skipped on a single-CPU host.
 //
-// `--perf_json[=path]` skips google-benchmark and writes a machine-readable
-// Matmul report (default bench_out/perf_ops.json) with one arm per
-// (kernel family, thread count): reference (tensor::reference::Matmul, the
-// seed's serial loops), fp32_1t/fp32_4t (tensor::Matmul: register tiles
-// below 16 rows, packed-panel microkernels with runtime ISA dispatch from
-// 16 rows), and int8_1t/int8_4t (quantized weights + VNNI/scalar dot
-// products). The report carries the dispatched ISA and derived speedups at
-// the 512x512 gate shape; CI gates that fp32 clears 3x over reference (a
-// scalar ISA fallback cannot) and that int8 clears 1.5x over fp32_1t when
-// the host has VNNI.
+// Flags: --perf_json[=path] selects the output file; --quick is accepted
+// and changes nothing.
 
-#include <benchmark/benchmark.h>
+#include <sched.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
-#include "nn/conv2d.h"
-#include "nn/dense.h"
-#include "nn/lstm.h"
-#include "nn/loss.h"
 #include "tensor/cpu_features.h"
 #include "tensor/quant.h"
 #include "tensor/tensor_ops.h"
@@ -47,104 +45,9 @@ Tensor RandomTensor(std::vector<size_t> shape, uint64_t seed) {
   return t;
 }
 
-void BM_Matmul(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const Tensor a = RandomTensor({n, n}, 1);
-  const Tensor b = RandomTensor({n, n}, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ops::Matmul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_MatmulTransposeA(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const Tensor a = RandomTensor({n, n}, 1);
-  const Tensor b = RandomTensor({n, n}, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ops::MatmulTransposeA(a, b));
-  }
-}
-BENCHMARK(BM_MatmulTransposeA)->Arg(64)->Arg(128);
-
-void BM_Im2Col(benchmark::State& state) {
-  const Tensor image = RandomTensor({8, 13, 12}, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ops::Im2Col(image, 3, 3, 1));
-  }
-}
-BENCHMARK(BM_Im2Col);
-
-void BM_DenseForwardBackward(benchmark::State& state) {
-  const size_t batch = 64;
-  const size_t in = 156, out = static_cast<size_t>(state.range(0));
-  Rng rng(4);
-  apots::nn::Dense layer(in, out, &rng);
-  const Tensor input = RandomTensor({batch, in}, 5);
-  const Tensor grad = RandomTensor({batch, out}, 6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(layer.Forward(input, true));
-    benchmark::DoNotOptimize(layer.Backward(grad));
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_DenseForwardBackward)->Arg(64)->Arg(512);
-
-void BM_Conv2dForwardBackward(benchmark::State& state) {
-  const size_t batch = 16;
-  const size_t channels = static_cast<size_t>(state.range(0));
-  Rng rng(7);
-  apots::nn::Conv2d layer(1, channels, 3, 3, 1, &rng);
-  const Tensor input = RandomTensor({batch, 1, 13, 12}, 8);
-  const Tensor grad = RandomTensor({batch, channels, 13, 12}, 9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(layer.Forward(input, true));
-    benchmark::DoNotOptimize(layer.Backward(grad));
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_Conv2dForwardBackward)->Arg(16)->Arg(64);
-
-void BM_LstmForwardBackward(benchmark::State& state) {
-  const size_t batch = 16;
-  const size_t hidden = static_cast<size_t>(state.range(0));
-  Rng rng(10);
-  apots::nn::Lstm layer(13, hidden, /*return_sequences=*/false, &rng);
-  const Tensor input = RandomTensor({batch, 12, 13}, 11);
-  const Tensor grad = RandomTensor({batch, hidden}, 12);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(layer.Forward(input, true));
-    benchmark::DoNotOptimize(layer.Backward(grad));
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_LstmForwardBackward)->Arg(64)->Arg(128);
-
-void BM_MseLoss(benchmark::State& state) {
-  const Tensor pred = RandomTensor({512, 1}, 13);
-  const Tensor target = RandomTensor({512, 1}, 14);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(apots::nn::MseLoss(pred, target));
-  }
-}
-BENCHMARK(BM_MseLoss);
-
-void BM_BceLoss(benchmark::State& state) {
-  const Tensor logits = RandomTensor({512, 1}, 15);
-  Tensor target({512, 1});
-  for (size_t i = 0; i < 512; ++i) target[i] = (i % 2) ? 1.0f : 0.0f;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(apots::nn::BceWithLogitsLoss(logits, target));
-  }
-}
-BENCHMARK(BM_BceLoss);
-
-// ---------------------------------------------------------------------------
-// --perf_json harness
-// ---------------------------------------------------------------------------
-
-namespace perf {
+// Keeps each timed product observable, so the optimizer cannot drop it.
+volatile float g_sink = 0.0f;
+void Sink(const Tensor& t) { g_sink = t.data()[0]; }
 
 enum class Kernel { kReference, kFp32, kInt8 };
 
@@ -168,14 +71,14 @@ double TimeMatmul(const MatmulArm& arm, size_t n) {
   const auto call = [&] {
     switch (arm.kernel) {
       case Kernel::kReference:
-        benchmark::DoNotOptimize(ops::reference::Matmul(a, b));
+        Sink(ops::reference::Matmul(a, b));
         break;
       case Kernel::kFp32:
-        benchmark::DoNotOptimize(ops::Matmul(a, b));
+        Sink(ops::Matmul(a, b));
         break;
       case Kernel::kInt8:
         ops::Int8MatmulInto(a, packed, &out, nullptr);
-        benchmark::DoNotOptimize(out.data());
+        Sink(out);
         break;
     }
   };
@@ -199,7 +102,15 @@ size_t ParallelThreads() {
   return 4;
 }
 
-int RunPerfJson(const std::string& path) {
+// CPUs this process may run on, as `nproc` counts them.
+size_t UsableCpus() {
+  cpu_set_t set;
+  return sched_getaffinity(0, sizeof(set), &set) == 0
+             ? static_cast<size_t>(CPU_COUNT(&set))
+             : 1;
+}
+
+int Run(const std::string& path, bool /*quick*/) {
   const size_t threads = ParallelThreads();
   const MatmulArm arms[] = {
       {"reference", Kernel::kReference, 1},
@@ -210,81 +121,74 @@ int RunPerfJson(const std::string& path) {
   };
   const size_t sizes[] = {32, 64, 128, 256, 512};
 
-  struct Row {
-    const char* arm;
-    size_t threads;
-    size_t n;
-    double seconds_per_call;
-    double gflops;
-  };
-  std::vector<Row> rows;
+  apots::bench::Report report("ops_microbench");
+  report.Set("op", "matmul")
+      .Set("parallel_threads", threads)
+      .Set("isa", apots::tensor::ActiveIsaLabel())
+      .Set("vnni", apots::tensor::HasVnni());
+  std::map<std::pair<std::string, size_t>, std::string> row_key;
   for (const MatmulArm& arm : arms) {
     for (size_t n : sizes) {
       const double sec = TimeMatmul(arm, n);
       const double gflops =
           2.0 * static_cast<double>(n) * n * n / sec / 1e9;
-      rows.push_back({arm.name, arm.threads, n, sec, gflops});
+      row_key[{arm.name, n}] = report.AddRow("results")
+                                   .Set("arm", arm.name)
+                                   .Set("threads", arm.threads)
+                                   .Set("n", n)
+                                   .Set("seconds_per_call", sec)
+                                   .Set("gflops", gflops)
+                                   .key();
       std::fprintf(stderr, "matmul %-10s n=%-4zu %10.1f us  %6.2f GFLOP/s\n",
                    arm.name, n, sec * 1e6, gflops);
     }
   }
   apots::ResetGlobalPool(1);
 
-  // Derived speedups at the gate shape (the largest size, where the
-  // packed-panel and quantized kernels amortize their setup). Name-based
-  // lookup, never positional.
-  const auto seconds_of = [&rows](const char* arm, size_t n) {
-    for (const Row& r : rows) {
-      if (std::strcmp(r.arm, arm) == 0 && r.n == n) return r.seconds_per_call;
-    }
-    std::fprintf(stderr, "missing row %s n=%zu\n", arm, n);
-    std::exit(1);
+  // Seconds per call as the report's rows carry them.
+  const auto reported = [&](const char* arm, size_t n) {
+    return report.Number(row_key[{arm, n}] + ".seconds_per_call");
   };
-  const size_t gate_n = 512;
-  const double fp32_1t = seconds_of("fp32_1t", gate_n);
+  // Derived speedups at the gate shape (the largest size, where the
+  // packed-panel and quantized kernels amortize their setup).
+  const double fp32_1t = reported("fp32_1t", 512);
+  report.Set("speedup_fp32_1t_vs_reference_n512",
+             reported("reference", 512) / fp32_1t)
+      .Set("speedup_int8_1t_vs_fp32_1t_n512",
+           fp32_1t / reported("int8_1t", 512))
+      .Set("speedup_fp32_4t_vs_fp32_1t_n512",
+           fp32_1t / reported("fp32_4t", 512));
 
-  std::ofstream out;
-  if (!apots::bench::OpenReport(path, &out)) return 1;
-  out << "{\n"
-      << "  \"bench\": \"ops_microbench\",\n"
-      << "  \"op\": \"matmul\",\n"
-      << "  \"parallel_threads\": " << threads << ",\n"
-      << "  \"isa\": \"" << apots::tensor::ActiveIsaLabel() << "\",\n"
-      << "  \"vnni\": " << (apots::tensor::HasVnni() ? "true" : "false")
-      << ",\n"
-      << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << "    {\"arm\": \"" << r.arm << "\", \"threads\": " << r.threads
-        << ", \"n\": " << r.n << ", \"seconds_per_call\": "
-        << r.seconds_per_call << ", \"gflops\": " << r.gflops << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+  // A 512-row product runs the packed panels on the best ISA the host
+  // has: the AVX2 panels run 6-12x the reference loops and AVX-512 more,
+  // the scalar panel rung 0.8-1.6x.
+  report.ExpectAtLeast("speedup_fp32_1t_vs_reference_n512", 3.0);
+  if (report.Flag("vnni")) {
+    // The scalar int8 kernel reads about 0.2x fp32_1t, so VNNI falling
+    // out of dispatch fails here.
+    report.ExpectAtLeast("speedup_int8_1t_vs_fp32_1t_n512", 1.5);
+  } else {
+    // Without VNNI the int8 arm runs the exact scalar kernel by design:
+    // 2.4-3x slower than the AVX2 fp32 panels, but still 2.2-4.4x faster
+    // than the reference loops on the hosts measured.
+    report.Check("reference / int8_1t >= 2.0 at n=512",
+                 reported("reference", 512) / reported("int8_1t", 512) >=
+                     2.0);
   }
-  out << "  ],\n"
-      << "  \"speedup_fp32_1t_vs_reference_n512\": "
-      << seconds_of("reference", gate_n) / fp32_1t << ",\n"
-      << "  \"speedup_int8_1t_vs_fp32_1t_n512\": "
-      << fp32_1t / seconds_of("int8_1t", gate_n) << ",\n"
-      << "  \"speedup_fp32_4t_vs_fp32_1t_n512\": "
-      << fp32_1t / seconds_of("fp32_4t", gate_n) << "\n}\n";
-  return 0;
+  // 10% grace: this catches the pool making large products slower than
+  // one thread, not host noise.
+  report.Check("fp32_4t <= 1.10 x fp32_1t at n=256",
+               reported("fp32_4t", 256) <= 1.10 * reported("fp32_1t", 256));
+  // Well under near-linear scaling: it catches the pool being wired out
+  // of the kernel path. One CPU oversubscribed tells us nothing.
+  if (UsableCpus() >= 2) {
+    report.ExpectAtLeast("speedup_fp32_4t_vs_fp32_1t_n512", 1.15);
+  }
+  return report.Write(path);
 }
-
-}  // namespace perf
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--perf_json", 11) == 0) {
-      std::string path = "bench_out/perf_ops.json";
-      if (argv[i][11] == '=') path = argv[i] + 12;
-      return perf::RunPerfJson(path);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return apots::bench::PerfMain(argc, argv, "bench_out/perf_ops.json", Run);
 }

@@ -1,12 +1,6 @@
-// End-to-end training-throughput benchmark: samples/second of one MSE
-// minibatch step per predictor family at the quick-profile scale, plus the
-// cost of one full adversarial round. Useful for sizing the experiment
-// profiles.
-//
-// `--perf_json[=path]` skips google-benchmark and instead times one guarded
-// adversarial LSTM training run under three execution arms, writing a
-// machine-readable report (default bench_out/perf_train.json) that CI
-// archives and gates on:
+// Training-throughput benchmark: times one guarded adversarial LSTM
+// training run under three execution arms and writes a machine-readable
+// report (default bench_out/perf_train.json):
 //   full_batch_1t   1 thread, full-batch step
 //   full_batch_4t   multiple threads, full-batch step (row-parallel kernels
 //                   only — no data-parallel sharding, no replica syncing)
@@ -14,22 +8,20 @@
 // Every arm runs the one matmul dispatch (tensor_ops.h). The thread count
 // is APOTS_NUM_THREADS when set (>1), else min(4, hardware_concurrency) —
 // oversubscribing a small machine makes the multi-threaded arms slower than
-// serial and tells us nothing.
-
-#include <benchmark/benchmark.h>
+// serial and tells us nothing. The report has no checks: the committed
+// baseline comparison gates its throughput.
+//
+// Flags: --perf_json[=path] selects the output file; --quick is accepted
+// and changes nothing.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/adversarial_trainer.h"
 #include "core/apots_model.h"
 #include "data/windowing.h"
 #include "traffic/dataset_generator.h"
@@ -40,6 +32,7 @@ namespace {
 
 using namespace apots;
 
+/// The Small dataset and its first 512 training anchors.
 struct Env {
   traffic::TrafficDataset dataset;
   std::vector<long> anchors;
@@ -52,69 +45,6 @@ struct Env {
                        std::min<size_t>(512, split.train.size()));
   }
 };
-
-Env& GetEnv() {
-  static Env* env = new Env();
-  return *env;
-}
-
-core::ApotsConfig ConfigFor(core::PredictorType type, bool adversarial) {
-  core::ApotsConfig config;
-  config.predictor = core::PredictorHparams::Scaled(type, 8);
-  config.discriminator = core::DiscriminatorHparams::Scaled(2);
-  config.features = data::FeatureConfig::Both();
-  config.features.num_adjacent = 1;  // the Small dataset has 3 roads
-  config.features.beta = 3;
-  config.training.adversarial = adversarial;
-  config.training.epochs = 1;
-  config.training.batch_size = 64;
-  config.training.adv_period = 4;
-  config.training.adv_warmup_rounds = 0;
-  config.seed = 99;
-  return config;
-}
-
-void BM_TrainEpoch(benchmark::State& state, core::PredictorType type,
-                   bool adversarial) {
-  Env& env = GetEnv();
-  core::ApotsModel model(&env.dataset, ConfigFor(type, adversarial));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.Train(env.anchors));
-  }
-  state.SetItemsProcessed(state.iterations() * env.anchors.size());
-}
-
-void BM_TrainFc(benchmark::State& state) {
-  BM_TrainEpoch(state, core::PredictorType::kFc, false);
-}
-void BM_TrainFcAdv(benchmark::State& state) {
-  BM_TrainEpoch(state, core::PredictorType::kFc, true);
-}
-void BM_TrainCnn(benchmark::State& state) {
-  BM_TrainEpoch(state, core::PredictorType::kCnn, false);
-}
-void BM_TrainLstm(benchmark::State& state) {
-  BM_TrainEpoch(state, core::PredictorType::kLstm, false);
-}
-void BM_TrainHybrid(benchmark::State& state) {
-  BM_TrainEpoch(state, core::PredictorType::kHybrid, false);
-}
-void BM_TrainHybridAdv(benchmark::State& state) {
-  BM_TrainEpoch(state, core::PredictorType::kHybrid, true);
-}
-
-BENCHMARK(BM_TrainFc)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TrainFcAdv)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TrainCnn)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TrainLstm)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TrainHybrid)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TrainHybridAdv)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// --perf_json harness
-// ---------------------------------------------------------------------------
-
-namespace perf {
 
 constexpr size_t kEpochs = 2;
 constexpr size_t kMicroBatch = 32;
@@ -149,17 +79,9 @@ struct ArmSpec {
   size_t micro_batch;  // 0 = full-batch step
 };
 
-struct ArmResult {
-  ArmSpec spec;
-  double seconds = 0.0;
-  double samples_per_sec = 0.0;
-};
-
-ArmResult RunArm(const ArmSpec& spec) {
-  Env& env = GetEnv();
-  ArmResult result;
-  result.spec = spec;
-  result.seconds = 1e100;
+/// Best-of-kRepeats wall seconds of one guarded training run.
+double TrainSeconds(const Env& env, const ArmSpec& spec) {
+  double best = 1e100;
   for (size_t rep = 0; rep < kRepeats; ++rep) {
     ResetGlobalPool(spec.threads);
     core::ApotsModel model(&env.dataset, PerfConfig(spec.micro_batch));
@@ -171,11 +93,9 @@ ArmResult RunArm(const ArmSpec& spec) {
                    report.status().ToString().c_str());
       std::exit(1);
     }
-    result.seconds = std::min(result.seconds, seconds);
+    best = std::min(best, seconds);
   }
-  result.samples_per_sec =
-      static_cast<double>(env.anchors.size() * kEpochs) / result.seconds;
-  return result;
+  return best;
 }
 
 size_t ParallelThreads() {
@@ -187,82 +107,45 @@ size_t ParallelThreads() {
   return std::min<size_t>(4, hw);
 }
 
-int RunPerfJson(const std::string& path) {
-  Env& env = GetEnv();
+int Run(const std::string& path, bool /*quick*/) {
+  const Env env;
   const size_t threads = ParallelThreads();
   const ArmSpec arms[] = {
       {"full_batch_1t", 1, 0},
       {"full_batch_4t", threads, 0},
       {"micro_batch_4t", threads, kMicroBatch},
   };
-  std::vector<ArmResult> results;
-  for (const ArmSpec& spec : arms) {
-    results.push_back(RunArm(spec));
-    std::fprintf(stderr, "%-15s %7.3fs  %8.1f samples/s\n",
-                 results.back().spec.name, results.back().seconds,
-                 results.back().samples_per_sec);
+  bench::Report report("train_throughput");
+  report.Set("config.predictor", "lstm_scaled_2")
+      .Set("config.adversarial", true)
+      .Set("config.train_guard", true)
+      .Set("config.anchors", env.anchors.size())
+      .Set("config.epochs", kEpochs)
+      .Set("config.batch_size", 64)
+      .Set("config.micro_batch", kMicroBatch)
+      .Set("config.parallel_threads", threads);
+  double seconds[3] = {};
+  for (size_t i = 0; i < 3; ++i) {
+    seconds[i] = TrainSeconds(env, arms[i]);
+    const double samples_per_sec =
+        static_cast<double>(env.anchors.size() * kEpochs) / seconds[i];
+    std::fprintf(stderr, "%-15s %7.3fs  %8.1f samples/s\n", arms[i].name,
+                 seconds[i], samples_per_sec);
+    report.AddRow("arms")
+        .Set("name", arms[i].name)
+        .Set("threads", arms[i].threads)
+        .Set("micro_batch", arms[i].micro_batch)
+        .Set("seconds", seconds[i])
+        .Set("samples_per_sec", samples_per_sec);
   }
   ResetGlobalPool(1);
-  // Name-based lookup — never positional, so adding arms cannot silently
-  // skew the derived speedups.
-  const auto arm_seconds = [&results](const char* name) {
-    for (const ArmResult& r : results) {
-      if (std::strcmp(r.spec.name, name) == 0) return r.seconds;
-    }
-    std::fprintf(stderr, "missing arm %s\n", name);
-    std::exit(1);
-  };
-
-  std::ofstream out;
-  if (!bench::OpenReport(path, &out)) return 1;
-  out << "{\n"
-      << "  \"bench\": \"train_throughput\",\n"
-      << "  \"config\": {\n"
-      << "    \"predictor\": \"lstm_scaled_2\",\n"
-      << "    \"adversarial\": true,\n"
-      << "    \"train_guard\": true,\n"
-      << "    \"anchors\": " << env.anchors.size() << ",\n"
-      << "    \"epochs\": " << kEpochs << ",\n"
-      << "    \"batch_size\": 64,\n"
-      << "    \"micro_batch\": " << kMicroBatch << ",\n"
-      << "    \"parallel_threads\": " << threads << "\n"
-      << "  },\n"
-      << "  \"arms\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ArmResult& r = results[i];
-    out << "    {\"name\": \"" << r.spec.name
-        << "\", \"threads\": " << r.spec.threads
-        << ", \"micro_batch\": " << r.spec.micro_batch << ", \"seconds\": "
-        << r.seconds << ", \"samples_per_sec\": " << r.samples_per_sec << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  const double full_batch_4t = arm_seconds("full_batch_4t");
-  out << "  ],\n"
-      << "  \"speedup_full_batch_4t_vs_1t\": "
-      << arm_seconds("full_batch_1t") / full_batch_4t << ",\n"
-      << "  \"speedup_micro_batch_vs_full_batch_4t\": "
-      << full_batch_4t / arm_seconds("micro_batch_4t") << "\n"
-      << "}\n";
-  out.close();
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
-  return 0;
+  report.Set("speedup_full_batch_4t_vs_1t", seconds[0] / seconds[1])
+      .Set("speedup_micro_batch_vs_full_batch_4t", seconds[1] / seconds[2]);
+  return report.Write(path);
 }
-
-}  // namespace perf
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--perf_json", 11) == 0) {
-      std::string path = "bench_out/perf_train.json";
-      if (argv[i][11] == '=') path = argv[i] + 12;
-      return perf::RunPerfJson(path);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return apots::bench::PerfMain(argc, argv, "bench_out/perf_train.json", Run);
 }

@@ -163,14 +163,10 @@ def epsilon_for(path, epsilons):
     return epsilons.get(path, epsilons.get(leaf))
 
 
-def compare_report(name, baseline, fresh, threshold, epsilons_only=False):
-    """Returns a list of failure strings for one report pair. With
-    ``epsilons_only`` the relative (direction) gates are skipped and only
-    the ``_epsilons`` absolute caps apply — the mode the baseline-ISA CI
-    job runs in, where the build is portable and the committed timings
-    from another machine are meaningless but the accuracy bands are not."""
+def compare_report(name, baseline, fresh, threshold):
+    """Returns a list of failure strings for one report pair."""
     failures = []
-    overrides = None if epsilons_only else directions_of(baseline)
+    overrides = directions_of(baseline)
     epsilons = epsilons_of(baseline)
     base_flat = flatten(baseline)
     fresh_flat = flatten(fresh)
@@ -203,7 +199,7 @@ def compare_report(name, baseline, fresh, threshold, epsilons_only=False):
                     "the baseline (typo, or the bench arm stopped emitting "
                     "it?) — the annotation would silently gate nothing")
     for path, base_value in sorted(base_flat.items()):
-        direction = None if epsilons_only else direction_for(path, overrides)
+        direction = direction_for(path, overrides)
         eps = epsilon_for(path, epsilons)
         if not isinstance(eps, (int, float)) or isinstance(eps, bool) or \
                 eps <= 0:
@@ -253,8 +249,7 @@ def compare_report(name, baseline, fresh, threshold, epsilons_only=False):
     return failures
 
 
-def run(fresh_dir, baseline_dir, threshold, require_baselines=False,
-        epsilons_only=False):
+def run(fresh_dir, baseline_dir, threshold, require_baselines=False):
     baseline_paths = sorted(Path(baseline_dir).glob("perf_*.json"))
     if not baseline_paths:
         # In CI the baselines are committed, so an empty directory means
@@ -276,10 +271,6 @@ def run(fresh_dir, baseline_dir, threshold, require_baselines=False,
         except (OSError, json.JSONDecodeError) as err:
             print(f"FAIL {baseline_path.name}: {err}", file=sys.stderr)
             return 2
-        if epsilons_only and not epsilons_of(baseline):
-            # Only reports with absolute caps participate; a portable-build
-            # run has no business producing the others.
-            continue
         fresh_path = Path(fresh_dir) / baseline_path.name
         if not fresh_path.exists():
             print(f"FAIL {baseline_path.name}: no fresh report at "
@@ -292,10 +283,9 @@ def run(fresh_dir, baseline_dir, threshold, require_baselines=False,
             print(f"FAIL {baseline_path.name}: {err}", file=sys.stderr)
             return 2
         failures = compare_report(baseline_path.name, baseline, fresh,
-                                  threshold, epsilons_only)
+                                  threshold)
         gated = sum(1 for p in flatten(baseline)
-                    if (not epsilons_only and
-                        direction_for(p, directions_of(baseline))) or
+                    if direction_for(p, directions_of(baseline)) or
                     epsilon_for(p, epsilons_of(baseline)) is not None)
         compared += gated
         if failures:
@@ -471,25 +461,6 @@ def self_test(threshold):
               file=sys.stderr)
         return 1
 
-    # --epsilons-only: a huge relative regression must pass (the portable
-    # build's timings are not comparable) while a blown accuracy cap must
-    # still fail.
-    slow_but_accurate = json.loads(json.dumps(capped))
-    slow_but_accurate["arms"][0]["anchors_per_sec"] = 1.0  # -99.9%
-    if compare_report("eps-only-slow", capped, slow_but_accurate, threshold,
-                      epsilons_only=True):
-        print("self-test FAIL: --epsilons-only still gated a relative "
-              "regression", file=sys.stderr)
-        return 1
-    slow_and_wrong = json.loads(json.dumps(slow_but_accurate))
-    slow_and_wrong["arms"][0]["mae_delta_kmh"] = 0.8
-    failures = compare_report("eps-only-wrong", capped, slow_and_wrong,
-                              threshold, epsilons_only=True)
-    if not any("absolute cap" in f for f in failures):
-        print("self-test FAIL: --epsilons-only missed a blown cap",
-              file=sys.stderr)
-        return 1
-
     # Arm order must not matter, and a vanished arm must fail.
     reordered = json.loads(json.dumps(baseline))
     reordered["arms"].reverse()
@@ -545,8 +516,7 @@ def self_test(threshold):
           "caught, band drift caught both ways, _directions annotations "
           "honored and validated (ghost keys and unknown directions fail "
           "loudly), _epsilons absolute caps enforced both ways and "
-          "validated, --epsilons-only skips relative gates but keeps caps, "
-          "arm order ignored, vanished arm caught, missing baselines fail "
+          "validated, arm order ignored, vanished arm caught, missing baselines fail "
           "under --require-baselines, malformed baseline/fresh JSON exits 2")
     return 0
 
@@ -564,11 +534,6 @@ def main():
                              "is empty or missing instead of passing; CI "
                              "uses this so a bad checkout cannot silently "
                              "disable the gate")
-    parser.add_argument("--epsilons-only", action="store_true",
-                        help="gate only the _epsilons absolute caps and "
-                             "skip the relative (direction) comparisons; "
-                             "for portable-ISA CI builds whose timings are "
-                             "not comparable to the committed baselines")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the comparator catches a synthetic "
                              "20%% regression, then exit")
@@ -578,7 +543,7 @@ def main():
     if args.self_test:
         return self_test(args.threshold)
     return run(args.fresh, args.baselines, args.threshold,
-               args.require_baselines, args.epsilons_only)
+               args.require_baselines)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
 # Three-lane verification:
 #   lane 1 — tier-1: full Release build + the `tier1`-labeled ctest suite.
-#            Test tiers (tests/CMakeLists.txt + bench/CMakeLists.txt):
+#            Test labels (tests/CMakeLists.txt + bench/CMakeLists.txt):
 #              tier1  every gtest suite + the perf-comparator self-test;
 #                     the PR lane, run here and in ci.yml via `ctest -L tier1`
-#              soak   quick arms of serve_soak / attack_robustness /
+#              soak   quick runs of serve_soak / attack_robustness /
 #                     chaos_soak
-#              bench  quick arm of frontend_qps
-#            The non-tier1 labels are nightly material; pass --all-tests to
-#            run the whole label set locally (what ci-nightly.yml does).
+#              bench  quick runs of infer_latency / obs_overhead /
+#                     frontend_qps / whatif_fanout, plus ops_microbench and
+#                     train_throughput
+#            Each bench test fails when its bench exits 1 on a failed
+#            check. soak and bench are what ci.yml's bench-smoke job runs;
+#            pass --all-tests to run every label here (what ci-nightly.yml
+#            does).
 #   lane 2 — sanitized: ASan+UBSan build of the robustness-critical suites
 #            (fault injection / imputation, the training guard, the
 #            checkpoint/serialization layer, the serving stack + front door,
@@ -21,9 +25,9 @@
 #   lane 3 — TSan: -DAPOTS_SANITIZE=thread build of the thread-pool,
 #            parallel-determinism, serving-watchdog, MPSC-queue, and
 #            frontend suites (the code that runs more than one thread), plus
-#            one --quick serving soak and one --quick frontend load run so
-#            the concurrent producers race the serving thread under the race
-#            detector.
+#            the quick serving soak, frontend load, chaos soak and what-if
+#            fan-out benches, so the concurrent producers race the serving
+#            thread under the race detector.
 # Usage: scripts/verify.sh [--tier1-only | --asan-only | --tsan-only]
 #                          [--all-tests] [--ci]
 #   --all-tests  lane 1 runs every ctest label (tier1 + soak + bench)
@@ -120,20 +124,16 @@ if [[ ${lane_tsan} -eq 1 ]]; then
   # loops and the int8 pack+compute path all fan out across the global pool.
   ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
     -R "${parallel_regex}|ServeWatchdog|Supervisor|${obs_regex}|${frontdoor_regex}|${kernel_regex}|ShardedService|ChaosDriver"
-  # One quick soak under TSan: the watchdog sampler thread races the
-  # serving thread's arm/disarm window on every neural batch.
-  ./build-tsan/bench/serve_soak --quick --perf_json=build-tsan/perf_serve_tsan.json
-  # One quick frontend load run under TSan: closed-loop producers, the
-  # open-loop dispatcher, and overload shedding all race the consumer.
-  ./build-tsan/bench/frontend_qps --quick --perf_json=build-tsan/perf_frontend_tsan.json
-  # One quick chaos soak under TSan: 2x2 replicas' watchdog samplers read
-  # the shared VirtualClock while the chaos driver kills, stalls, and
-  # clock-skews replicas mid-serve.
-  ./build-tsan/bench/chaos_soak --quick --perf_json=build-tsan/perf_chaos_tsan.json
-  # One quick what-if fan-out under TSan: heterogeneous (anchor, context)
-  # batches shard across the pool while context specs are shared through
-  # the table's shared_ptr handoff.
-  ./build-tsan/bench/whatif_fanout --quick --perf_json=build-tsan/perf_whatif_tsan.json
+  # The quick serving soak, frontend load, chaos soak and what-if fan-out
+  # under TSan, through their bench/CMakeLists.txt registrations: the
+  # watchdog sampler races the serving thread's arm/disarm window;
+  # closed-loop producers, the open-loop dispatcher and overload shedding
+  # race the frontend's consumer; 2x2 replicas' watchdog samplers read the
+  # shared VirtualClock while the chaos driver kills, stalls and skews
+  # replicas; what-if batches shard across the pool while context specs
+  # are handed off through the table's shared_ptr.
+  ctest --test-dir build-tsan --output-on-failure \
+    -R '^(serve_soak|frontend_qps|chaos_soak|whatif_fanout)_quick$'
 fi
 
 echo "verify: all requested lanes passed"

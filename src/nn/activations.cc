@@ -72,38 +72,4 @@ std::string LeakyRelu::Name() const {
   return apots::StrFormat("LeakyRelu(%.2f)", static_cast<double>(slope_));
 }
 
-Tensor Sigmoid::Forward(const Tensor& input, bool training) {
-  Tensor out = input;
-  float* p = out.data();
-  for (size_t i = 0; i < out.size(); ++i) p[i] = SigmoidScalar(p[i]);
-  cached_output_ = out;
-  return out;
-}
-
-Tensor Sigmoid::Backward(const Tensor& grad_output) {
-  APOTS_CHECK(grad_output.SameShape(cached_output_));
-  Tensor grad = grad_output;
-  float* pg = grad.data();
-  const float* py = cached_output_.data();
-  for (size_t i = 0; i < grad.size(); ++i) pg[i] *= py[i] * (1.0f - py[i]);
-  return grad;
-}
-
-Tensor Tanh::Forward(const Tensor& input, bool training) {
-  Tensor out = input;
-  float* p = out.data();
-  for (size_t i = 0; i < out.size(); ++i) p[i] = std::tanh(p[i]);
-  cached_output_ = out;
-  return out;
-}
-
-Tensor Tanh::Backward(const Tensor& grad_output) {
-  APOTS_CHECK(grad_output.SameShape(cached_output_));
-  Tensor grad = grad_output;
-  float* pg = grad.data();
-  const float* py = cached_output_.data();
-  for (size_t i = 0; i < grad.size(); ++i) pg[i] *= 1.0f - py[i] * py[i];
-  return grad;
-}
-
 }  // namespace apots::nn

@@ -35,30 +35,6 @@ class LeakyRelu : public Layer {
   Tensor cached_input_;
 };
 
-/// Logistic sigmoid, elementwise 1 / (1 + exp(-x)).
-class Sigmoid : public Layer {
- public:
-  Sigmoid() = default;
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  std::string Name() const override { return "Sigmoid"; }
-
- private:
-  Tensor cached_output_;
-};
-
-/// Hyperbolic tangent.
-class Tanh : public Layer {
- public:
-  Tanh() = default;
-  Tensor Forward(const Tensor& input, bool training) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  std::string Name() const override { return "Tanh"; }
-
- private:
-  Tensor cached_output_;
-};
-
 /// Scalar math shared with the LSTM cell.
 float SigmoidScalar(float x);
 float TanhScalar(float x);

@@ -14,7 +14,6 @@ namespace apots::nn {
 
 namespace {
 
-constexpr char kMagicV1[5] = {'A', 'P', 'O', 'T', '1'};
 constexpr char kMagicV2[5] = {'A', 'P', 'O', 'T', '2'};
 // A parameter tensor in this library is at most rank 4; anything larger in
 // a file is corruption, not a model.
@@ -224,27 +223,21 @@ Status LoadParameters(const std::vector<Parameter*>& params,
   if (buffer.size() < sizeof(kMagicV2)) {
     return Status::InvalidArgument("file too short for a magic: " + path);
   }
-  const bool v2 = std::memcmp(buffer.data(), kMagicV2, sizeof(kMagicV2)) == 0;
-  const bool v1 = std::memcmp(buffer.data(), kMagicV1, sizeof(kMagicV1)) == 0;
-  if (!v2 && !v1) {
+  if (std::memcmp(buffer.data(), kMagicV2, sizeof(kMagicV2)) != 0) {
     return Status::InvalidArgument("bad magic in parameter file: " + path);
   }
-
-  size_t body_end = buffer.size();
-  if (v2) {
-    if (buffer.size() < sizeof(kMagicV2) + sizeof(uint32_t)) {
-      return Status::IoError("truncated file (no checksum footer): " + path);
-    }
-    body_end = buffer.size() - sizeof(uint32_t);
-    uint32_t stored = 0;
-    std::memcpy(&stored, buffer.data() + body_end, sizeof(stored));
-    const uint32_t computed = Crc32(buffer.data(), body_end);
-    if (stored != computed) {
-      return Status::IoError(StrFormat(
-          "checksum mismatch in %s: stored %08x, computed %08x (file "
-          "truncated or corrupted)",
-          path.c_str(), stored, computed));
-    }
+  if (buffer.size() < sizeof(kMagicV2) + sizeof(uint32_t)) {
+    return Status::IoError("truncated file (no checksum footer): " + path);
+  }
+  const size_t body_end = buffer.size() - sizeof(uint32_t);
+  uint32_t stored = 0;
+  std::memcpy(&stored, buffer.data() + body_end, sizeof(stored));
+  const uint32_t computed = Crc32(buffer.data(), body_end);
+  if (stored != computed) {
+    return Status::IoError(StrFormat(
+        "checksum mismatch in %s: stored %08x, computed %08x (file "
+        "truncated or corrupted)",
+        path.c_str(), stored, computed));
   }
 
   BufferReader reader(buffer, body_end);
@@ -262,23 +255,20 @@ Status LoadParameters(const std::vector<Parameter*>& params,
   APOTS_RETURN_IF_ERROR(
       ParseRecords(&reader, static_cast<size_t>(count), &records));
 
-  std::string stored_aux;
-  if (v2) {
-    uint64_t aux_len = 0;
-    APOTS_RETURN_IF_ERROR(reader.ReadPod(&aux_len, "aux blob length"));
-    if (aux_len > reader.remaining()) {
-      return Status::IoError(StrFormat(
-          "corrupt aux length %llu with %zu bytes left",
-          static_cast<unsigned long long>(aux_len), reader.remaining()));
-    }
-    stored_aux.resize(static_cast<size_t>(aux_len));
-    APOTS_RETURN_IF_ERROR(
-        reader.ReadBytes(stored_aux.data(), stored_aux.size(), "aux blob"));
-    if (reader.remaining() != 0) {
-      return Status::IoError(StrFormat(
-          "trailing %zu unexpected bytes in %s", reader.remaining(),
-          path.c_str()));
-    }
+  uint64_t aux_len = 0;
+  APOTS_RETURN_IF_ERROR(reader.ReadPod(&aux_len, "aux blob length"));
+  if (aux_len > reader.remaining()) {
+    return Status::IoError(StrFormat(
+        "corrupt aux length %llu with %zu bytes left",
+        static_cast<unsigned long long>(aux_len), reader.remaining()));
+  }
+  std::string stored_aux(static_cast<size_t>(aux_len), '\0');
+  APOTS_RETURN_IF_ERROR(
+      reader.ReadBytes(stored_aux.data(), stored_aux.size(), "aux blob"));
+  if (reader.remaining() != 0) {
+    return Status::IoError(StrFormat(
+        "trailing %zu unexpected bytes in %s", reader.remaining(),
+        path.c_str()));
   }
 
   // Validate everything before writing anything: a failed load must leave

@@ -24,13 +24,12 @@ Status SaveParameters(const std::vector<Parameter*>& params,
 
 /// Loads parameters saved by SaveParameters into an equally-shaped model
 /// (identical parameter names and shapes; construct the architecture
-/// first). Reads both the current "APOT2" format (CRC-verified: a
-/// truncated or bit-flipped file fails with a descriptive Status before
-/// any parameter is touched) and the legacy "APOT1" format (no checksum;
-/// structural bounds checks only). The load is all-or-nothing: every
-/// record is validated against the model before the first write, so a
-/// failed load never leaves `params` partially overwritten. When `aux` is
-/// non-null it receives the stored aux blob (empty for APOT1 files).
+/// first). Only the "APOT2" format is read, and the CRC footer is verified
+/// first: any other magic, or a truncated or bit-flipped file, fails with
+/// a descriptive Status before any parameter is touched. The load is
+/// all-or-nothing: every record is validated against the model before the
+/// first write, so a failed load never leaves `params` partially
+/// overwritten. When `aux` is non-null it receives the stored aux blob.
 Status LoadParameters(const std::vector<Parameter*>& params,
                       const std::string& path, std::string* aux = nullptr);
 

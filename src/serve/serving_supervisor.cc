@@ -141,8 +141,7 @@ void ServeWatchdog::Run() {
 
 ServingSupervisor::ServingSupervisor(
     apots::core::ApotsModel* model, StreamIngestor* ingestor,
-    const apots::baseline::HistoricalAverage* fallback, ServeConfig config,
-    const apots::traffic::RoadGraph* graph)
+    const apots::baseline::HistoricalAverage* fallback, ServeConfig config)
     : model_(model),
       ingestor_(ingestor),
       fallback_(fallback),
@@ -157,14 +156,9 @@ ServingSupervisor::ServingSupervisor(
   const int target = model_->assembler().target_road();
   const int roads = model_->assembler().dataset().num_roads();
   const int m = features.use_adjacent ? features.num_adjacent : 0;
-  if (graph != nullptr) {
-    APOTS_CHECK_EQ(graph->num_roads(), roads);
-    window_roads_ = graph->WithinHops(target, m);
-  } else {
-    for (int road = std::max(0, target - m);
-         road <= std::min(roads - 1, target + m); ++road) {
-      window_roads_.push_back(road);
-    }
+  for (int road = std::max(0, target - m);
+       road <= std::min(roads - 1, target + m); ++road) {
+    window_roads_.push_back(road);
   }
   if (!config_.checkpoint_dir.empty()) {
     store_ = std::make_unique<apots::nn::CheckpointStore>(

@@ -14,7 +14,6 @@
 #include "data/context.h"
 #include "nn/checkpoint.h"
 #include "serve/stream_ingestor.h"
-#include "traffic/road_graph.h"
 #include "util/status.h"
 
 namespace apots::serve {
@@ -150,15 +149,10 @@ class ServeWatchdog {
 class ServingSupervisor {
  public:
   /// All borrowed; must outlive the supervisor. `fallback` must be fitted
-  /// (it backs the historical and last-known-good tiers). With a `graph`,
-  /// the staleness window is the set of roads within `num_adjacent` hops
-  /// of the target — on a corridor graph that is exactly the legacy
-  /// contiguous index range, so behavior (and the clean path) is
-  /// unchanged; null keeps the index-range computation.
+  /// (it backs the historical and last-known-good tiers).
   ServingSupervisor(apots::core::ApotsModel* model, StreamIngestor* ingestor,
                     const apots::baseline::HistoricalAverage* fallback,
-                    ServeConfig config,
-                    const apots::traffic::RoadGraph* graph = nullptr);
+                    ServeConfig config);
   ~ServingSupervisor();
 
   /// Serves one batch of anchors. Never throws and never aborts on a
@@ -249,8 +243,9 @@ class ServingSupervisor {
   /// Registered counterfactual contexts; attached to the model's runtime
   /// for the supervisor's lifetime (detached in the destructor).
   apots::data::ContextTable context_table_;
-  /// Roads feeding the target's input window (sorted). Graph-derived when
-  /// a RoadGraph is supplied, else the contiguous [target-m, target+m].
+  /// Roads feeding the target's input window (sorted): the model's own
+  /// window, the index range [target-m, target+m] the FeatureAssembler
+  /// reads.
   std::vector<int> window_roads_;
   std::unique_ptr<apots::nn::CheckpointStore> store_;
   std::unique_ptr<ServeWatchdog> watchdog_;

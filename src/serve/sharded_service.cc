@@ -238,7 +238,7 @@ void ShardedService::BuildReplica(int shard, int replica) {
   };
   rep.supervisor = std::make_unique<ServingSupervisor>(
       rep.model.get(), rep.ingestor.get(),
-      &profiles_[static_cast<size_t>(sh.target_road)], serve, &graph_);
+      &profiles_[static_cast<size_t>(sh.target_road)], serve);
   // Chaos clock jumps land inside the next measured inference section —
   // the worst case for deadline accounting — via the inference hook.
   rep.supervisor->set_inference_delay_for_test([this, shard, replica] {

@@ -1,6 +1,6 @@
 // Crash-safety tests for the APOT2 parameter format and the
 // generation-retained CheckpointStore: round trips with aux state, APOT1
-// read compatibility, corruption and truncation rejection, all-or-nothing
+// rejection, corruption and truncation rejection, all-or-nothing
 // load semantics, generation pruning, corrupt-newest fallback, TrainGuard
 // disk spill, and kill-and-restore across all four predictor families.
 
@@ -80,17 +80,18 @@ TEST(SerializeV2Test, RoundTripWithAuxBlob) {
   std::filesystem::remove(path);
 }
 
-TEST(SerializeV2Test, LoadsHandCraftedV1File) {
+TEST(SerializeV2Test, RejectsHandCraftedV1File) {
   // A V1 file is magic + count + records, no aux length and no CRC footer.
-  // Old checkpoints written before the format bump must keep loading.
-  const std::string path = TempPath("apots_v1_compat.apot");
+  // Only CRC-checked APOT2 files load: V1 bytes fail on the magic before
+  // any parameter is touched.
+  const std::string path = TempPath("apots_v1_reject.apot");
   apots::Rng rng(3);
   Dense model(2, 2, &rng);
   const std::vector<Parameter*> params = model.Parameters();
+  const std::vector<std::vector<float>> before = SnapshotValues(params);
 
   std::string buffer("APOT1");
   AppendPod<uint64_t>(&buffer, params.size());
-  std::vector<std::vector<float>> want;
   for (size_t i = 0; i < params.size(); ++i) {
     const Parameter* p = params[i];
     AppendPod<uint64_t>(&buffer, p->name.size());
@@ -103,12 +104,13 @@ TEST(SerializeV2Test, LoadsHandCraftedV1File) {
     }
     buffer.append(reinterpret_cast<const char*>(payload.data()),
                   payload.size() * sizeof(float));
-    want.push_back(std::move(payload));
   }
   WriteFile(path, buffer);
 
-  ASSERT_TRUE(LoadParameters(params, path).ok());
-  EXPECT_EQ(SnapshotValues(params), want);
+  const Status status = LoadParameters(params, path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("bad magic"), std::string::npos);
+  EXPECT_EQ(SnapshotValues(params), before);
   std::filesystem::remove(path);
 }
 

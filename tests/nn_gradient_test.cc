@@ -33,15 +33,18 @@ Tensor Random(std::vector<size_t> shape, uint64_t seed) {
 }
 
 // Checks a layer at the given input shape; forward must define the output
-// shape, so we run one forward to size the loss weights.
+// shape, so we run one forward to size the loss weights. A central
+// difference across a ReLU kink is wrong by up to the kink's slope change,
+// so chains whose hidden pre-activations the test cannot steer clear of the
+// kink take a smaller `epsilon`.
 void CheckLayer(Layer* layer, const Tensor& input, double tolerance = 2e-2,
-                size_t stride = 1) {
+                size_t stride = 1, double epsilon = 1e-2) {
   const Tensor probe = layer->Forward(input, false);
   apots::Rng rng(99);
   Tensor weights(probe.shape());
   apots::tensor::FillUniform(&weights, &rng, -1.0f, 1.0f);
   const GradCheckResult result =
-      CheckLayerGradients(layer, input, weights, 1e-2, stride);
+      CheckLayerGradients(layer, input, weights, epsilon, stride);
   EXPECT_GT(result.checked, 0u);
   EXPECT_LT(result.max_rel_error, tolerance)
       << layer->Name() << ": max abs err " << result.max_abs_error;
@@ -76,16 +79,6 @@ TEST(GradientTest, LeakyRelu) {
     if (std::fabs(in[i]) < 0.05f) in[i] = -0.2f;
   }
   CheckLayer(&layer, in);
-}
-
-TEST(GradientTest, Sigmoid) {
-  Sigmoid layer;
-  CheckLayer(&layer, Random({3, 7}, 7));
-}
-
-TEST(GradientTest, TanhLayer) {
-  Tanh layer;
-  CheckLayer(&layer, Random({3, 7}, 8));
 }
 
 TEST(GradientTest, Flatten) {
@@ -134,21 +127,21 @@ TEST(GradientTest, StackedMlp) {
   apots::Rng rng(14);
   Sequential net;
   net.Emplace<Dense>(6, 5, &rng);
-  net.Emplace<Tanh>();
+  net.Emplace<LeakyRelu>(0.2f);
   net.Emplace<Dense>(5, 3, &rng);
-  net.Emplace<Sigmoid>();
+  net.Emplace<Relu>();
   net.Emplace<Dense>(3, 1, &rng);
-  CheckLayer(&net, Random({3, 6}, 15));
+  CheckLayer(&net, Random({3, 6}, 15), 2e-2, 1, 1e-3);
 }
 
 TEST(GradientTest, ConvThenDense) {
   apots::Rng rng(16);
   Sequential net;
   net.Emplace<Conv2d>(1, 2, 3, 3, 1, &rng);
-  net.Emplace<Tanh>();
+  net.Emplace<LeakyRelu>(0.2f);
   net.Emplace<Flatten>();
   net.Emplace<Dense>(2 * 4 * 3, 1, &rng);
-  CheckLayer(&net, Random({2, 1, 4, 3}, 17), 3e-2);
+  CheckLayer(&net, Random({2, 1, 4, 3}, 17), 3e-2, 1, 1e-3);
 }
 
 TEST(GradientTest, StackedLstm) {

@@ -131,14 +131,14 @@ TEST(WorkspaceTest, WorkspaceForwardIsInferenceOnly) {
   // inference has no workspace body and refuses every call.
   Rng rng(9);
   const apots::nn::Dense dense(4, 3, &rng);
-  const apots::nn::Sigmoid sigmoid;
-  const apots::nn::Layer& train_only = sigmoid;
+  const apots::nn::LeakyRelu leaky;
+  const apots::nn::Layer& train_only = leaky;
   const Tensor input = Tensor::Full({2, 4}, 0.5f);
   Workspace ws;
   EXPECT_DEATH((void)dense.Forward(input, /*training=*/true, &ws),
                "!training");
   EXPECT_DEATH((void)train_only.Forward(input, /*training=*/false, &ws),
-               "Sigmoid has no inference forward");
+               "LeakyRelu.*has no inference forward");
 }
 
 }  // namespace
