@@ -5,7 +5,8 @@
 #              tier1  every gtest suite + the perf-comparator self-test;
 #                     the PR lane, run here and in ci.yml via `ctest -L tier1`
 #              soak   quick runs of serve_soak / attack_robustness /
-#                     chaos_soak
+#                     chaos_soak, plus lstm_cell_exhaustive_test (the
+#                     LSTM cell kernel's rungs on all 2^32 inputs)
 #              bench  quick runs of infer_latency / obs_overhead /
 #                     frontend_qps / whatif_fanout, plus ops_microbench and
 #                     train_throughput
@@ -67,10 +68,12 @@ fi
 # lanes.
 parallel_regex='ThreadPool|GlobalPool|PoolSizeSweep'
 # The SIMD/quantized kernel layer: packed-panel writes at ragged tile
-# edges, the int8/fp16 pack+compute scratch arenas, and the forced-ISA
-# dispatch ladder — the code most likely to read or write one lane past a
-# panel boundary.
-kernel_regex='KernelEquivalence|QuantKernel'
+# edges, the LSTM cell kernel's loads and stores at its vector tails, the
+# int8/fp16 pack+compute scratch arenas, and the forced-ISA dispatch
+# ladder — the code most likely to read or write one lane past a panel
+# boundary. LstmCellKernel is the tier-1 suite; the exhaustive soak
+# binary is not built in this lane.
+kernel_regex='KernelEquivalence|QuantKernel|LstmCellKernel'
 # The observability layer's concurrent suites: counters/histograms written
 # from many threads, trace buffers racing snapshot/emit.
 obs_regex='CounterTest|GaugeTest|HistogramTest|RegistryTest|MetricsEnabled|TraceSpan|TraceRecorder'

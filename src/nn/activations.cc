@@ -1,22 +1,11 @@
 #include "nn/activations.h"
 
-#include <cmath>
-
+#include "tensor/simd_kernels.h"
 #include "util/string_util.h"
 
 namespace apots::nn {
 
-float SigmoidScalar(float x) {
-  // Numerically stable piecewise form.
-  if (x >= 0.0f) {
-    const float z = std::exp(-x);
-    return 1.0f / (1.0f + z);
-  }
-  const float z = std::exp(x);
-  return z / (1.0f + z);
-}
-
-float TanhScalar(float x) { return std::tanh(x); }
+float SigmoidScalar(float x) { return tensor::simd::SigmoidLane(x); }
 
 Tensor Relu::Forward(const Tensor& input, bool training) {
   cached_input_ = input;

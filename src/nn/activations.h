@@ -35,9 +35,9 @@ class LeakyRelu : public Layer {
   Tensor cached_input_;
 };
 
-/// Scalar math shared with the LSTM cell.
+/// The LSTM cell kernel's one-lane sigmoid (tensor::simd::SigmoidLane), so
+/// the BCE loss and the cell round alike.
 float SigmoidScalar(float x);
-float TanhScalar(float x);
 
 }  // namespace apots::nn
 

@@ -39,8 +39,10 @@ LossResult BceWithLogitsLoss(const Tensor& logits, const Tensor& target) {
   for (size_t i = 0; i < logits.size(); ++i) {
     const float z = pz[i];
     const float y = py[i];
-    // Stable: max(z,0) - z*y + log(1+exp(-|z|)).
-    acc += std::max(z, 0.0f) - z * y + std::log1p(std::exp(-std::fabs(z)));
+    // Stable: max(z,0) - z*y + log(1+exp(-|z|)), where
+    // log(1+exp(-|z|)) = -log(1 - sigmoid(-|z|)).
+    acc += std::max(z, 0.0f) - z * y -
+           std::log1p(-SigmoidScalar(-std::fabs(z)));
     pg[i] = (SigmoidScalar(z) - y) * inv_n;
   }
   result.value = static_cast<float>(acc * inv_n);

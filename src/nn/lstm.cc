@@ -1,8 +1,7 @@
 #include "nn/lstm.h"
 
-#include <cmath>
+#include <algorithm>
 
-#include "nn/activations.h"
 #include "tensor/tensor_ops.h"
 #include "util/string_util.h"
 
@@ -47,8 +46,6 @@ Tensor Lstm::Forward(const Tensor& input, bool training) {
 
   for (size_t t = 0; t < time; ++t) {
     StepCache step;
-    step.h_prev = h;
-    step.c_prev = c;
     // Slice x_t: [batch, input].
     step.x = Tensor({batch, input_size_});
     for (size_t n = 0; n < batch; ++n) {
@@ -56,38 +53,15 @@ Tensor Lstm::Forward(const Tensor& input, bool training) {
       std::copy(src, src + input_size_, step.x.data() + n * input_size_);
     }
 
-    Tensor gates = ops::Matmul(step.x, weight_x_.value);
-    ops::AddInPlace(&gates, ops::Matmul(h, weight_h_.value));
-    ops::AddRowBias(&gates, bias_.value);
-
-    // Activate in place: [i | f | g | o].
-    const size_t H = hidden_size_;
-    Tensor new_c({batch, H});
-    Tensor new_h({batch, H});
-    Tensor tanh_c({batch, H});
-    for (size_t n = 0; n < batch; ++n) {
-      float* g_row = gates.data() + n * 4 * H;
-      const float* cp = step.c_prev.data() + n * H;
-      float* nc = new_c.data() + n * H;
-      float* nh = new_h.data() + n * H;
-      float* tc = tanh_c.data() + n * H;
-      for (size_t j = 0; j < H; ++j) {
-        const float i_gate = SigmoidScalar(g_row[j]);
-        const float f_gate = SigmoidScalar(g_row[H + j]);
-        const float g_cand = TanhScalar(g_row[2 * H + j]);
-        const float o_gate = SigmoidScalar(g_row[3 * H + j]);
-        g_row[j] = i_gate;
-        g_row[H + j] = f_gate;
-        g_row[2 * H + j] = g_cand;
-        g_row[3 * H + j] = o_gate;
-        nc[j] = f_gate * cp[j] + i_gate * g_cand;
-        tc[j] = TanhScalar(nc[j]);
-        nh[j] = o_gate * tc[j];
-      }
-    }
-    step.gates = std::move(gates);
-    step.c = new_c;
-    step.tanh_c = std::move(tanh_c);
+    // The cell activates the gates in place: [i | f | g | o].
+    step.gates = ops::Matmul(step.x, weight_x_.value);
+    step.tanh_c = Tensor({batch, hidden_size_});
+    Tensor new_c({batch, hidden_size_});
+    Tensor new_h({batch, hidden_size_});
+    ops::LstmCell(step.gates, ops::Matmul(h, weight_h_.value), bias_.value, c,
+                  &new_c, &new_h, &step.gates, &step.tanh_c);
+    step.h_prev = std::move(h);
+    step.c_prev = std::move(c);
     c = std::move(new_c);
     h = std::move(new_h);
 
@@ -113,9 +87,9 @@ const Tensor* Lstm::Forward(const Tensor& input, bool training,
   const size_t H = hidden_size_;
 
   // All state lives in the arena: no StepCache (backward-only) and no
-  // member writes, so concurrent inference forwards are safe. The scalar
-  // recurrence below performs exactly the operations of the allocating
-  // Forward in the same order, so results are bitwise identical.
+  // member writes, so concurrent inference forwards are safe. The products
+  // and the cell kernel are the allocating Forward's, so results are
+  // bitwise identical.
   Tensor* h = ws->Acquire({batch, H});
   Tensor* c = ws->Acquire({batch, H});
   h->Fill(0.0f);
@@ -146,24 +120,8 @@ const Tensor* Lstm::Forward(const Tensor& input, bool training,
         ops::MatmulInto(*h, weight_h_.value, gates_h);
         break;
     }
-    ops::AddInPlace(gates, *gates_h);
-    ops::AddRowBias(gates, bias_.value);
-
-    // Activate and update h/c in place: [i | f | g | o].
-    for (size_t n = 0; n < batch; ++n) {
-      float* g_row = gates->data() + n * 4 * H;
-      float* c_row = c->data() + n * H;
-      float* h_row = h->data() + n * H;
-      for (size_t j = 0; j < H; ++j) {
-        const float i_gate = SigmoidScalar(g_row[j]);
-        const float f_gate = SigmoidScalar(g_row[H + j]);
-        const float g_cand = TanhScalar(g_row[2 * H + j]);
-        const float o_gate = SigmoidScalar(g_row[3 * H + j]);
-        const float new_c = f_gate * c_row[j] + i_gate * g_cand;
-        c_row[j] = new_c;
-        h_row[j] = o_gate * TanhScalar(new_c);
-      }
-    }
+    // Updates h and c in place.
+    ops::LstmCell(*gates, *gates_h, bias_.value, *c, c, h);
     if (return_sequences_) {
       for (size_t n = 0; n < batch; ++n) {
         std::copy(h->data() + n * H, h->data() + (n + 1) * H,

@@ -53,7 +53,6 @@ class Lstm : public Layer {
     Tensor h_prev;   ///< [batch, hidden]
     Tensor c_prev;   ///< [batch, hidden]
     Tensor gates;    ///< [batch, 4*hidden], post-activation (i,f,g,o)
-    Tensor c;        ///< [batch, hidden]
     Tensor tanh_c;   ///< [batch, hidden]
   };
   std::vector<StepCache> steps_;

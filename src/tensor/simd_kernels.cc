@@ -1,6 +1,7 @@
 #include "tensor/simd_kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "tensor/cpu_features.h"
@@ -145,6 +146,82 @@ void Int8PanelScalar(const uint8_t* qa, size_t qa_ld, const float* row_scale,
 
 Int8PanelFn PickInt8Kernel() {
   return HasVnni() ? Int8PanelVnni : Int8PanelScalar;
+}
+
+namespace {
+
+/// e^x for x <= 0, NaN in and NaN out; simd_kernels.h gives the method.
+/// These three functions are the AVX2 rung's *8 forms operation for
+/// operation, in the same order.
+inline float ExpNonPositive(float x) {
+  x = kExpLo > x ? kExpLo : x;
+  const float t = std::fma(x, kLog2e, kExpShifter);
+  const float n = t - kExpShifter;
+  float r = std::fma(n, -kLn2Hi, x);
+  r = std::fma(n, -kLn2Lo, r);
+  const float z = r * r;
+  float y = kExpP[0];
+  for (size_t i = 1; i < 6; ++i) y = std::fma(y, r, kExpP[i]);
+  y = std::fma(y, z, r) + 1.0f;
+  const uint32_t pow2n = (std::bit_cast<uint32_t>(t) - kExpShifterBits + 127u)
+                         << 23;
+  return y * std::bit_cast<float>(pow2n);
+}
+
+/// 1/(1 + e) for x >= 0 and e/(1 + e) below, with e = e^-|x|.
+inline float Sigmoid(float x) {
+  const float e = ExpNonPositive(-std::fabs(x));
+  return (x >= 0.0f ? 1.0f : e) / (1.0f + e);
+}
+
+inline float Tanh(float x) {
+  const float a = std::fabs(x);
+  const float z = a * a;
+  float p = kTanhP[0];
+  for (size_t i = 1; i < 5; ++i) p = std::fma(p, z, kTanhP[i]);
+  const float small = std::fma(p * z, a, a);
+  const float e = ExpNonPositive(-2.0f * a);
+  const float large = 1.0f - (e + e) / (1.0f + e);
+  return std::copysign(a < kTanhSmall ? small : large, x);
+}
+
+}  // namespace
+
+float SigmoidLane(float x) { return Sigmoid(x); }
+
+void LstmCellTail(const LstmCellArgs& args, size_t row, size_t j0) {
+  const size_t hidden = args.hidden;
+  const float* gx = args.gx + row * 4 * hidden;
+  const float* gh = args.gh + row * 4 * hidden;
+  const float* b = args.bias;
+  const size_t off = row * hidden;
+  float* act = args.act == nullptr ? nullptr : args.act + row * 4 * hidden;
+  for (size_t j = j0; j < hidden; ++j) {
+    const size_t jf = hidden + j, jg = 2 * hidden + j, jo = 3 * hidden + j;
+    const float i = Sigmoid((gx[j] + gh[j]) + b[j]);
+    const float f = Sigmoid((gx[jf] + gh[jf]) + b[jf]);
+    const float g = Tanh((gx[jg] + gh[jg]) + b[jg]);
+    const float o = Sigmoid((gx[jo] + gh[jo]) + b[jo]);
+    const float c = std::fma(f, args.c_prev[off + j], i * g);
+    const float tanh_c = Tanh(c);
+    if (act != nullptr) {
+      act[j] = i;
+      act[jf] = f;
+      act[jg] = g;
+      act[jo] = o;
+    }
+    args.c[off + j] = c;
+    if (args.tanh_c != nullptr) args.tanh_c[off + j] = tanh_c;
+    args.h[off + j] = o * tanh_c;
+  }
+}
+
+void LstmCellScalar(const LstmCellArgs& args) {
+  for (size_t row = 0; row < args.rows; ++row) LstmCellTail(args, row, 0);
+}
+
+LstmCellFn PickLstmCellKernel() {
+  return DetectedIsa() == SimdIsa::kScalar ? LstmCellScalar : LstmCellAvx2;
 }
 
 namespace {

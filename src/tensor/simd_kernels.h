@@ -8,7 +8,8 @@
 namespace apots::tensor::simd {
 
 /// Internal microkernel interface behind the matmul family's products of
-/// 16 rows or more (tensor_ops.h) and the quantized inference paths. The
+/// 16 rows or more (tensor_ops.h), the quantized inference paths and the
+/// LSTM cell (tensor::LstmCell). The
 /// entry points here pack the right-hand operand into zero-padded column
 /// panels once per call, then sweep row ranges of the output through an
 /// ISA-dispatched register-tiled kernel (see cpu_features.h for the
@@ -134,6 +135,71 @@ void GemmStrided(const float* a, size_t a_rs, size_t a_cs, const float* b,
 /// fp32 microkernels run unchanged.
 void GemmHalfB(const float* a, size_t a_rs, size_t a_cs, const uint16_t* b,
                float* out, size_t m, size_t k, size_t n);
+
+/// One LSTM cell step over `rows` rows of `hidden` units (tensor::LstmCell
+/// checks shapes and dispatches). gx and gh are the [rows, 4*hidden] x- and
+/// h-products in gate order i|f|g|o, bias is [4*hidden] and c_prev is
+/// [rows, hidden]. Per unit: the pre-activation is (gx + gh) + bias; i, f
+/// and o are sigmoids and g a tanh; c = fma(f, c_prev, i*g) and
+/// h = o*tanh(c). Writes c and h ([rows, hidden]), plus the activated
+/// gates `act` ([rows, 4*hidden]) and `tanh_c` ([rows, hidden]) when they
+/// are non-null. c may alias c_prev and act may alias gx: every unit reads
+/// its inputs before it writes.
+struct LstmCellArgs {
+  const float* gx;
+  const float* gh;
+  const float* bias;
+  const float* c_prev;
+  size_t rows;
+  size_t hidden;
+  float* act;
+  float* c;
+  float* tanh_c;
+  float* h;
+};
+using LstmCellFn = void (*)(const LstmCellArgs& args);
+
+/// The one-lane form: every rung returns its bits for every input, NaN
+/// included. Multiply-adds are explicit std::fma (or _mm256_fmadd_ps) and
+/// division is true division, so no rung depends on contraction or on an
+/// approximate reciprocal.
+void LstmCellScalar(const LstmCellArgs& args);
+/// Units [j0, hidden) of row `row` in the one-lane form: the vector rungs'
+/// column tails.
+void LstmCellTail(const LstmCellArgs& args, size_t row, size_t j0);
+/// Eight units per step; AVX-512 hosts run it too.
+void LstmCellAvx2(const LstmCellArgs& args);
+LstmCellFn PickLstmCellKernel();
+
+/// The cell's one-lane sigmoid, which the BCE loss also uses
+/// (nn::SigmoidScalar).
+float SigmoidLane(float x);
+
+/// Constants the rungs share. e^x runs on x in [kExpLo, 0] only (sigmoid
+/// and tanh need e^-|x|): n = round(x*log2e) comes from adding the
+/// 1.5*2^23 shifter, which rounds exactly and leaves n in the low mantissa
+/// bits, so no float-to-int conversion is needed (one of NaN is undefined
+/// in C++); r = x - n*ln2 in two Cody-Waite steps; e^r from Cephes expf's
+/// polynomial; 2^n from n's bits. The clamp at kExpLo keeps n >= -127, and
+/// n = -127 (x below about -87.7) gives 2^n = 0, so e^x is 0 where it is
+/// below FLT_MIN anyway. The clamp is max(kExpLo, x) in MAXPS operand
+/// order, which passes a NaN x through.
+inline constexpr float kExpLo = -88.0f;
+inline constexpr float kLog2e = 1.44269504088896341f;
+inline constexpr float kExpShifter = 12582912.0f;  // 1.5 * 2^23
+inline constexpr uint32_t kExpShifterBits = 0x4B400000u;
+inline constexpr float kLn2Hi = 0.693359375f;
+inline constexpr float kLn2Lo = -2.12194440e-4f;
+inline constexpr float kExpP[6] = {1.9875691500e-4f, 1.3981999507e-3f,
+                                   8.3334519073e-3f, 4.1665795894e-2f,
+                                   1.6666665459e-1f, 5.0000001201e-1f};
+/// tanh(|x|) is Cephes tanhf's odd polynomial below kTanhSmall and
+/// 1 - 2e/(1 + e) with e = e^-2|x| from there; the sign is copied last.
+/// (1 - e)/(1 + e) rounds worse: 1.8e-7 from std::tanh against 1.2e-7.
+inline constexpr float kTanhSmall = 0.625f;
+inline constexpr float kTanhP[5] = {-5.70498872745e-3f, 2.06390887954e-2f,
+                                    -5.37397155531e-2f, 1.33314422036e-1f,
+                                    -3.33332819422e-1f};
 
 /// Grow-only, 64-byte-aligned thread-local scratch used by the drivers for
 /// packed panels (exposed for the quantized drivers in quant.cc).

@@ -98,6 +98,105 @@ void GemmPanelAvx2(const float* a, size_t a_rs, size_t a_cs,
   }
 }
 
+namespace {
+
+/// The one-lane ExpNonPositive/Sigmoid/Tanh of simd_kernels.cc operation
+/// for operation, so every lane returns the one-lane bits.
+__m256 ExpNonPositive8(__m256 x) {
+  x = _mm256_max_ps(_mm256_set1_ps(kExpLo), x);
+  const __m256 shifter = _mm256_set1_ps(kExpShifter);
+  const __m256 t = _mm256_fmadd_ps(x, _mm256_set1_ps(kLog2e), shifter);
+  const __m256 n = _mm256_sub_ps(t, shifter);
+  __m256 r = _mm256_fmadd_ps(n, _mm256_set1_ps(-kLn2Hi), x);
+  r = _mm256_fmadd_ps(n, _mm256_set1_ps(-kLn2Lo), r);
+  const __m256 z = _mm256_mul_ps(r, r);
+  __m256 y = _mm256_set1_ps(kExpP[0]);
+  for (size_t i = 1; i < 6; ++i) {
+    y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(kExpP[i]));
+  }
+  y = _mm256_add_ps(_mm256_fmadd_ps(y, z, r), _mm256_set1_ps(1.0f));
+  const __m256i pow2n = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_castps_si256(t),
+                       _mm256_set1_epi32(static_cast<int32_t>(
+                           127u - kExpShifterBits))),
+      23);
+  return _mm256_mul_ps(y, _mm256_castsi256_ps(pow2n));
+}
+
+__m256 Sigmoid8(__m256 x) {
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 e = ExpNonPositive8(_mm256_or_ps(x, sign));
+  const __m256 nonneg = _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_GE_OQ);
+  return _mm256_div_ps(_mm256_blendv_ps(e, one, nonneg),
+                       _mm256_add_ps(one, e));
+}
+
+__m256 Tanh8(__m256 x) {
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 a = _mm256_andnot_ps(sign, x);
+  const __m256 z = _mm256_mul_ps(a, a);
+  __m256 p = _mm256_set1_ps(kTanhP[0]);
+  for (size_t i = 1; i < 5; ++i) {
+    p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(kTanhP[i]));
+  }
+  const __m256 small = _mm256_fmadd_ps(_mm256_mul_ps(p, z), a, a);
+  const __m256 e = ExpNonPositive8(_mm256_mul_ps(_mm256_set1_ps(-2.0f), a));
+  const __m256 large = _mm256_sub_ps(
+      one, _mm256_div_ps(_mm256_add_ps(e, e), _mm256_add_ps(one, e)));
+  const __m256 is_small =
+      _mm256_cmp_ps(a, _mm256_set1_ps(kTanhSmall), _CMP_LT_OQ);
+  const __m256 magnitude = _mm256_blendv_ps(large, small, is_small);
+  return _mm256_or_ps(_mm256_andnot_ps(sign, magnitude),
+                      _mm256_and_ps(sign, x));
+}
+
+/// (gx + gh) + bias for the eight units at `j`.
+__m256 PreActivation8(const float* gx, const float* gh, const float* bias,
+                      size_t j) {
+  return _mm256_add_ps(
+      _mm256_add_ps(_mm256_loadu_ps(gx + j), _mm256_loadu_ps(gh + j)),
+      _mm256_loadu_ps(bias + j));
+}
+
+}  // namespace
+
+void LstmCellAvx2(const LstmCellArgs& args) {
+  const size_t hidden = args.hidden;
+  for (size_t row = 0; row < args.rows; ++row) {
+    const float* gx = args.gx + row * 4 * hidden;
+    const float* gh = args.gh + row * 4 * hidden;
+    const float* c_prev = args.c_prev + row * hidden;
+    float* act = args.act == nullptr ? nullptr : args.act + row * 4 * hidden;
+    float* c_out = args.c + row * hidden;
+    float* tanh_c_out =
+        args.tanh_c == nullptr ? nullptr : args.tanh_c + row * hidden;
+    float* h_out = args.h + row * hidden;
+    size_t j = 0;
+    for (; j + 8 <= hidden; j += 8) {
+      const size_t jf = hidden + j, jg = 2 * hidden + j, jo = 3 * hidden + j;
+      const __m256 i = Sigmoid8(PreActivation8(gx, gh, args.bias, j));
+      const __m256 f = Sigmoid8(PreActivation8(gx, gh, args.bias, jf));
+      const __m256 g = Tanh8(PreActivation8(gx, gh, args.bias, jg));
+      const __m256 o = Sigmoid8(PreActivation8(gx, gh, args.bias, jo));
+      const __m256 c =
+          _mm256_fmadd_ps(f, _mm256_loadu_ps(c_prev + j), _mm256_mul_ps(i, g));
+      const __m256 tanh_c = Tanh8(c);
+      if (act != nullptr) {
+        _mm256_storeu_ps(act + j, i);
+        _mm256_storeu_ps(act + jf, f);
+        _mm256_storeu_ps(act + jg, g);
+        _mm256_storeu_ps(act + jo, o);
+      }
+      _mm256_storeu_ps(c_out + j, c);
+      if (tanh_c_out != nullptr) _mm256_storeu_ps(tanh_c_out + j, tanh_c);
+      _mm256_storeu_ps(h_out + j, _mm256_mul_ps(o, tanh_c));
+    }
+    if (j < hidden) LstmCellTail(args, row, j);
+  }
+}
+
 void HalfToFloatF16c(const uint16_t* src, float* dst, size_t count) {
   size_t i = 0;
   for (; i + 8 <= count; i += 8) {
@@ -144,6 +243,8 @@ void GemmPanelAvx2(const float* a, size_t a_rs, size_t a_cs,
                    size_t out_ld, size_t r0, size_t r1, size_t width) {
   GemmPanelScalar(a, a_rs, a_cs, panel, k, nr, out, out_ld, r0, r1, width);
 }
+
+void LstmCellAvx2(const LstmCellArgs& args) { LstmCellScalar(args); }
 
 void HalfToFloatF16c(const uint16_t* src, float* dst, size_t count) {
   HalfToFloatScalar(src, dst, count);

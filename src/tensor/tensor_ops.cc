@@ -419,6 +419,26 @@ void AddRowBias(Tensor* matrix, const Tensor& bias) {
                            });
 }
 
+void LstmCell(const Tensor& gates_x, const Tensor& gates_h, const Tensor& bias,
+              const Tensor& c_prev, Tensor* c, Tensor* h, Tensor* act,
+              Tensor* tanh_c) {
+  APOTS_CHECK_EQ(c_prev.rank(), 2u);
+  APOTS_CHECK_EQ(gates_x.rank(), 2u);
+  const size_t rows = c_prev.rows(), hidden = c_prev.cols();
+  APOTS_CHECK_EQ(gates_x.rows(), rows);
+  APOTS_CHECK_EQ(gates_x.cols(), 4 * hidden);
+  CheckSameShape(gates_x, gates_h, "LstmCell");
+  APOTS_CHECK_EQ(bias.size(), 4 * hidden);
+  CheckSameShape(*c, c_prev, "LstmCell");
+  CheckSameShape(*h, c_prev, "LstmCell");
+  if (act != nullptr) CheckSameShape(*act, gates_x, "LstmCell");
+  if (tanh_c != nullptr) CheckSameShape(*tanh_c, c_prev, "LstmCell");
+  simd::PickLstmCellKernel()(
+      {gates_x.data(), gates_h.data(), bias.data(), c_prev.data(), rows, hidden,
+       act == nullptr ? nullptr : act->data(), c->data(),
+       tanh_c == nullptr ? nullptr : tanh_c->data(), h->data()});
+}
+
 Tensor SumRows(const Tensor& matrix) {
   APOTS_CHECK_EQ(matrix.rank(), 2u);
   const size_t m = matrix.rows(), n = matrix.cols();

@@ -73,6 +73,19 @@ Tensor Transpose12(const Tensor& a);
 /// Adds a length-n bias row-wise to an [m,n] matrix.
 void AddRowBias(Tensor* matrix, const Tensor& bias);
 
+/// One LSTM cell step, the body both nn::Lstm forwards share. gates_x and
+/// gates_h are the [rows, 4H] x- and h-products in gate order i|f|g|o,
+/// bias is [4H] and c_prev is [rows, H]. Writes c and h ([rows, H]), and
+/// when non-null the activated gates `act` ([rows, 4H]) and `tanh_c`
+/// ([rows, H]), which Backward reads. c may be c_prev and act may be
+/// gates_x. Dispatches on DetectedIsa(): the scalar rung runs the one-lane
+/// form and the AVX2 and AVX-512 rungs run eight lanes with one-lane
+/// tails; every rung returns the same bits (simd_kernels.h). Runs on the
+/// calling thread: a 64-row step is tens of microseconds.
+void LstmCell(const Tensor& gates_x, const Tensor& gates_h, const Tensor& bias,
+              const Tensor& c_prev, Tensor* c, Tensor* h, Tensor* act = nullptr,
+              Tensor* tanh_c = nullptr);
+
 /// Column-wise sum of an [m,n] matrix -> length-n vector (bias gradient).
 Tensor SumRows(const Tensor& matrix);
 

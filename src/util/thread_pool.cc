@@ -82,9 +82,6 @@ void ThreadPool::RunChunks(Job* job, size_t worker) {
   for (;;) {
     const size_t chunk = job->next_chunk.fetch_add(1);
     if (chunk >= job->num_chunks) break;
-    PoolMetrics::Get().queue_depth.Set(static_cast<double>(
-        job->num_chunks -
-        std::min(job->num_chunks, chunk + 1)));
     const size_t lo = job->begin + chunk * job->chunk_size;
     const size_t hi = std::min(job->range_end, lo + job->chunk_size);
     try {
@@ -149,6 +146,9 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   job->num_chunks = (n + chunk_size - 1) / chunk_size;
   PoolMetrics::Get().regions.Add();
   PoolMetrics::Get().chunks.Add(job->num_chunks);
+  // The gauge holds the open region's chunk count and 0 between regions.
+  // Only the caller writes it, at open and close, so workers share no
+  // cache line through it.
   PoolMetrics::Get().queue_depth.Set(
       static_cast<double>(job->num_chunks));
 
@@ -168,6 +168,7 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
     });
     job_ = nullptr;
   }
+  PoolMetrics::Get().queue_depth.Set(0.0);
   if (job->error) std::rethrow_exception(job->error);
 }
 

@@ -11,13 +11,20 @@
 //    reference loops of a build without FMA do not;
 //  - the panels are bitwise self-consistent across pool sizes and row
 //    partitions, and *Into forms match allocating forms bitwise.
+// It also holds the LSTM cell kernel (tensor::LstmCell) to its one-lane
+// form bitwise at every rung, and the one-lane form to the libm forms
+// within a bound; lstm_cell_exhaustive_test does both on all 2^32 inputs.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "lstm_cell_reference.h"
+#include "nn/lstm.h"
 #include "tensor/cpu_features.h"
 #include "tensor/simd_kernels.h"
 #include "tensor/tensor_ops.h"
@@ -293,6 +300,242 @@ TEST_F(KernelEquivalenceEdgeTest, KernelModeNamesRoundTrip) {
   EXPECT_STREQ(IsaName(SimdIsa::kScalar), "scalar");
   EXPECT_STREQ(IsaName(SimdIsa::kAvx2), "avx2");
   EXPECT_STREQ(IsaName(SimdIsa::kAvx512), "avx512");
+}
+
+class LstmCellKernelTest : public ::testing::Test {
+ protected:
+  void TearDown() override { internal::ClearIsaOverrideForTesting(); }
+};
+
+/// Equality of bit patterns: NaN payloads and signed zeros count.
+void ExpectSameBits(const Tensor& a, const Tensor& b, const char* what) {
+  ASSERT_TRUE(a.SameShape(b)) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(a[i]), std::bit_cast<uint32_t>(b[i]))
+        << what << " at " << i << ": " << a[i] << " vs " << b[i];
+  }
+}
+
+struct CellOutputs {
+  Tensor act, c, tanh_c, h;
+};
+
+CellOutputs EmptyOutputs(size_t rows, size_t hidden) {
+  return {Tensor({rows, 4 * hidden}), Tensor({rows, hidden}),
+          Tensor({rows, hidden}), Tensor({rows, hidden})};
+}
+
+/// One step through the dispatch at the current rung.
+CellOutputs RunCell(const Tensor& gx, const Tensor& gh, const Tensor& bias,
+                    const Tensor& c_prev) {
+  CellOutputs out = EmptyOutputs(c_prev.rows(), c_prev.cols());
+  LstmCell(gx, gh, bias, c_prev, &out.c, &out.h, &out.act, &out.tanh_c);
+  return out;
+}
+
+/// The same step in the one-lane form.
+CellOutputs RunCellOneLane(const Tensor& gx, const Tensor& gh,
+                           const Tensor& bias, const Tensor& c_prev) {
+  CellOutputs out = EmptyOutputs(c_prev.rows(), c_prev.cols());
+  simd::LstmCellScalar({gx.data(), gh.data(), bias.data(), c_prev.data(),
+                        c_prev.rows(), c_prev.cols(), out.act.data(),
+                        out.c.data(), out.tanh_c.data(), out.h.data()});
+  return out;
+}
+
+void ExpectSameCell(const CellOutputs& got, const CellOutputs& want) {
+  ExpectSameBits(got.act, want.act, "act");
+  ExpectSameBits(got.c, want.c, "c");
+  ExpectSameBits(got.tanh_c, want.tanh_c, "tanh_c");
+  ExpectSameBits(got.h, want.h, "h");
+}
+
+/// A stride through all 2^32 bit patterns plus the inputs where the forms
+/// branch or saturate: signed zeros, infinities, NaNs (quiet, signaling,
+/// negative), subnormals, the tanh switch at +-0.625 and the e^x clamp
+/// (-|x| = kExpLo for sigmoid, -2|x| = kExpLo for tanh), with neighbours.
+std::vector<float> InterestingInputs() {
+  std::vector<float> xs;
+  for (uint64_t p = 0; p < (uint64_t{1} << 32); p += 16411) {
+    xs.push_back(std::bit_cast<float>(static_cast<uint32_t>(p)));
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (float edge : {0.0f, 0.625f, -simd::kExpLo, -simd::kExpLo / 2, inf}) {
+    for (float x : {edge, std::nextafter(edge, 0.0f),
+                    std::nextafter(edge, inf)}) {
+      xs.push_back(x);
+      xs.push_back(-x);
+    }
+  }
+  for (uint32_t bits : {0x7FC00000u, 0xFFC00000u, 0x7F800001u, 0x7FC12345u,
+                        0x00000001u, 0x80000001u, 0x007FFFFFu, 0x807FFFFFu,
+                        0x00400000u}) {
+    xs.push_back(std::bit_cast<float>(bits));
+  }
+  return xs;
+}
+
+/// One row of units, unit j fed xs[j] in all four gates and in c_prev.
+/// gh = bias = -0 leaves the pre-activation equal to the input, -0
+/// included: (x + -0) + -0 == x. So act holds sigmoid(xs[j]) in the i, f
+/// and o blocks and tanh(xs[j]) in the g block.
+struct PatternCell {
+  explicit PatternCell(const std::vector<float>& xs)
+      : hidden(xs.size()),
+        gx({1, 4 * hidden}),
+        gh({1, 4 * hidden}),
+        bias({4 * hidden}),
+        c_prev({1, hidden}) {
+    for (size_t j = 0; j < hidden; ++j) {
+      for (size_t gate = 0; gate < 4; ++gate) gx[gate * hidden + j] = xs[j];
+      c_prev[j] = xs[j];
+    }
+    gh.Fill(-0.0f);
+    bias.Fill(-0.0f);
+  }
+  CellOutputs Run() const { return RunCell(gx, gh, bias, c_prev); }
+  CellOutputs RunOneLane() const {
+    return RunCellOneLane(gx, gh, bias, c_prev);
+  }
+
+  size_t hidden;
+  Tensor gx, gh, bias, c_prev;
+};
+
+TEST_F(LstmCellKernelTest, EveryRungMatchesOneLaneOnBitPatterns) {
+  const PatternCell cell(InterestingInputs());
+  const CellOutputs want = cell.RunOneLane();
+  for (SimdIsa rung : kRungs) {
+    internal::OverrideIsaForTesting(rung);
+    SCOPED_TRACE(IsaName(DetectedIsa()));
+    ExpectSameCell(cell.Run(), want);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_F(LstmCellKernelTest, ShapeSweepMatchesOneLaneInAndOutOfPlace) {
+  // H = 1, 4 and 13 run vector tails (or only the tail), 16 and 64 none,
+  // 67 both; single rows and odd row counts too.
+  for (size_t hidden : {1u, 4u, 13u, 16u, 64u, 67u}) {
+    for (size_t rows : {1u, 3u, 64u}) {
+      SCOPED_TRACE(::testing::Message() << "H " << hidden << " rows " << rows);
+      Tensor gx({rows, 4 * hidden}), gh({rows, 4 * hidden});
+      Tensor bias({4 * hidden}), c_prev({rows, hidden});
+      apots::Rng rng(rows * 131 + hidden);
+      FillUniform(&gx, &rng, -6.0f, 6.0f);
+      FillUniform(&gh, &rng, -3.0f, 3.0f);
+      FillUniform(&bias, &rng, -1.0f, 1.0f);
+      FillUniform(&c_prev, &rng, -4.0f, 4.0f);
+      const CellOutputs want = RunCellOneLane(gx, gh, bias, c_prev);
+      for (SimdIsa rung : kRungs) {
+        internal::OverrideIsaForTesting(rung);
+        SCOPED_TRACE(IsaName(DetectedIsa()));
+        ExpectSameCell(RunCell(gx, gh, bias, c_prev), want);
+        // The forwards' in-place forms: the gates activate over the
+        // x-product, and c replaces c_prev.
+        Tensor act = gx;
+        Tensor c = c_prev;
+        Tensor h({rows, hidden});
+        LstmCell(act, gh, bias, c, &c, &h, &act, nullptr);
+        ExpectSameBits(act, want.act, "in-place act");
+        ExpectSameBits(c, want.c, "in-place c");
+        ExpectSameBits(h, want.h, "in-place h");
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST_F(LstmCellKernelTest, OneLaneWithinBoundOfLibm) {
+  const std::vector<float> xs = InterestingInputs();
+  const PatternCell cell(xs);
+  const CellOutputs out = cell.RunOneLane();
+  testing::ActivationError sigmoid, tanh;
+  for (size_t j = 0; j < xs.size(); ++j) {
+    const float got_sigmoid = out.act[j];
+    const float got_tanh = out.act[2 * xs.size() + j];
+    if (std::isnan(xs[j])) {
+      EXPECT_TRUE(std::isnan(got_sigmoid));
+      EXPECT_TRUE(std::isnan(got_tanh));
+      continue;
+    }
+    sigmoid.Add(got_sigmoid, testing::LibmSigmoid(xs[j]));
+    tanh.Add(got_tanh, testing::LibmTanh(xs[j]));
+  }
+  EXPECT_LE(sigmoid.abs, testing::kAbsBound);
+  EXPECT_LE(sigmoid.rel, testing::kRelBound);
+  EXPECT_LE(tanh.abs, testing::kAbsBound);
+  EXPECT_LE(tanh.rel, testing::kRelBound);
+
+  // Odd and saturating where libm is.
+  const float inf = std::numeric_limits<float>::infinity();
+  const CellOutputs edges = PatternCell({-0.0f, inf, -inf}).RunOneLane();
+  EXPECT_EQ(edges.act[0], 0.5f);  // sigmoid(-0)
+  EXPECT_EQ(edges.act[1], 1.0f);
+  EXPECT_EQ(edges.act[2], 0.0f);
+  EXPECT_EQ(std::bit_cast<uint32_t>(edges.act[6]),
+            std::bit_cast<uint32_t>(-0.0f));  // tanh(-0)
+  EXPECT_EQ(edges.act[7], 1.0f);
+  EXPECT_EQ(edges.act[8], -1.0f);
+}
+
+/// Both Lstm forwards on one input; H = 13 runs one vector block and a
+/// five-unit tail per row.
+void RunBothForwards(nn::Lstm* lstm, const Tensor& input, Tensor* allocating,
+                     Tensor* arena) {
+  *allocating = lstm->Forward(input, /*training=*/false);
+  Workspace ws;
+  *arena = *lstm->Forward(input, /*training=*/false, &ws);
+}
+
+TEST_F(LstmCellKernelTest, NanWeightOrInputReachesH) {
+  // A clamp with its operands swapped, max(x, lo) or min(x, hi), returns
+  // the bound for a NaN x and turns a NaN weight into a finite h;
+  // TrainGuard's non-finite-loss check needs the NaN to reach the output.
+  for (SimdIsa rung : kRungs) {
+    internal::OverrideIsaForTesting(rung);
+    SCOPED_TRACE(IsaName(DetectedIsa()));
+    apots::Rng rng(5);
+    nn::Lstm lstm(6, 13, /*return_sequences=*/false, &rng);
+    const Tensor input = Random({3, 4, 6}, 17);
+    Tensor allocating, arena;
+
+    Tensor nan_input = input;
+    nan_input[(1 * 4 + 0) * 6 + 2] = std::numeric_limits<float>::quiet_NaN();
+    RunBothForwards(&lstm, nan_input, &allocating, &arena);
+    for (const Tensor* h : {&allocating, &arena}) {
+      for (size_t n = 0; n < 3; ++n) {
+        for (size_t j = 0; j < 13; ++j) {
+          EXPECT_EQ(std::isnan(h->At(n, j)), n == 1) << n << "," << j;
+        }
+      }
+    }
+
+    // Unit 0's input-gate column: a lane of the vector block. After one
+    // step the recurrence carries the NaN to every unit.
+    lstm.Parameters()[0]->value[0] = std::numeric_limits<float>::quiet_NaN();
+    RunBothForwards(&lstm, input, &allocating, &arena);
+    for (const Tensor* h : {&allocating, &arena}) {
+      for (size_t i = 0; i < h->size(); ++i) {
+        EXPECT_TRUE(std::isnan((*h)[i])) << i;
+      }
+    }
+  }
+}
+
+TEST_F(LstmCellKernelTest, ArenaForwardMatchesAllocatingForward) {
+  for (bool sequences : {false, true}) {
+    for (SimdIsa rung : kRungs) {
+      internal::OverrideIsaForTesting(rung);
+      SCOPED_TRACE(::testing::Message()
+                   << IsaName(DetectedIsa()) << " sequences " << sequences);
+      apots::Rng rng(9);
+      nn::Lstm lstm(6, 13, sequences, &rng);
+      Tensor allocating, arena;
+      RunBothForwards(&lstm, Random({5, 7, 6}, 23), &allocating, &arena);
+      ExpectSameBits(arena, allocating, "arena vs allocating");
+    }
+  }
 }
 
 }  // namespace
