@@ -18,11 +18,11 @@
 #            (fault injection / imputation, the training guard, the
 #            checkpoint/serialization layer, the serving stack + front door,
 #            the parallel execution layer, the SIMD/quantized kernel
-#            layer, and the inference path), which exercise the code paths
-#            that write through masks, restore checkpointed tensors, parse
-#            untrusted checkpoint bytes, share work across pool threads,
-#            write packed panels at ragged tile edges, and serve every
-#            prediction from dirty arena slots.
+#            layer, the conv trunk, and the inference path), which exercise
+#            the code paths that write through masks, restore checkpointed
+#            tensors, parse untrusted checkpoint bytes, share work across
+#            pool threads, write packed panels at ragged tile edges, and
+#            serve every prediction from dirty arena slots.
 #   lane 3 — TSan: -DAPOTS_SANITIZE=thread build of the thread-pool,
 #            parallel-determinism, serving-watchdog, MPSC-queue, and
 #            frontend suites (the code that runs more than one thread), plus
@@ -74,6 +74,10 @@ parallel_regex='ThreadPool|GlobalPool|PoolSizeSweep'
 # boundary. LstmCellKernel is the tier-1 suite; the exhaustive soak
 # binary is not built in this lane.
 kernel_regex='KernelEquivalence|QuantKernel|LstmCellKernel'
+# The conv trunk: batched im2col/col2im over channel-major planes, the
+# per-block workspace slots it rewinds, and the per-sample weight-gradient
+# products over strided column blocks.
+conv_regex='ConvTrunk'
 # The observability layer's concurrent suites: counters/histograms written
 # from many threads, trace buffers racing snapshot/emit.
 obs_regex='CounterTest|GaugeTest|HistogramTest|RegistryTest|MetricsEnabled|TraceSpan|TraceRecorder'
@@ -111,9 +115,9 @@ if [[ ${lane_asan} -eq 1 ]]; then
     feature_cache_stream_test serve_test obs_metrics_test obs_trace_test \
     mpsc_queue_test frontend_test kernel_equivalence_test quant_kernel_test \
     road_graph_test sharded_service_test chaos_test inference_runtime_test \
-    workspace_test context_test attack_test features_test
+    workspace_test context_test attack_test features_test conv_trunk_test
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R "FaultInjector|FaultKinds|ValidityMask|Imputation|FeatureAssemblerMask|TrafficDatasetBounds|TrainGuard|GuardedTraining|SerializeV2|CheckpointStore|KillRestore|FeatureCacheKey|FeatureCacheStream|FaultyFeed|StreamIngestor|ServeWatchdog|Supervisor|Harness|${parallel_regex}|${obs_regex}|${frontdoor_regex}|${kernel_regex}|${sharded_regex}|${arena_regex}"
+    -R "FaultInjector|FaultKinds|ValidityMask|Imputation|FeatureAssemblerMask|TrafficDatasetBounds|TrainGuard|GuardedTraining|SerializeV2|CheckpointStore|KillRestore|FeatureCacheKey|FeatureCacheStream|FaultyFeed|StreamIngestor|ServeWatchdog|Supervisor|Harness|${parallel_regex}|${obs_regex}|${frontdoor_regex}|${kernel_regex}|${conv_regex}|${sharded_regex}|${arena_regex}"
 fi
 
 if [[ ${lane_tsan} -eq 1 ]]; then

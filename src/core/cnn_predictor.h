@@ -10,8 +10,9 @@
 namespace apots::core {
 
 /// The C predictor: reads the feature matrix as a 1-channel image (the
-/// speed-matrix view of Eq. 6) through the Table-I conv stack (3x3 / 1x1 /
-/// 3x3, "same" padding for the 3x3s), then a dense head to one output.
+/// speed-matrix view of Eq. 6) through the Table-I conv trunk
+/// (nn::ConvTrunk: 3x3 / 1x1 / 3x3, "same" padding), then a dense head on
+/// the flattened features to one output.
 class CnnPredictor : public Predictor {
  public:
   CnnPredictor(const PredictorHparams& hparams, size_t num_rows, size_t alpha,
@@ -22,7 +23,7 @@ class CnnPredictor : public Predictor {
                         apots::tensor::Workspace* ws) const override;
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(apots::tensor::QuantMode mode) override {
-    net_.PrepareQuantized(mode);  // conv layers no-op; the Dense head packs
+    net_.PrepareQuantized(mode);  // the trunk no-ops; the Dense head packs
   }
   std::vector<Parameter*> Parameters() override;
   PredictorType type() const override { return PredictorType::kCnn; }
@@ -33,11 +34,6 @@ class CnnPredictor : public Predictor {
   size_t alpha_;
   apots::nn::Sequential net_;
 };
-
-/// Appends the shared conv trunk (used by both CnnPredictor and
-/// HybridPredictor) to `net`; returns the resulting channel count.
-size_t BuildConvTrunk(const PredictorHparams& hparams,
-                      apots::nn::Sequential* net, apots::Rng* rng);
 
 }  // namespace apots::core
 

@@ -1,10 +1,6 @@
 #include "core/hybrid_predictor.h"
 
-#include <algorithm>
-
-#include "core/cnn_predictor.h"
 #include "core/lstm_predictor.h"
-#include "tensor/tensor_ops.h"
 #include "util/string_util.h"
 
 namespace apots::core {
@@ -12,22 +8,18 @@ namespace apots::core {
 HybridPredictor::HybridPredictor(const PredictorHparams& hparams,
                                  size_t num_rows, size_t alpha,
                                  apots::Rng* rng)
-    : num_rows_(num_rows), alpha_(alpha) {
-  conv_channels_ = BuildConvTrunk(hparams, &conv_, rng);
-  BuildLstmHead(hparams, conv_channels_ * num_rows, &lstm_head_, rng);
+    : num_rows_(num_rows),
+      alpha_(alpha),
+      conv_(1, num_rows, alpha, hparams.cnn_channels, hparams.cnn_kernels,
+            apots::nn::ConvTrunk::Layout::kSequence, rng) {
+  BuildLstmHead(hparams, conv_.out_channels() * num_rows, &lstm_head_, rng);
 }
 
 Tensor HybridPredictor::Forward(const Tensor& batch, bool training) {
   APOTS_CHECK_EQ(batch.rank(), 3u);
   APOTS_CHECK_EQ(batch.dim(1), num_rows_);
   APOTS_CHECK_EQ(batch.dim(2), alpha_);
-  const size_t n = batch.dim(0);
-  const Tensor image = batch.Reshape({n, 1, num_rows_, alpha_});
-  Tensor features = conv_.Forward(image, training);
-  // [N, C, rows, alpha] -> [N, C*rows, alpha] -> [N, alpha, C*rows].
-  features = features.Reshape({n, conv_channels_ * num_rows_, alpha_});
-  const Tensor sequence = apots::tensor::Transpose12(features);
-  return lstm_head_.Forward(sequence, training);
+  return lstm_head_.Forward(conv_.Forward(batch, training), training);
 }
 
 const Tensor* HybridPredictor::Forward(const Tensor& batch, bool training,
@@ -36,27 +28,11 @@ const Tensor* HybridPredictor::Forward(const Tensor& batch, bool training,
   APOTS_CHECK_EQ(batch.rank(), 3u);
   APOTS_CHECK_EQ(batch.dim(1), num_rows_);
   APOTS_CHECK_EQ(batch.dim(2), alpha_);
-  const size_t n = batch.dim(0);
-  Tensor* image = ws->Acquire({n, 1, num_rows_, alpha_});
-  std::copy(batch.data(), batch.data() + batch.size(), image->data());
-  const Tensor* features = conv_.Forward(*image, training, ws);
-  // [N, C, rows, alpha] -> [N, C*rows, alpha] -> [N, alpha, C*rows].
-  Tensor* folded = ws->Acquire({n, conv_channels_ * num_rows_, alpha_});
-  std::copy(features->data(), features->data() + features->size(),
-            folded->data());
-  Tensor* sequence = ws->Acquire({n, alpha_, conv_channels_ * num_rows_});
-  apots::tensor::Transpose12Into(*folded, sequence);
-  return lstm_head_.Forward(*sequence, training, ws);
+  return lstm_head_.Forward(*conv_.Forward(batch, training, ws), training, ws);
 }
 
 Tensor HybridPredictor::Backward(const Tensor& grad_output) {
-  Tensor grad_sequence = lstm_head_.Backward(grad_output);
-  Tensor grad_features = apots::tensor::Transpose12(grad_sequence);
-  const size_t n = grad_features.dim(0);
-  grad_features = grad_features.Reshape(
-      {n, conv_channels_, num_rows_, alpha_});
-  Tensor grad_image = conv_.Backward(grad_features);
-  return grad_image.Reshape({n, num_rows_, alpha_});
+  return conv_.Backward(lstm_head_.Backward(grad_output));
 }
 
 std::vector<Parameter*> HybridPredictor::Parameters() {

@@ -5,15 +5,16 @@
 #include <vector>
 
 #include "core/predictor.h"
+#include "nn/conv_trunk.h"
 #include "nn/sequential.h"
 
 namespace apots::core {
 
 /// The H predictor (CNN + LSTM, LC-RNN style): the conv trunk extracts
 /// spatio-temporal features from the speed-matrix image while preserving
-/// the time axis ("same" padding), the channel/row dimensions are folded
-/// into per-timestep features, and the stacked LSTM consumes the result as
-/// an alpha-step sequence.
+/// the time axis ("same" padding) and writes them as an alpha-step
+/// sequence of channel x row features (ConvTrunk::Layout::kSequence),
+/// which the stacked LSTM consumes.
 class HybridPredictor : public Predictor {
  public:
   HybridPredictor(const PredictorHparams& hparams, size_t num_rows,
@@ -24,8 +25,7 @@ class HybridPredictor : public Predictor {
                         apots::tensor::Workspace* ws) const override;
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(apots::tensor::QuantMode mode) override {
-    conv_.PrepareQuantized(mode);  // conv layers no-op; Dense head packs
-    lstm_head_.PrepareQuantized(mode);
+    lstm_head_.PrepareQuantized(mode);  // the trunk stays fp32
   }
   std::vector<Parameter*> Parameters() override;
   PredictorType type() const override { return PredictorType::kHybrid; }
@@ -34,8 +34,7 @@ class HybridPredictor : public Predictor {
  private:
   size_t num_rows_;
   size_t alpha_;
-  size_t conv_channels_;
-  apots::nn::Sequential conv_;
+  apots::nn::ConvTrunk conv_;
   apots::nn::Sequential lstm_head_;
 };
 

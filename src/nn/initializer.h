@@ -15,7 +15,7 @@ enum class Init {
 };
 
 /// Initializes `t` in place. `fan_in`/`fan_out` describe the layer's
-/// connectivity (for Dense: input/output width; for Conv2d:
+/// connectivity (for Dense: input/output width; for a convolution:
 /// in_channels*kh*kw / out_channels*kh*kw).
 void Initialize(apots::tensor::Tensor* t, Init scheme, size_t fan_in,
                 size_t fan_out, apots::Rng* rng);

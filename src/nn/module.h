@@ -34,7 +34,7 @@ struct Parameter {
 /// consumes the cache, accumulates parameter gradients, and returns the
 /// gradient with respect to the layer input.
 ///
-/// Batch conventions: Dense-style layers take [batch, features]; Conv2d
+/// Batch conventions: Dense-style layers take [batch, features]; ConvTrunk
 /// takes [batch, channels, height, width]; Lstm takes
 /// [batch, time, features].
 class Layer {

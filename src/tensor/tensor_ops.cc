@@ -115,6 +115,64 @@ void MatmulRowRange(const float* pa, const float* pb, float* po, size_t r0,
                    pb, po, r0, r1, k, n);
 }
 
+/// Writes the row-major [m, n] product a b^T, where a is [m, k] and b is
+/// [n, k], read with row strides lda and ldb. The tiles materialize b^T
+/// into `bt` once and stream it: the reference kernel's scalar dot product
+/// is a single latency-bound dependency chain, and streaming over b^T rows
+/// vectorizes while adding the very same products in the very same
+/// k-ascending order. The panels are packed straight from b's rows
+/// (B(kk, j) = b[j*ldb + kk]) and leave `bt` alone.
+void MatmulTransposeBStrided(const float* pa, size_t lda, const float* pb,
+                             size_t ldb, size_t m, size_t k, size_t n,
+                             float* po, Tensor* bt) {
+  if (UsePanels(m)) {
+    simd::GemmStrided(pa, lda, 1, pb, 1, ldb, po, m, k, n);
+    return;
+  }
+  bt->ResetShape({k, n});
+  float* pbt = bt->data();
+  GlobalPool().ParallelFor(0, k, RowGrain(n),
+                           [&](size_t r0, size_t r1, size_t) {
+                             for (size_t kk = r0; kk < r1; ++kk) {
+                               float* bt_row = pbt + kk * n;
+                               for (size_t j = 0; j < n; ++j) {
+                                 bt_row[j] = pb[j * ldb + kk];
+                               }
+                             }
+                           });
+  GlobalPool().ParallelFor(
+      0, m, RowGrain(k * n), [&](size_t r0, size_t r1, size_t) {
+        GemmRowRangeImpl(
+            [pa, lda](size_t i, size_t kk) { return pa[i * lda + kk]; }, pbt,
+            po, r0, r1, k, n);
+      });
+}
+
+/// Where tap (ki, kj) of a "same" convolution reads: output pixel (i, j)
+/// reads input pixel (i + ki - pad, j + kj - pad), which lies inside the
+/// plane for rows [i_lo, i_hi) and columns [j_lo, j_hi) and is padding
+/// elsewhere. Within a plane that is a shift of the flat index by `shift`.
+struct SameTap {
+  long shift;
+  long i_lo, i_hi;
+  long j_lo, j_hi;
+};
+
+SameTap SameConvTap(size_t ki, size_t kj, size_t kernel, size_t height,
+                    size_t width) {
+  const long pad = static_cast<long>(kernel / 2);
+  const long h = static_cast<long>(height), w = static_cast<long>(width);
+  const long di = static_cast<long>(ki) - pad;
+  const long dj = static_cast<long>(kj) - pad;
+  SameTap tap;
+  tap.shift = di * w + dj;
+  tap.i_lo = std::clamp(-di, 0L, h);
+  tap.i_hi = std::clamp(h - di, tap.i_lo, h);
+  tap.j_lo = std::clamp(-dj, 0L, w);
+  tap.j_hi = std::clamp(w - dj, tap.j_lo, w);
+  return tap;
+}
+
 }  // namespace
 
 KernelMode GetKernelMode() {
@@ -315,37 +373,33 @@ Tensor MatmulTransposeB(const Tensor& a, const Tensor& b) {
   APOTS_CHECK_EQ(b.rank(), 2u);
   APOTS_CHECK_EQ(a.cols(), b.cols());
   const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  if (UsePanels(m)) {
-    // Panels are packed straight from b's rows (B(kk, j) = b[j*k + kk]),
-    // so no b^T materialization is needed on this path.
-    Tensor out({m, n});
-    simd::GemmStrided(a.data(), k, 1, b.data(), 1, k, out.data(), m, k, n);
-    return out;
-  }
-  // Materialize b^T once ([n,k] -> [k,n]) and run the streaming ikj loop.
-  // The reference kernel's scalar dot product is a single latency-bound
-  // dependency chain; streaming over b^T rows vectorizes while adding the
-  // very same products in the very same k-ascending order.
-  Tensor bt({k, n});
-  const float* pb = b.data();
-  float* pbt = bt.data();
-  GlobalPool().ParallelFor(0, k, RowGrain(n),
-                           [&](size_t r0, size_t r1, size_t) {
-                             for (size_t kk = r0; kk < r1; ++kk) {
-                               float* bt_row = pbt + kk * n;
-                               for (size_t j = 0; j < n; ++j) {
-                                 bt_row[j] = pb[j * k + kk];
-                               }
-                             }
-                           });
   Tensor out({m, n});
-  const float* pa = a.data();
-  float* po = out.data();
-  GlobalPool().ParallelFor(0, m, RowGrain(k * n),
-                           [&](size_t r0, size_t r1, size_t) {
-                             MatmulRowRange(pa, pbt, po, r0, r1, k, n);
-                           });
+  Tensor bt;
+  MatmulTransposeBStrided(a.data(), k, b.data(), k, m, k, n, out.data(), &bt);
   return out;
+}
+
+void AddSampleProductsTransposeB(const Tensor& a, const Tensor& b,
+                                 size_t samples, Tensor* out) {
+  APOTS_CHECK_EQ(a.rank(), 2u);
+  APOTS_CHECK_EQ(b.rank(), 2u);
+  APOTS_CHECK_EQ(a.cols(), b.cols());
+  APOTS_CHECK_GT(samples, 0u);
+  APOTS_CHECK_EQ(a.cols() % samples, 0u);
+  const size_t m = a.rows(), n = b.rows(), stride = a.cols();
+  const size_t k = stride / samples;
+  APOTS_CHECK_EQ(out->rank(), 2u);
+  APOTS_CHECK_EQ(out->rows(), m);
+  APOTS_CHECK_EQ(out->cols(), n);
+  Tensor product({m, n});
+  Tensor bt;
+  float* po = out->data();
+  const float* pp = product.data();
+  for (size_t s = 0; s < samples; ++s) {
+    MatmulTransposeBStrided(a.data() + s * k, stride, b.data() + s * k,
+                            stride, m, k, n, product.data(), &bt);
+    for (size_t i = 0; i < m * n; ++i) po[i] += pp[i];
+  }
 }
 
 void MatmulInto(const Tensor& a, const Tensor& b, Tensor* out) {
@@ -468,101 +522,95 @@ void FillNormal(Tensor* t, apots::Rng* rng, float mean, float stddev) {
   }
 }
 
-void Im2ColInto(const Tensor& input, size_t kh, size_t kw, size_t pad,
-                Tensor* out) {
-  APOTS_CHECK_EQ(input.rank(), 3u);
-  const size_t channels = input.dim(0);
-  const size_t height = input.dim(1);
-  const size_t width = input.dim(2);
-  APOTS_CHECK_GE(height + 2 * pad + 1, kh);
-  APOTS_CHECK_GE(width + 2 * pad + 1, kw);
-  const size_t out_h = height + 2 * pad - kh + 1;
-  const size_t out_w = width + 2 * pad - kw + 1;
+void Im2ColInto(const Tensor& input, size_t height, size_t width,
+                size_t kernel, Tensor* out) {
+  APOTS_CHECK_EQ(input.rank(), 2u);
+  APOTS_CHECK_EQ(kernel % 2, 1u);
+  const size_t channels = input.rows();
+  const size_t plane = height * width;
+  APOTS_CHECK_GT(plane, 0u);
+  APOTS_CHECK_EQ(input.cols() % plane, 0u);
+  const size_t batch = input.cols() / plane;
+  const size_t taps = kernel * kernel;
   APOTS_CHECK_EQ(out->rank(), 2u);
-  APOTS_CHECK_EQ(out->rows(), channels * kh * kw);
-  APOTS_CHECK_EQ(out->cols(), out_h * out_w);
+  APOTS_CHECK_EQ(out->rows(), channels * taps);
+  APOTS_CHECK_EQ(out->cols(), input.cols());
   float* pc = out->data();
   const float* pi = input.data();
-  const size_t col_width = out_h * out_w;
-  // Each output row is the sweep of one (channel, ki, kj) tap: disjoint
-  // writes, so rows parallelize freely.
+  const long w = static_cast<long>(width);
+  // Each output row is the sweep of one (channel, ki, kj) tap over every
+  // sample: disjoint writes, so rows parallelize freely. A sample's block
+  // of the row is its plane shifted by the tap: one bulk copy of the rows
+  // the tap reads, then zeros where it reads padding (whole rows above or
+  // below, and the columns the shift wrapped into a neighbouring row).
   GlobalPool().ParallelFor(
-      0, channels * kh * kw, RowGrain(col_width),
+      0, channels * taps, RowGrain(input.cols()),
       [&](size_t row0, size_t row1, size_t) {
         for (size_t row = row0; row < row1; ++row) {
-          const size_t kj = row % kw;
-          const size_t ki = (row / kw) % kh;
-          const size_t c = row / (kw * kh);
-          const float* src_plane = pi + c * height * width;
-          float* dst = pc + row * col_width;
-          for (size_t oi = 0; oi < out_h; ++oi) {
-            const long src_i =
-                static_cast<long>(oi + ki) - static_cast<long>(pad);
-            if (src_i < 0 || src_i >= static_cast<long>(height)) {
-              std::fill(dst + oi * out_w, dst + (oi + 1) * out_w, 0.0f);
+          const size_t c = row / taps;
+          const SameTap tap = SameConvTap((row % taps) / kernel,
+                                          row % kernel, kernel, height, width);
+          for (size_t n = 0; n < batch; ++n) {
+            const float* src = pi + (c * batch + n) * plane;
+            float* dst = pc + row * input.cols() + n * plane;
+            if (tap.i_lo == tap.i_hi || tap.j_lo == tap.j_hi) {
+              std::fill(dst, dst + plane, 0.0f);
               continue;
             }
-            const float* src_row = src_plane + src_i * width;
-            for (size_t oj = 0; oj < out_w; ++oj) {
-              const long src_j =
-                  static_cast<long>(oj + kj) - static_cast<long>(pad);
-              dst[oi * out_w + oj] =
-                  (src_j >= 0 && src_j < static_cast<long>(width))
-                      ? src_row[src_j]
-                      : 0.0f;
+            const long begin = tap.i_lo * w + tap.j_lo;
+            const long end = tap.i_hi * w - (w - tap.j_hi);
+            std::fill(dst, dst + begin, 0.0f);
+            std::copy(src + begin + tap.shift, src + end + tap.shift,
+                      dst + begin);
+            std::fill(dst + end, dst + plane, 0.0f);
+            for (long i = tap.i_lo; i < tap.i_hi; ++i) {
+              std::fill(dst + i * w, dst + i * w + tap.j_lo, 0.0f);
+              std::fill(dst + i * w + tap.j_hi, dst + (i + 1) * w, 0.0f);
             }
           }
         }
       });
 }
 
-Tensor Im2Col(const Tensor& input, size_t kh, size_t kw, size_t pad) {
-  APOTS_CHECK_EQ(input.rank(), 3u);
-  const size_t channels = input.dim(0);
-  const size_t height = input.dim(1);
-  const size_t width = input.dim(2);
-  APOTS_CHECK_GE(height + 2 * pad + 1, kh);
-  APOTS_CHECK_GE(width + 2 * pad + 1, kw);
-  const size_t out_h = height + 2 * pad - kh + 1;
-  const size_t out_w = width + 2 * pad - kw + 1;
-  Tensor columns({channels * kh * kw, out_h * out_w});
-  Im2ColInto(input, kh, kw, pad, &columns);
+Tensor Im2Col(const Tensor& input, size_t height, size_t width,
+              size_t kernel) {
+  APOTS_CHECK_EQ(input.rank(), 2u);
+  Tensor columns({input.rows() * kernel * kernel, input.cols()});
+  Im2ColInto(input, height, width, kernel, &columns);
   return columns;
 }
 
 Tensor Col2Im(const Tensor& columns, size_t channels, size_t height,
-              size_t width, size_t kh, size_t kw, size_t pad) {
+              size_t width, size_t kernel) {
   APOTS_CHECK_EQ(columns.rank(), 2u);
-  const size_t out_h = height + 2 * pad - kh + 1;
-  const size_t out_w = width + 2 * pad - kw + 1;
-  APOTS_CHECK_EQ(columns.rows(), channels * kh * kw);
-  APOTS_CHECK_EQ(columns.cols(), out_h * out_w);
-  Tensor image({channels, height, width});
+  APOTS_CHECK_EQ(kernel % 2, 1u);
+  const size_t taps = kernel * kernel;
+  const size_t plane = height * width;
+  APOTS_CHECK_GT(plane, 0u);
+  APOTS_CHECK_EQ(columns.rows(), channels * taps);
+  APOTS_CHECK_EQ(columns.cols() % plane, 0u);
+  const size_t batch = columns.cols() / plane;
+  Tensor image({channels, columns.cols()});
   const float* pc = columns.data();
-  const size_t col_width = out_h * out_w;
-  // Parallel over channels: every (c, ki, kj) row scatters only into
-  // channel c's image plane, so channels are independent and each plane
+  float* pi = image.data();
+  const long w = static_cast<long>(width);
+  // Parallel over (channel, sample) planes: each plane gathers only its own
+  // taps, in ascending (ki, kj) order, so planes are independent and each
   // keeps its serial accumulation order.
   GlobalPool().ParallelFor(
-      0, channels, RowGrain(kh * kw * col_width),
-      [&](size_t c0, size_t c1, size_t) {
-        for (size_t c = c0; c < c1; ++c) {
-          for (size_t ki = 0; ki < kh; ++ki) {
-            for (size_t kj = 0; kj < kw; ++kj) {
-              const size_t row = (c * kh + ki) * kw + kj;
-              const float* src = pc + row * col_width;
-              for (size_t oi = 0; oi < out_h; ++oi) {
-                const long dst_i =
-                    static_cast<long>(oi + ki) - static_cast<long>(pad);
-                if (dst_i < 0 || dst_i >= static_cast<long>(height)) continue;
-                for (size_t oj = 0; oj < out_w; ++oj) {
-                  const long dst_j =
-                      static_cast<long>(oj + kj) - static_cast<long>(pad);
-                  if (dst_j < 0 || dst_j >= static_cast<long>(width)) continue;
-                  image.At3(c, static_cast<size_t>(dst_i),
-                            static_cast<size_t>(dst_j)) +=
-                      src[oi * out_w + oj];
-                }
+      0, channels * batch, RowGrain(taps * plane),
+      [&](size_t u0, size_t u1, size_t) {
+        for (size_t u = u0; u < u1; ++u) {
+          const size_t c = u / batch;
+          float* dst = pi + u * plane;
+          for (size_t t = 0; t < taps; ++t) {
+            const SameTap tap =
+                SameConvTap(t / kernel, t % kernel, kernel, height, width);
+            const float* src =
+                pc + (c * taps + t) * columns.cols() + (u % batch) * plane;
+            for (long i = tap.i_lo; i < tap.i_hi; ++i) {
+              for (long j = tap.j_lo; j < tap.j_hi; ++j) {
+                dst[i * w + j + tap.shift] += src[i * w + j];
               }
             }
           }

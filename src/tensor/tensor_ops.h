@@ -58,9 +58,19 @@ Tensor Im2Col(const Tensor& input, size_t kh, size_t kw, size_t pad);
 /// may be dirty (every element is overwritten). Matmul, Im2Col and
 /// Transpose12 are these on a fresh tensor.
 void MatmulInto(const Tensor& a, const Tensor& b, Tensor* out);
-void Im2ColInto(const Tensor& input, size_t kh, size_t kw, size_t pad,
-                Tensor* out);
+void Im2ColInto(const Tensor& input, size_t height, size_t width,
+                size_t kernel, Tensor* out);
 void Transpose12Into(const Tensor& a, Tensor* out);
+
+/// For s = 0, 1, ..., samples - 1 in turn, adds a_s b_s^T into `out`
+/// ([m, n]), where a_s ([m, p]) and b_s ([n, p]) are the s-th blocks of p
+/// columns of a ([m, samples*p]) and b ([n, samples*p]). Each a_s b_s^T is
+/// MatmulTransposeB's product of the two blocks (same kernel, same
+/// k-ascending chains), so this is bitwise the per-sample loop of
+/// AddInPlace(out, MatmulTransposeB(a_s, b_s)), without copying the blocks
+/// out. A conv layer's weight gradient over a channel-major batch.
+void AddSampleProductsTransposeB(const Tensor& a, const Tensor& b,
+                                 size_t samples, Tensor* out);
 
 /// Transpose of a rank-2 tensor.
 Tensor Transpose(const Tensor& a);
@@ -93,16 +103,25 @@ Tensor SumRows(const Tensor& matrix);
 void FillUniform(Tensor* t, apots::Rng* rng, float lo, float hi);
 void FillNormal(Tensor* t, apots::Rng* rng, float mean, float stddev);
 
-/// im2col for 2-D convolution with stride 1 and symmetric zero padding.
-/// Input: [channels, height, width]. Output: [channels*kh*kw, out_h*out_w]
-/// where out_h = height + 2*pad - kh + 1 (and similarly for width). Each
-/// output column holds the receptive field of one output pixel.
-Tensor Im2Col(const Tensor& input, size_t kh, size_t kw, size_t pad);
+/// im2col for a 2-D convolution with stride 1 and "same" zero padding (an
+/// odd `kernel`, padded by kernel / 2, so the output keeps the input's
+/// height x width), over a channel-major batch. Input:
+/// [channels, batch*height*width], row c holding channel c of every sample
+/// in turn, each a row-major height x width plane (the layout a conv
+/// product writes). Output: [channels*kernel*kernel, batch*height*width].
+/// Row (c*kernel + ki)*kernel + kj holds tap (ki, kj) of channel c, and
+/// column n*height*width + p the receptive field of sample n's output
+/// pixel p, so each sample's block of columns is reference::Im2Col of that
+/// sample.
+Tensor Im2Col(const Tensor& input, size_t height, size_t width,
+              size_t kernel);
 
-/// Inverse scatter-add of Im2Col: accumulates the column matrix back into a
-/// [channels, height, width] tensor (gradient of Im2Col).
+/// Inverse scatter-add of Im2Col (its gradient): accumulates the column
+/// matrix [channels*kernel*kernel, batch*height*width] back into a
+/// channel-major [channels, batch*height*width] tensor. Each element sums
+/// its taps in ascending (ki, kj) order, starting from zero.
 Tensor Col2Im(const Tensor& columns, size_t channels, size_t height,
-              size_t width, size_t kh, size_t kw, size_t pad);
+              size_t width, size_t kernel);
 
 }  // namespace apots::tensor
 

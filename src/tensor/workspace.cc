@@ -30,6 +30,11 @@ void Workspace::Reset() {
   ++generation_;
 }
 
+void Workspace::Rewind(size_t mark) {
+  APOTS_CHECK_LE(mark, cursor_);
+  cursor_ = mark;
+}
+
 size_t Workspace::capacity_floats() const {
   size_t total = 0;
   for (const auto& slot : slots_) total += slot->size();

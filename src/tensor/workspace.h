@@ -50,6 +50,11 @@ class Workspace {
   /// storage is retained for reuse.
   void Reset();
 
+  /// Hands the slots borrowed since `mark` (an earlier slots_in_use()) out
+  /// again to the next Acquires: scratch that every iteration of a loop
+  /// reuses. Tensors borrowed after the mark become invalid.
+  void Rewind(size_t mark);
+
   /// Slots handed out since the last Reset.
   size_t slots_in_use() const { return cursor_; }
   /// Total slots ever created.

@@ -4,6 +4,7 @@
 // pass, training is computing the right thing. The checker itself is
 // self-tested against a layer with a deliberately wrong gradient.
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -11,9 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "nn/activations.h"
-#include "nn/conv2d.h"
+#include "nn/conv_trunk.h"
 #include "nn/dense.h"
-#include "nn/flatten.h"
 #include "nn/gradient_check.h"
 #include "nn/lstm.h"
 #include "nn/sequential.h"
@@ -32,19 +32,20 @@ Tensor Random(std::vector<size_t> shape, uint64_t seed) {
   return t;
 }
 
+// The central-difference step. A difference whose step straddles a ReLU
+// kink is wrong by up to the kink's slope change, so every test that
+// chains an activation keeps its hidden pre-activations well clear of 0.
+constexpr double kEpsilon = 1e-2;
+
 // Checks a layer at the given input shape; forward must define the output
-// shape, so we run one forward to size the loss weights. A central
-// difference across a ReLU kink is wrong by up to the kink's slope change,
-// so chains whose hidden pre-activations the test cannot steer clear of the
-// kink take a smaller `epsilon`.
-void CheckLayer(Layer* layer, const Tensor& input, double tolerance = 2e-2,
-                size_t stride = 1, double epsilon = 1e-2) {
+// shape, so we run one forward to size the loss weights.
+void CheckLayer(Layer* layer, const Tensor& input, double tolerance = 2e-2) {
   const Tensor probe = layer->Forward(input, false);
   apots::Rng rng(99);
   Tensor weights(probe.shape());
   apots::tensor::FillUniform(&weights, &rng, -1.0f, 1.0f);
   const GradCheckResult result =
-      CheckLayerGradients(layer, input, weights, epsilon, stride);
+      CheckLayerGradients(layer, input, weights, kEpsilon);
   EXPECT_GT(result.checked, 0u);
   EXPECT_LT(result.max_rel_error, tolerance)
       << layer->Name() << ": max abs err " << result.max_abs_error;
@@ -81,9 +82,22 @@ TEST(GradientTest, LeakyRelu) {
   CheckLayer(&layer, in);
 }
 
-TEST(GradientTest, Flatten) {
-  Flatten layer;
-  CheckLayer(&layer, Random({2, 3, 4}, 9));
+// Sets a one-layer trunk's biases so that, on inputs in [-1, 1], every
+// pre-activation clears the ReLU kink by at least 1 (100 steps of
+// epsilon): channel c gets +-(1 + sum_k |W[c][k]|), + for even channels
+// and - for odd ones, so both sides of the ReLU are checked.
+void ClearReluKink(ConvTrunk* trunk) {
+  const auto params = trunk->Parameters();
+  ASSERT_EQ(params.size(), 2u);
+  const Tensor& weight = params[0]->value;
+  Tensor& bias = params[1]->value;
+  for (size_t c = 0; c < weight.rows(); ++c) {
+    float reach = 0.0f;
+    for (size_t k = 0; k < weight.cols(); ++k) {
+      reach += std::fabs(weight.At(c, k));
+    }
+    bias[c] = (c % 2 == 0 ? 1.0f : -1.0f) * (1.0f + reach);
+  }
 }
 
 class Conv2dGradientSweep
@@ -92,8 +106,11 @@ class Conv2dGradientSweep
 
 TEST_P(Conv2dGradientSweep, MatchesFiniteDifferences) {
   const auto [in_channels, out_channels, kernel, pad] = GetParam();
+  ASSERT_EQ(pad, kernel / 2);  // the trunk pads for "same" output
   apots::Rng rng(10);
-  Conv2d layer(in_channels, out_channels, kernel, kernel, pad, &rng);
+  ConvTrunk layer(in_channels, 5, 4, {out_channels}, {kernel},
+                  ConvTrunk::Layout::kFlat, &rng);
+  ClearReluKink(&layer);
   CheckLayer(&layer, Random({2, in_channels, 5, 4}, 11), 3e-2);
 }
 
@@ -123,25 +140,56 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(2, 6, 3, true),
                       std::make_tuple(4, 4, 1, false)));
 
+// Smallest |x| over a tensor.
+float MinMagnitude(const Tensor& t) {
+  float least = std::fabs(t[0]);
+  for (size_t i = 1; i < t.size(); ++i) {
+    least = std::min(least, std::fabs(t[i]));
+  }
+  return least;
+}
+
 TEST(GradientTest, StackedMlp) {
   apots::Rng rng(14);
   Sequential net;
-  net.Emplace<Dense>(6, 5, &rng);
-  net.Emplace<LeakyRelu>(0.2f);
-  net.Emplace<Dense>(5, 3, &rng);
+  auto* first = net.Emplace<Dense>(6, 5, &rng);
+  auto* leaky = net.Emplace<LeakyRelu>(0.2f);
+  auto* second = net.Emplace<Dense>(5, 3, &rng);
   net.Emplace<Relu>();
   net.Emplace<Dense>(3, 1, &rng);
-  CheckLayer(&net, Random({3, 6}, 15), 2e-2, 1, 1e-3);
+  // Both activations have a kink at 0, and a central difference whose
+  // step straddles one is wrong by up to the kink's slope change. So the
+  // batch keeps only input rows whose hidden pre-activations all clear 0
+  // by 10 epsilon. One step of epsilon on any input or weight moves a
+  // pre-activation by at most a few epsilon at these weights (|W| <= 0.87).
+  constexpr float kMargin = 10 * kEpsilon;
+  const auto hidden = [&](const Tensor& x, Tensor* h1, Tensor* h2) {
+    *h1 = first->Forward(x, false);
+    *h2 = second->Forward(leaky->Forward(*h1, false), false);
+  };
+  Tensor input({3, 6});
+  Tensor h1, h2;
+  for (uint64_t seed = 15, rows = 0; rows < 3; ++seed) {
+    const Tensor row = Random({1, 6}, seed);
+    hidden(row, &h1, &h2);
+    if (MinMagnitude(h1) < kMargin || MinMagnitude(h2) < kMargin) continue;
+    std::copy(row.data(), row.data() + 6, input.data() + 6 * rows++);
+  }
+  hidden(input, &h1, &h2);
+  ASSERT_GE(MinMagnitude(h1), kMargin);
+  ASSERT_GE(MinMagnitude(h2), kMargin);
+  CheckLayer(&net, input);
 }
 
 TEST(GradientTest, ConvThenDense) {
   apots::Rng rng(16);
   Sequential net;
-  net.Emplace<Conv2d>(1, 2, 3, 3, 1, &rng);
-  net.Emplace<LeakyRelu>(0.2f);
-  net.Emplace<Flatten>();
-  net.Emplace<Dense>(2 * 4 * 3, 1, &rng);
-  CheckLayer(&net, Random({2, 1, 4, 3}, 17), 3e-2, 1, 1e-3);
+  auto* trunk = net.Emplace<ConvTrunk>(1, 4, 3, std::vector<size_t>{3},
+                                       std::vector<size_t>{3},
+                                       ConvTrunk::Layout::kFlat, &rng);
+  net.Emplace<Dense>(3 * 4 * 3, 1, &rng);
+  ClearReluKink(trunk);
+  CheckLayer(&net, Random({2, 1, 4, 3}, 17), 3e-2);
 }
 
 TEST(GradientTest, StackedLstm) {

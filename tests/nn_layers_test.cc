@@ -1,11 +1,11 @@
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "nn/activations.h"
-#include "nn/conv2d.h"
+#include "nn/conv_trunk.h"
 #include "nn/dense.h"
-#include "nn/flatten.h"
 #include "nn/lstm.h"
 #include "nn/sequential.h"
 #include "tensor/tensor_ops.h"
@@ -72,44 +72,36 @@ TEST(SigmoidScalarTest, StableAtExtremes) {
   EXPECT_FALSE(std::isnan(SigmoidScalar(-10000.0f)));
 }
 
-TEST(FlattenTest, RoundTripShapes) {
-  Flatten flatten;
-  const Tensor in = Random({3, 2, 4, 5}, 7);
-  const Tensor out = flatten.Forward(in, true);
-  EXPECT_EQ(out.rows(), 3u);
-  EXPECT_EQ(out.cols(), 40u);
-  const Tensor back = flatten.Backward(out);
-  EXPECT_TRUE(back.SameShape(in));
-}
-
 TEST(Conv2dTest, SamePaddingPreservesSpatialShape) {
   apots::Rng rng(8);
-  Conv2d conv(1, 4, 3, 3, 1, &rng);
-  const Tensor out = conv.Forward(Random({2, 1, 13, 12}, 9), true);
-  EXPECT_EQ(out.dim(0), 2u);
-  EXPECT_EQ(out.dim(1), 4u);
-  EXPECT_EQ(out.dim(2), 13u);
-  EXPECT_EQ(out.dim(3), 12u);
+  ConvTrunk flat(1, 13, 12, {4}, {3}, ConvTrunk::Layout::kFlat, &rng);
+  const Tensor image = Random({2, 1, 13, 12}, 9);
+  const Tensor out = flat.Forward(image, true);
+  EXPECT_EQ(out.shape(), (std::vector<size_t>{2, 4 * 13 * 12}));
+  // The sequence layout keeps the 12 columns as time steps.
+  ConvTrunk sequence(1, 13, 12, {4}, {3}, ConvTrunk::Layout::kSequence, &rng);
+  EXPECT_EQ(sequence.Forward(image, true).shape(),
+            (std::vector<size_t>{2, 12, 4 * 13}));
 }
 
 TEST(Conv2dTest, OneByOneKernelIsPerPixelDense) {
   apots::Rng rng(10);
-  Conv2d conv(2, 1, 1, 1, 0, &rng);
+  ConvTrunk conv(2, 3, 3, {1}, {1}, ConvTrunk::Layout::kFlat, &rng);
   Tensor in = Random({1, 2, 3, 3}, 11);
   const Tensor out = conv.Forward(in, true);
-  // Manually compute pixel (1,1): w0*c0 + w1*c1 + b.
+  // Manually compute pixel (1,1): relu(w0*c0 + w1*c1 + b).
   auto params = conv.Parameters();
   const float w0 = params[0]->value[0];
   const float w1 = params[0]->value[1];
   const float b = params[1]->value[0];
   const float c0 = in[0 * 9 + 4];
   const float c1 = in[1 * 9 + 4];
-  EXPECT_NEAR(out[4], w0 * c0 + w1 * c1 + b, 1e-5f);
+  EXPECT_NEAR(out[4], std::max(0.0f, w0 * c0 + w1 * c1 + b), 1e-5f);
 }
 
 TEST(Conv2dTest, ConstantImageUniformInterior) {
   apots::Rng rng(12);
-  Conv2d conv(1, 1, 3, 3, 1, &rng);
+  ConvTrunk conv(1, 5, 5, {1}, {3}, ConvTrunk::Layout::kFlat, &rng);
   const Tensor out = conv.Forward(Tensor::Full({1, 1, 5, 5}, 1.0f), true);
   // All interior pixels see the same receptive field.
   const float centre = out[2 * 5 + 2];

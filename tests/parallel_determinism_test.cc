@@ -46,13 +46,13 @@ TEST_F(PoolSizeSweep, GemmKernelsBitIdenticalAcrossPoolSizes) {
   const Tensor b = Random({47, 53}, 2);
   const Tensor a_tall = Random({47, 61}, 3);   // for a^T b
   const Tensor b_rows = Random({53, 47}, 4);   // for a b^T
-  const Tensor image = Random({8, 13, 12}, 5);
+  const Tensor image = Random({8, 4 * 13 * 12}, 5);  // 4 samples
 
   ResetGlobalPool(1);
   const Tensor mm1 = ops::Matmul(a, b);
   const Tensor ta1 = ops::MatmulTransposeA(a_tall, b);
   const Tensor tb1 = ops::MatmulTransposeB(a, b_rows);
-  const Tensor im1 = ops::Im2Col(image, 3, 3, 1);
+  const Tensor im1 = ops::Im2Col(image, 13, 12, 3);
   for (size_t threads : {3u, 4u}) {
     ResetGlobalPool(threads);
     ExpectBitIdentical(mm1, ops::Matmul(a, b), "Matmul");
@@ -60,7 +60,7 @@ TEST_F(PoolSizeSweep, GemmKernelsBitIdenticalAcrossPoolSizes) {
                        "MatmulTransposeA");
     ExpectBitIdentical(tb1, ops::MatmulTransposeB(a, b_rows),
                        "MatmulTransposeB");
-    ExpectBitIdentical(im1, ops::Im2Col(image, 3, 3, 1), "Im2Col");
+    ExpectBitIdentical(im1, ops::Im2Col(image, 13, 12, 3), "Im2Col");
   }
 }
 
@@ -81,9 +81,27 @@ TEST_F(PoolSizeSweep, BlockedKernelsMatchReferenceKernels) {
     ExpectBitIdentical(ops::reference::MatmulTransposeB(a, bt),
                        ops::MatmulTransposeB(a, bt),
                        "MatmulTransposeB vs reference");
-    const Tensor image = Random({5, 11, 9}, 10);
-    ExpectBitIdentical(ops::reference::Im2Col(image, 3, 3, 1),
-                       ops::Im2Col(image, 3, 3, 1), "Im2Col vs reference");
+    // Each sample's block of the batched im2col is the reference's
+    // im2col of that sample.
+    const size_t batch = 3, plane = 11 * 9;
+    const Tensor images = Random({5, batch * plane}, 10);
+    const Tensor columns = ops::Im2Col(images, 11, 9, 3);
+    for (size_t n = 0; n < batch; ++n) {
+      Tensor image({5, 11, 9});
+      Tensor block({5 * 9, plane});
+      for (size_t c = 0; c < 5; ++c) {
+        std::memcpy(image.data() + c * plane,
+                    images.data() + (c * batch + n) * plane,
+                    plane * sizeof(float));
+      }
+      for (size_t row = 0; row < block.rows(); ++row) {
+        std::memcpy(block.data() + row * plane,
+                    columns.data() + (row * batch + n) * plane,
+                    plane * sizeof(float));
+      }
+      ExpectBitIdentical(ops::reference::Im2Col(image, 3, 3, 1), block,
+                         "Im2Col vs reference");
+    }
   }
 }
 

@@ -134,34 +134,39 @@ TEST(FillTest, UniformWithinBoundsNormalCentered) {
 }
 
 TEST(Im2ColTest, IdentityKernelNoPadding) {
-  // 1x1 kernel, no padding: columns are just the flattened image.
-  const Tensor image = Random({2, 3, 4}, 10);
-  const Tensor cols = Im2Col(image, 1, 1, 0);
+  // 1x1 kernel, no padding: the columns are the channel-major batch itself
+  // (2 channels, 3 samples of 3x4).
+  const Tensor batch = Random({2, 3 * 12}, 10);
+  const Tensor cols = Im2Col(batch, 3, 4, 1);
   EXPECT_EQ(cols.rows(), 2u);
-  EXPECT_EQ(cols.cols(), 12u);
-  for (size_t c = 0; c < 2; ++c) {
-    for (size_t i = 0; i < 12; ++i) {
-      EXPECT_FLOAT_EQ(cols.At(c, i), image[c * 12 + i]);
-    }
+  EXPECT_EQ(cols.cols(), 36u);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_FLOAT_EQ(cols[i], batch[i]);
   }
 }
 
 TEST(Im2ColTest, KnownPatchExtraction) {
-  // 1-channel 3x3 image, 3x3 kernel, pad 1 -> 9 columns of 9.
-  Tensor image({1, 3, 3});
-  for (size_t i = 0; i < 9; ++i) image[i] = static_cast<float>(i + 1);
-  const Tensor cols = Im2Col(image, 3, 3, 1);
-  EXPECT_EQ(cols.rows(), 9u);
-  EXPECT_EQ(cols.cols(), 9u);
-  // Output pixel (1,1) = centre: its receptive field is the whole image.
-  const size_t centre = 1 * 3 + 1;
-  for (size_t k = 0; k < 9; ++k) {
-    EXPECT_FLOAT_EQ(cols.At(k, centre), static_cast<float>(k + 1));
+  // Two 1-channel 3x3 images side by side, 3x3 kernel, pad 1 -> 9 rows of
+  // 2 x 9 columns. The second image is the first plus 10.
+  Tensor batch({1, 18});
+  for (size_t i = 0; i < 9; ++i) {
+    batch[i] = static_cast<float>(i + 1);
+    batch[9 + i] = static_cast<float>(i + 11);
   }
-  // Output pixel (0,0): top-left kernel tap is padding (zero).
-  EXPECT_FLOAT_EQ(cols.At(0, 0), 0.0f);
-  // ... and its centre tap is image(0,0) = 1.
-  EXPECT_FLOAT_EQ(cols.At(4, 0), 1.0f);
+  const Tensor cols = Im2Col(batch, 3, 3, 3);
+  EXPECT_EQ(cols.rows(), 9u);
+  EXPECT_EQ(cols.cols(), 18u);
+  for (size_t n = 0; n < 2; ++n) {
+    // Output pixel (1,1) = centre: its receptive field is the whole image.
+    const size_t centre = n * 9 + 1 * 3 + 1;
+    for (size_t k = 0; k < 9; ++k) {
+      EXPECT_FLOAT_EQ(cols.At(k, centre), static_cast<float>(10 * n + k + 1));
+    }
+    // Output pixel (0,0): top-left kernel tap is padding (zero) ...
+    EXPECT_FLOAT_EQ(cols.At(0, n * 9), 0.0f);
+    // ... and its centre tap is image(0,0).
+    EXPECT_FLOAT_EQ(cols.At(4, n * 9), static_cast<float>(10 * n + 1));
+  }
 }
 
 class Im2ColShapeSweep
@@ -169,13 +174,16 @@ class Im2ColShapeSweep
                                                  size_t, size_t>> {};
 
 // Adjoint property: <Im2Col(x), y> == <x, Col2Im(y)> for all x, y — this
-// pins Col2Im as the exact gradient of Im2Col.
+// pins Col2Im as the exact gradient of Im2Col. Over a channel-major batch
+// of 3 samples.
 TEST_P(Im2ColShapeSweep, Col2ImIsAdjoint) {
   const auto [channels, height, width, k, pad] = GetParam();
-  const Tensor x = Random({channels, height, width}, 11);
-  const Tensor ix = Im2Col(x, k, k, pad);
+  ASSERT_EQ(pad, k / 2);  // Im2Col pads for "same" output
+  const Tensor x = Random({channels, 3 * height * width}, 11);
+  const Tensor ix = Im2Col(x, height, width, k);
   const Tensor y = Random(ix.shape(), 12);
-  const Tensor cy = Col2Im(y, channels, height, width, k, k, pad);
+  const Tensor cy = Col2Im(y, channels, height, width, k);
+  ASSERT_TRUE(cy.SameShape(x));
   double lhs = 0.0, rhs = 0.0;
   for (size_t i = 0; i < ix.size(); ++i) {
     lhs += static_cast<double>(ix[i]) * y[i];

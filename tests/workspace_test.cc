@@ -75,6 +75,25 @@ TEST(WorkspaceTest, BuffersGrowButNeverReallocOnShrink) {
   EXPECT_EQ(ws.high_water_floats(), 256u);
 }
 
+TEST(WorkspaceTest, RewindHandsTheSameSlotsOutAgain) {
+  Workspace ws;
+  Tensor* kept = ws.Acquire({8});
+  const size_t mark = ws.slots_in_use();
+  std::vector<Tensor*> first;
+  for (int pass = 0; pass < 3; ++pass) {
+    ws.Rewind(mark);
+    Tensor* a = ws.Acquire({4, 4});
+    Tensor* b = ws.Acquire({2});
+    if (pass == 0) first = {a, b};
+    EXPECT_EQ(a, first[0]);
+    EXPECT_EQ(b, first[1]);
+    EXPECT_NE(a, kept);
+  }
+  // A loop's scratch costs one iteration's slots, not one per iteration.
+  EXPECT_EQ(ws.capacity_slots(), 3u);
+  EXPECT_EQ(ws.high_water_floats(), 8u + 16u + 2u);
+}
+
 TEST(WorkspaceTest, TensorsWithinOneGenerationNeverAlias) {
   Workspace ws;
   // Two warm-up generations so all buffers exist and get recycled.
