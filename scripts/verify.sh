@@ -68,12 +68,14 @@ fi
 # lanes.
 parallel_regex='ThreadPool|GlobalPool|PoolSizeSweep'
 # The SIMD/quantized kernel layer: packed-panel writes at ragged tile
-# edges, the LSTM cell kernel's loads and stores at its vector tails, the
-# int8/fp16 pack+compute scratch arenas, and the forced-ISA dispatch
-# ladder — the code most likely to read or write one lane past a panel
-# boundary. LstmCellKernel is the tier-1 suite; the exhaustive soak
-# binary is not built in this lane.
-kernel_regex='KernelEquivalence|QuantKernel|LstmCellKernel'
+# edges and every register-tile row count, the prepared (packed-once)
+# right operand, the LSTM cell kernel's loads and stores at its vector
+# tails, the int8/fp16 pack+compute scratch arenas and the vector int8 row
+# quantization's masked tails, the Relu/LeakyRelu eight-float passes, and
+# the forced-ISA dispatch ladder — the code most likely to read or write
+# one lane past a panel boundary. LstmCellKernel is the tier-1 suite; the
+# exhaustive soak binary is not built in these lanes.
+kernel_regex='KernelEquivalence|QuantKernel|LstmCellKernel|ActivationPass'
 # The conv trunk: batched im2col/col2im over channel-major planes, the
 # per-block workspace slots it rewinds, and the per-sample weight-gradient
 # products over strided column blocks.
@@ -115,7 +117,8 @@ if [[ ${lane_asan} -eq 1 ]]; then
     feature_cache_stream_test serve_test obs_metrics_test obs_trace_test \
     mpsc_queue_test frontend_test kernel_equivalence_test quant_kernel_test \
     road_graph_test sharded_service_test chaos_test inference_runtime_test \
-    workspace_test context_test attack_test features_test conv_trunk_test
+    workspace_test context_test attack_test features_test conv_trunk_test \
+    nn_layers_test
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
     -R "FaultInjector|FaultKinds|ValidityMask|Imputation|FeatureAssemblerMask|TrafficDatasetBounds|TrainGuard|GuardedTraining|SerializeV2|CheckpointStore|KillRestore|FeatureCacheKey|FeatureCacheStream|FaultyFeed|StreamIngestor|ServeWatchdog|Supervisor|Harness|${parallel_regex}|${obs_regex}|${frontdoor_regex}|${kernel_regex}|${conv_regex}|${sharded_regex}|${arena_regex}"
 fi
@@ -126,7 +129,8 @@ if [[ ${lane_tsan} -eq 1 ]]; then
   cmake --build build-tsan -j --target thread_pool_test parallel_determinism_test \
     serve_test serve_soak obs_metrics_test obs_trace_test \
     mpsc_queue_test frontend_test frontend_qps kernel_equivalence_test \
-    quant_kernel_test sharded_service_test chaos_test chaos_soak whatif_fanout
+    quant_kernel_test nn_layers_test sharded_service_test chaos_test \
+    chaos_soak whatif_fanout
   # The kernel suites ride along under TSan because the tile and panel
   # loops and the int8 pack+compute path all fan out across the global pool.
   ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \

@@ -222,8 +222,11 @@ void AdversarialTrainer::AdversarialRound(const std::vector<long>& anchors,
 
   // --- Discriminator step (maximize J_D, Eq. 2) ---
   const Tensor real_seq = assembler_->BatchRealSequences(anchors);
-  // Fake sequences: plain forward; no predictor gradient needed here.
-  const Tensor fake_seq = PredictedSequences(anchors, /*training=*/false);
+  // Fake sequences. One predictor forward serves both steps: D's step
+  // leaves the predictor's weights alone, so the generator step below
+  // would recompute the same outputs, and this forward's caches are what
+  // its backward needs.
+  const Tensor fake_seq = PredictedSequences(anchors, /*training=*/true);
 
   Tensor real_logits =
       discriminator_->Forward(real_seq, context, /*training=*/true);
@@ -257,10 +260,8 @@ void AdversarialTrainer::AdversarialRound(const std::vector<long>& anchors,
   // configured ratio under Adam's scale-invariant updates.
   double gen_loss_value = 0.0;
   if (total_adv_rounds_++ >= config_.adv_warmup_rounds) {
-    const Tensor fake_seq_live =
-        PredictedSequences(anchors, /*training=*/true);
     Tensor live_logits =
-        discriminator_->Forward(fake_seq_live, context, /*training=*/true);
+        discriminator_->Forward(fake_seq, context, /*training=*/true);
     const LossResult gen_loss =
         apots::nn::AdversarialGeneratorLoss(live_logits);
     gen_loss_value = gen_loss.value;

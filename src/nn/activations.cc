@@ -5,13 +5,37 @@
 
 namespace apots::nn {
 
+namespace {
+
+/// dst[i] = fn(x[i], v[i]) over n floats, where fn is a compare and a
+/// select. Eight at a time, each block loaded before it is stored, so the
+/// compiler turns the select into a compare and a mask or blend (ConvTrunk's
+/// bias+ReLU idiom); the select keeps the scalar branch's bits. dst may be
+/// x or v.
+template <typename Fn>
+void MaskPass(const float* x, const float* v, float* dst, size_t n, Fn fn) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    float out[8];
+    for (size_t c = 0; c < 8; ++c) out[c] = fn(x[i + c], v[i + c]);
+    for (size_t c = 0; c < 8; ++c) dst[i + c] = out[c];
+  }
+  for (; i < n; ++i) dst[i] = fn(x[i], v[i]);
+}
+
+/// ReLU: x > 0 is false for NaN and -0, so both map to +0.
+float ReluForward(float x, float) { return x > 0.0f ? x : 0.0f; }
+/// x <= 0 is false for NaN, so a NaN input passes its gradient.
+float ReluGrad(float x, float g) { return x <= 0.0f ? 0.0f : g; }
+
+}  // namespace
+
 float SigmoidScalar(float x) { return tensor::simd::SigmoidLane(x); }
 
 Tensor Relu::Forward(const Tensor& input, bool training) {
   cached_input_ = input;
-  Tensor out = input;
-  float* p = out.data();
-  for (size_t i = 0; i < out.size(); ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
+  Tensor out(input.shape());
+  MaskPass(input.data(), input.data(), out.data(), out.size(), ReluForward);
   return out;
 }
 
@@ -19,41 +43,34 @@ const Tensor* Relu::Forward(const Tensor& input, bool training,
                             tensor::Workspace* ws) const {
   APOTS_CHECK(!training);
   Tensor* out = ws->Acquire(input.shape());
-  const float* px = input.data();
-  float* p = out->data();
-  for (size_t i = 0; i < out->size(); ++i) p[i] = px[i] > 0.0f ? px[i] : 0.0f;
+  MaskPass(input.data(), input.data(), out->data(), out->size(), ReluForward);
   return out;
 }
 
 Tensor Relu::Backward(const Tensor& grad_output) {
   APOTS_CHECK(grad_output.SameShape(cached_input_));
   Tensor grad = grad_output;
-  float* pg = grad.data();
-  const float* px = cached_input_.data();
-  for (size_t i = 0; i < grad.size(); ++i) {
-    if (px[i] <= 0.0f) pg[i] = 0.0f;
-  }
+  MaskPass(cached_input_.data(), grad.data(), grad.data(), grad.size(),
+           ReluGrad);
   return grad;
 }
 
+// x < 0 is false for NaN and -0, so LeakyRelu leaves both unscaled.
 Tensor LeakyRelu::Forward(const Tensor& input, bool training) {
   cached_input_ = input;
-  Tensor out = input;
-  float* p = out.data();
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (p[i] < 0.0f) p[i] *= slope_;
-  }
+  Tensor out(input.shape());
+  const float slope = slope_;
+  MaskPass(input.data(), input.data(), out.data(), out.size(),
+           [slope](float x, float v) { return x < 0.0f ? v * slope : v; });
   return out;
 }
 
 Tensor LeakyRelu::Backward(const Tensor& grad_output) {
   APOTS_CHECK(grad_output.SameShape(cached_input_));
   Tensor grad = grad_output;
-  float* pg = grad.data();
-  const float* px = cached_input_.data();
-  for (size_t i = 0; i < grad.size(); ++i) {
-    if (px[i] < 0.0f) pg[i] *= slope_;
-  }
+  const float slope = slope_;
+  MaskPass(cached_input_.data(), grad.data(), grad.data(), grad.size(),
+           [slope](float x, float g) { return x < 0.0f ? g * slope : g; });
   return grad;
 }
 

@@ -43,6 +43,13 @@ Tensor Lstm::Forward(const Tensor& input, bool training) {
   if (return_sequences_) {
     sequence_out = Tensor({batch, time, hidden_size_});
   }
+  // The gate weights are prepared once for the call's 2 * time products.
+  Tensor wx_storage, wh_storage;
+  const ops::PreparedRhs wx =
+      ops::PrepareRhs(weight_x_.value, batch, &wx_storage);
+  const ops::PreparedRhs wh =
+      ops::PrepareRhs(weight_h_.value, batch, &wh_storage);
+  Tensor gates_h({batch, 4 * hidden_size_});
 
   for (size_t t = 0; t < time; ++t) {
     StepCache step;
@@ -54,12 +61,14 @@ Tensor Lstm::Forward(const Tensor& input, bool training) {
     }
 
     // The cell activates the gates in place: [i | f | g | o].
-    step.gates = ops::Matmul(step.x, weight_x_.value);
+    step.gates = Tensor({batch, 4 * hidden_size_});
+    ops::MatmulInto(step.x, wx, &step.gates);
+    ops::MatmulInto(h, wh, &gates_h);
     step.tanh_c = Tensor({batch, hidden_size_});
     Tensor new_c({batch, hidden_size_});
     Tensor new_h({batch, hidden_size_});
-    ops::LstmCell(step.gates, ops::Matmul(h, weight_h_.value), bias_.value, c,
-                  &new_c, &new_h, &step.gates, &step.tanh_c);
+    ops::LstmCell(step.gates, gates_h, bias_.value, c, &new_c, &new_h,
+                  &step.gates, &step.tanh_c);
     step.h_prev = std::move(h);
     step.c_prev = std::move(c);
     c = std::move(new_c);
@@ -91,14 +100,22 @@ const Tensor* Lstm::Forward(const Tensor& input, bool training,
   // and the cell kernel are the allocating Forward's, so results are
   // bitwise identical.
   Tensor* h = ws->Acquire({batch, H});
+  Tensor* sequence_out =
+      return_sequences_ ? ws->Acquire({batch, time, H}) : nullptr;
+  // The rest is scratch, rewound on return so the next layer reuses it,
+  // the packed weights included.
+  const size_t mark = ws->slots_in_use();
   Tensor* c = ws->Acquire({batch, H});
   h->Fill(0.0f);
   c->Fill(0.0f);
   Tensor* x_t = ws->Acquire({batch, input_size_});
   Tensor* gates = ws->Acquire({batch, 4 * H});
   Tensor* gates_h = ws->Acquire({batch, 4 * H});
-  Tensor* sequence_out =
-      return_sequences_ ? ws->Acquire({batch, time, H}) : nullptr;
+  ops::PreparedRhs wx, wh;
+  if (quant_mode_ == tensor::QuantMode::kOff) {
+    wx = ops::PrepareRhs(weight_x_.value, batch, ws->Acquire({0}));
+    wh = ops::PrepareRhs(weight_h_.value, batch, ws->Acquire({0}));
+  }
 
   for (size_t t = 0; t < time; ++t) {
     // Slice x_t: [batch, input].
@@ -116,8 +133,8 @@ const Tensor* Lstm::Forward(const Tensor& input, bool training,
         ops::Fp16MatmulInto(*h, fp16_wh_, gates_h);
         break;
       case tensor::QuantMode::kOff:
-        ops::MatmulInto(*x_t, weight_x_.value, gates);
-        ops::MatmulInto(*h, weight_h_.value, gates_h);
+        ops::MatmulInto(*x_t, wx, gates);
+        ops::MatmulInto(*h, wh, gates_h);
         break;
     }
     // Updates h and c in place.
@@ -129,6 +146,7 @@ const Tensor* Lstm::Forward(const Tensor& input, bool training,
       }
     }
   }
+  ws->Rewind(mark);
   return return_sequences_ ? sequence_out : h;
 }
 
@@ -161,6 +179,13 @@ Tensor Lstm::Backward(const Tensor& grad_output) {
   Tensor grad_input({batch, time, input_size_});
   Tensor dh_next = Tensor::Zeros({batch, H});
   Tensor dc_next = Tensor::Zeros({batch, H});
+  // W_x^T and W_h^T are prepared once for the call's 2 * time products.
+  Tensor wx_t_storage, wh_t_storage;
+  const ops::PreparedRhs wx_t =
+      ops::PrepareRhsTransposed(weight_x_.value, batch, &wx_t_storage);
+  const ops::PreparedRhs wh_t =
+      ops::PrepareRhsTransposed(weight_h_.value, batch, &wh_t_storage);
+  Tensor dx({batch, input_size_});
 
   for (size_t t = time; t-- > 0;) {
     const StepCache& step = steps_[t];
@@ -213,13 +238,13 @@ Tensor Lstm::Backward(const Tensor& grad_output) {
                     ops::MatmulTransposeA(step.h_prev, dgates));
     ops::AddInPlace(&bias_.grad, ops::SumRows(dgates));
 
-    // Input and recurrent gradients.
-    Tensor dx = ops::MatmulTransposeB(dgates, weight_x_.value);
+    // Input and recurrent gradients: dgates W_x^T and dgates W_h^T.
+    ops::MatmulInto(dgates, wx_t, &dx);
     for (size_t n = 0; n < batch; ++n) {
       std::copy(dx.data() + n * input_size_, dx.data() + (n + 1) * input_size_,
                 grad_input.data() + (n * time + t) * input_size_);
     }
-    dh_next = ops::MatmulTransposeB(dgates, weight_h_.value);
+    ops::MatmulInto(dgates, wh_t, &dh_next);
     dc_next = std::move(dc_prev);
   }
   return grad_input;

@@ -6,20 +6,12 @@
 
 #include "tensor/simd_kernels.h"
 #include "tensor/workspace.h"
-#include "util/thread_pool.h"
 
 namespace apots::tensor {
 
 namespace {
 
 constexpr size_t kNr = simd::kNrInt8;
-
-/// Same per-chunk work target as the fp32 drivers.
-constexpr size_t kGemmGrainFma = 1 << 15;
-
-size_t RowGrain(size_t fma_per_row) {
-  return std::max<size_t>(1, kGemmGrainFma / std::max<size_t>(1, fma_per_row));
-}
 
 /// Symmetric absmax code for one value: round-to-nearest-even into
 /// [-127, 127] (never -128, keeping the code range symmetric).
@@ -108,51 +100,26 @@ void Int8MatmulInto(const Tensor& a, const Int8Matrix& w, Tensor* out,
   float* row_scale = reinterpret_cast<float*>(scratch);
   float* row_min = row_scale + m;
   uint8_t* qa = scratch + scale_bytes;
-  const float* pa = a.data();
-  for (size_t i = 0; i < m; ++i) {
-    // Asymmetric min/max affine quantization: a ~= min + scale * code with
-    // code in [0, 255]. Unlike symmetric absmax (+128 zero point), the
-    // full code range covers the actual value range — for the all-positive
-    // ReLU activations that feed most inference matmuls this doubles the
-    // effective resolution.
-    const float* a_row = pa + i * k;
-    float lo = 0.0f, hi = 0.0f;  // k == 0 reduces to the empty range
-    if (k > 0) {
-      lo = hi = a_row[0];
-      for (size_t kk = 1; kk < k; ++kk) {
-        lo = std::min(lo, a_row[kk]);
-        hi = std::max(hi, a_row[kk]);
-      }
-    }
-    const float range = hi - lo;
-    const float inv_scale = range > 0.0f ? 255.0f / range : 0.0f;
-    row_scale[i] = range > 0.0f ? range / 255.0f : 0.0f;
-    row_min[i] = lo;
-    uint8_t* q_row = qa + i * kp;
-    for (size_t kk = 0; kk < k; ++kk) {
-      const float scaled = (a_row[kk] - lo) * inv_scale;
-      const float clamped = std::min(255.0f, std::max(0.0f, scaled));
-      q_row[kk] = static_cast<uint8_t>(std::nearbyintf(clamped));
-    }
-    // Pad codes meet zero weight codes in the padded k range, so their
-    // value is irrelevant; zero keeps the scratch deterministic.
-    for (size_t kk = k; kk < kp; ++kk) q_row[kk] = 0;
-  }
+  // Asymmetric min/max affine quantization: a ~= min + scale * code with
+  // code in [0, 255]. Unlike symmetric absmax (+128 zero point), the full
+  // code range covers the actual value range — for the all-positive ReLU
+  // activations that feed most inference matmuls this doubles the
+  // effective resolution.
+  simd::PickQuantizeRowsKernel()(a.data(), m, k, kp, row_scale, row_min, qa);
   const simd::Int8PanelFn kernel = simd::PickInt8Kernel();
   const size_t num_panels = (n + kNr - 1) / kNr;
   const int8_t* panels = w.panels.data();
   const float* col_scale = w.col_scale.data();
   const int32_t* col_zsum = w.col_zsum.data();
   float* po = out->data();
-  apots::GlobalPool().ParallelFor(
-      0, m, RowGrain(k * n), [&](size_t r0, size_t r1, size_t) {
-        for (size_t p = 0; p < num_panels; ++p) {
-          const size_t j0 = p * kNr;
-          const size_t width = std::min(kNr, n - j0);
-          kernel(qa, kp, row_scale, row_min, panels + p * kp * kNr, kp,
-                 col_scale + j0, col_zsum + j0, po + j0, n, r0, r1, width);
-        }
-      });
+  simd::ParallelGemmRows(m, k * n, simd::kMrInt8, [&](size_t r0, size_t r1) {
+    for (size_t p = 0; p < num_panels; ++p) {
+      const size_t j0 = p * kNr;
+      const size_t width = std::min(kNr, n - j0);
+      kernel(qa, kp, row_scale, row_min, panels + p * kp * kNr, kp,
+             col_scale + j0, col_zsum + j0, po + j0, n, r0, r1, width);
+    }
+  });
 }
 
 void Fp16MatmulInto(const Tensor& a, const Fp16Matrix& w, Tensor* out) {

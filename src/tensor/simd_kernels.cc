@@ -6,19 +6,10 @@
 
 #include "tensor/cpu_features.h"
 #include "tensor/tensor.h"
-#include "util/thread_pool.h"
 
 namespace apots::tensor::simd {
 
 namespace {
-
-/// Same work-per-chunk target as the blocked kernels in tensor_ops.cc:
-/// row grains are derived from it so small matrices stay on the caller.
-constexpr size_t kGemmGrainFma = 1 << 15;
-
-size_t RowGrain(size_t fma_per_row) {
-  return std::max<size_t>(1, kGemmGrainFma / std::max<size_t>(1, fma_per_row));
-}
 
 /// Packs fp32 panel `p` (columns [j0, j0+width)) of a strided B into
 /// `panel` ([k][nr], zero-padded to nr columns).
@@ -48,36 +39,22 @@ void PackPanelHalf(const uint16_t* b, size_t k, size_t n, size_t j0,
 
 using AlignedByteVector = std::vector<uint8_t, AlignedAllocator<uint8_t>>;
 
-/// Shared driver body for the fp32 / fp16 entry points: panels are already
-/// packed into `packed`; sweep output row ranges in parallel. Rows are
-/// independent, so the chunking (and thus the result) is identical for any
-/// pool size.
-void RunPanels(const float* a, size_t a_rs, size_t a_cs, const float* packed,
-               size_t m, size_t k, size_t n, float* out) {
-  const GemmKernel kernel = PickGemmKernel();
-  const size_t nr = kernel.nr;
-  const size_t num_panels = (n + nr - 1) / nr;
-  apots::GlobalPool().ParallelFor(
-      0, m, RowGrain(k * n), [&](size_t r0, size_t r1, size_t) {
-        for (size_t p = 0; p < num_panels; ++p) {
-          const size_t j0 = p * nr;
-          const size_t width = std::min(nr, n - j0);
-          kernel.fn(a, a_rs, a_cs, packed + p * k * nr, k, nr, out + j0, n,
-                    r0, r1, width);
-        }
-      });
-}
-
-}  // namespace
-
+/// Grow-only, 64-byte-aligned thread-local scratch for the panels of the
+/// products that pack per call: steady-state shapes stop touching the heap
+/// after warm-up, and a non-empty floor keeps `data() + 0` valid for k==0
+/// calls.
 float* PackBufferFp32(size_t floats) {
   thread_local AlignedFloatVector buffer;
-  // Grow-only: steady-state shapes stop touching the heap after warm-up,
-  // and a non-empty floor keeps `data() + 0` valid for k==0 calls.
   if (buffer.size() < std::max<size_t>(floats, 16)) {
     buffer.resize(std::max<size_t>(floats, 16));
   }
   return buffer.data();
+}
+
+}  // namespace
+
+size_t RowGrain(size_t work_per_row) {
+  return std::max<size_t>(1, kGemmGrainFma / std::max<size_t>(1, work_per_row));
 }
 
 uint8_t* PackBufferBytes(size_t bytes) {
@@ -86,6 +63,30 @@ uint8_t* PackBufferBytes(size_t bytes) {
     buffer.resize(std::max<size_t>(bytes, 64));
   }
   return buffer.data();
+}
+
+size_t PanelFloats(size_t k, size_t n, size_t nr) {
+  return (n + nr - 1) / nr * k * nr;
+}
+
+void PackPanels(const float* b, size_t b_rs, size_t b_cs, size_t k, size_t n,
+                size_t nr, float* packed) {
+  for (size_t j0 = 0; j0 < n; j0 += nr) {
+    PackPanelFp32(b, b_rs, b_cs, k, j0, std::min(nr, n - j0), nr,
+                  packed + j0 * k);
+  }
+}
+
+void RunPanels(const float* a, size_t a_rs, size_t a_cs, const float* packed,
+               size_t nr, size_t m, size_t k, size_t n, float* out) {
+  const GemmKernel kernel = PickGemmKernel();
+  APOTS_CHECK_EQ(nr, kernel.nr);
+  ParallelGemmRows(m, k * n, kernel.mr, [&](size_t r0, size_t r1) {
+    for (size_t j0 = 0; j0 < n; j0 += nr) {
+      kernel.fn(a, a_rs, a_cs, packed + j0 * k, k, nr, out + j0, n, r0, r1,
+                std::min(nr, n - j0));
+    }
+  });
 }
 
 void GemmPanelScalar(const float* a, size_t a_rs, size_t a_cs,
@@ -107,13 +108,13 @@ void GemmPanelScalar(const float* a, size_t a_rs, size_t a_cs,
 GemmKernel PickGemmKernel() {
   switch (DetectedIsa()) {
     case SimdIsa::kAvx512:
-      return {GemmPanelAvx512, kNrAvx512};
+      return {GemmPanelAvx512, kNrAvx512, kMrAvx512};
     case SimdIsa::kAvx2:
-      return {GemmPanelAvx2, kNrAvx2};
+      return {GemmPanelAvx2, kNrAvx2, kMrAvx2};
     case SimdIsa::kScalar:
       break;
   }
-  return {GemmPanelScalar, kNrAvx2};
+  return {GemmPanelScalar, kNrAvx2, 1};
 }
 
 void Int8PanelScalar(const uint8_t* qa, size_t qa_ld, const float* row_scale,
@@ -146,6 +147,39 @@ void Int8PanelScalar(const uint8_t* qa, size_t qa_ld, const float* row_scale,
 
 Int8PanelFn PickInt8Kernel() {
   return HasVnni() ? Int8PanelVnni : Int8PanelScalar;
+}
+
+void QuantizeRowsScalar(const float* a, size_t m, size_t k, size_t kp,
+                        float* row_scale, float* row_min, uint8_t* qa) {
+  for (size_t i = 0; i < m; ++i) {
+    const float* a_row = a + i * k;
+    float lo = 0.0f, hi = 0.0f;  // k == 0 reduces to the empty range
+    if (k > 0) {
+      lo = hi = a_row[0];
+      for (size_t kk = 1; kk < k; ++kk) {
+        lo = std::min(lo, a_row[kk]);
+        hi = std::max(hi, a_row[kk]);
+      }
+    }
+    const float range = hi - lo;
+    const float inv_scale = range > 0.0f ? 255.0f / range : 0.0f;
+    row_scale[i] = range > 0.0f ? range / 255.0f : 0.0f;
+    row_min[i] = lo;
+    uint8_t* q_row = qa + i * kp;
+    for (size_t kk = 0; kk < k; ++kk) {
+      const float scaled = (a_row[kk] - lo) * inv_scale;
+      const float clamped = std::min(255.0f, std::max(0.0f, scaled));
+      q_row[kk] = static_cast<uint8_t>(std::nearbyintf(clamped));
+    }
+    // Pad codes meet zero weight codes in the padded k range, so their
+    // value is irrelevant; zero keeps the scratch deterministic.
+    for (size_t kk = k; kk < kp; ++kk) q_row[kk] = 0;
+  }
+}
+
+QuantizeRowsFn PickQuantizeRowsKernel() {
+  return DetectedIsa() == SimdIsa::kAvx512 ? QuantizeRowsAvx512
+                                           : QuantizeRowsScalar;
 }
 
 namespace {
@@ -323,33 +357,23 @@ void GemmStrided(const float* a, size_t a_rs, size_t a_cs, const float* b,
                  size_t b_rs, size_t b_cs, float* out, size_t m, size_t k,
                  size_t n) {
   if (m == 0 || n == 0) return;
-  const GemmKernel kernel = PickGemmKernel();
-  const size_t nr = kernel.nr;
-  const size_t num_panels = (n + nr - 1) / nr;
-  // Pack B once on the calling thread (O(k*n), trivial next to the O(m*k*n)
-  // multiply); workers only read the packed panels.
-  float* packed = PackBufferFp32(num_panels * k * nr);
-  for (size_t p = 0; p < num_panels; ++p) {
-    const size_t j0 = p * nr;
-    PackPanelFp32(b, b_rs, b_cs, k, j0, std::min(nr, n - j0), nr,
-                  packed + p * k * nr);
-  }
-  RunPanels(a, a_rs, a_cs, packed, m, k, n, out);
+  const size_t nr = PickGemmKernel().nr;
+  // Pack B on the calling thread (O(k*n) against the O(m*k*n) multiply);
+  // workers only read the packed panels.
+  float* packed = PackBufferFp32(PanelFloats(k, n, nr));
+  PackPanels(b, b_rs, b_cs, k, n, nr, packed);
+  RunPanels(a, a_rs, a_cs, packed, nr, m, k, n, out);
 }
 
 void GemmHalfB(const float* a, size_t a_rs, size_t a_cs, const uint16_t* b,
                float* out, size_t m, size_t k, size_t n) {
   if (m == 0 || n == 0) return;
-  const GemmKernel kernel = PickGemmKernel();
-  const size_t nr = kernel.nr;
-  const size_t num_panels = (n + nr - 1) / nr;
-  float* packed = PackBufferFp32(num_panels * k * nr);
-  for (size_t p = 0; p < num_panels; ++p) {
-    const size_t j0 = p * nr;
-    PackPanelHalf(b, k, n, j0, std::min(nr, n - j0), nr,
-                  packed + p * k * nr);
+  const size_t nr = PickGemmKernel().nr;
+  float* packed = PackBufferFp32(PanelFloats(k, n, nr));
+  for (size_t j0 = 0; j0 < n; j0 += nr) {
+    PackPanelHalf(b, k, n, j0, std::min(nr, n - j0), nr, packed + j0 * k);
   }
-  RunPanels(a, a_rs, a_cs, packed, m, k, n, out);
+  RunPanels(a, a_rs, a_cs, packed, nr, m, k, n, out);
 }
 
 }  // namespace apots::tensor::simd

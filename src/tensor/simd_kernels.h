@@ -1,28 +1,35 @@
 #ifndef APOTS_TENSOR_SIMD_KERNELS_H_
 #define APOTS_TENSOR_SIMD_KERNELS_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+
+#include "util/thread_pool.h"
 
 namespace apots::tensor::simd {
 
 /// Internal microkernel interface behind the matmul family's products of
 /// 16 rows or more (tensor_ops.h), the quantized inference paths and the
-/// LSTM cell (tensor::LstmCell). The
-/// entry points here pack the right-hand operand into zero-padded column
-/// panels once per call, then sweep row ranges of the output through an
-/// ISA-dispatched register-tiled kernel (see cpu_features.h for the
-/// dispatch ladder and DESIGN.md §15 for the numerics contract).
+/// LSTM cell (tensor::LstmCell). A product packs the right-hand operand
+/// into zero-padded column panels (PackPanels), then sweeps row ranges of
+/// the output through an ISA-dispatched register-tiled kernel (RunPanels);
+/// see cpu_features.h for the dispatch ladder and DESIGN.md §15 for the
+/// numerics contract.
 ///
 /// Panel layout (fp32): panel `p` covers output columns [p*nr, p*nr+width)
 /// and stores k rows of nr floats, `panel[kk*nr + c]` = B(kk, p*nr + c),
 /// columns beyond `width` zero-padded. nr is an ISA choice: 16 floats (two
 /// ymm) for AVX2 and the scalar fallback, 32 (two zmm) for AVX-512. Pack
 /// buffers are 64-byte aligned so full panel rows take aligned loads.
+/// The vector rungs' register tiles are kMr rows by one panel: 6x16 (12
+/// ymm accumulators) on AVX2, 8x32 (16 zmm) on AVX-512.
 inline constexpr size_t kNrAvx2 = 16;
 inline constexpr size_t kNrAvx512 = 32;
 inline constexpr size_t kNrMax = 32;
+inline constexpr size_t kMrAvx2 = 6;
+inline constexpr size_t kMrAvx512 = 8;
 
 /// int8 panels use a fixed nr of 16 columns with the k dimension grouped in
 /// fours: element (g, c, t) of a panel — column c, kk = 4*g + t — lives at
@@ -56,12 +63,46 @@ void GemmPanelAvx512(const float* a, size_t a_rs, size_t a_cs,
                      const float* panel, size_t k, size_t nr, float* out,
                      size_t out_ld, size_t r0, size_t r1, size_t width);
 
-/// The fp32 kernel + panel width the current dispatch ladder selects.
+/// The fp32 kernel the current dispatch ladder selects, the panel width it
+/// reads and the rows of its register tile.
 struct GemmKernel {
   GemmPanelFn fn;
   size_t nr;
+  size_t mr;
 };
 GemmKernel PickGemmKernel();
+
+/// The grain rule of every GEMM region: the fp32 tiles and panels and the
+/// int8 panels. A region of `m` rows of `fma_per_row` multiply-adds each
+/// runs on the calling thread when it has fewer than kGemmForkMinFma
+/// multiply-adds, because waking parked workers costs more than such a
+/// product (DESIGN.md §9.1). Larger regions go to the global pool in
+/// chunks of whole `tile_rows`-row tiles of about kGemmGrainFma
+/// multiply-adds. Rows are independent, so the partition never changes a
+/// bit.
+inline constexpr size_t kGemmGrainFma = size_t{1} << 15;
+inline constexpr size_t kGemmForkMinFma = size_t{1} << 25;
+
+/// Row grain for the other row-parallel loops: about kGemmGrainFma units
+/// of work per chunk.
+size_t RowGrain(size_t work_per_row);
+
+/// Calls fn(r0, r1) over row ranges covering [0, m) under the rule above.
+/// A region below the minimum is one direct call, with no pool region and
+/// no std::function.
+template <typename Fn>
+void ParallelGemmRows(size_t m, size_t fma_per_row, size_t tile_rows,
+                      const Fn& fn) {
+  if (m * fma_per_row < kGemmForkMinFma) {
+    fn(size_t{0}, m);
+    return;
+  }
+  apots::GlobalPool().ParallelFor(
+      0, (m + tile_rows - 1) / tile_rows, RowGrain(fma_per_row * tile_rows),
+      [&](size_t t0, size_t t1, size_t) {
+        fn(t0 * tile_rows, std::min(m, t1 * tile_rows));
+      });
+}
 
 /// int8 GEMM over one packed panel. `qa` holds unsigned asymmetric
 /// (min/max affine) row-major quantized activations with leading dimension
@@ -86,12 +127,32 @@ void Int8PanelScalar(const uint8_t* qa, size_t qa_ld, const float* row_scale,
 /// AVX-512 VNNI (VPDPBUSD). No AVX2 variant on purpose: VPMADDUBSW
 /// saturates its 16-bit intermediate sums (2*255*128 > 32767), which would
 /// silently corrupt accumulators — non-VNNI hosts take the scalar kernel.
+/// Its tile is kMrInt8 rows of one panel: that many independent VPDPBUSD
+/// chains per panel load, enough to cover the instruction's latency.
 void Int8PanelVnni(const uint8_t* qa, size_t qa_ld, const float* row_scale,
                    const float* row_min, const int8_t* panel, size_t kp,
                    const float* col_scale, const int32_t* col_zsum, float* out,
                    size_t out_ld, size_t r0, size_t r1, size_t width);
+inline constexpr size_t kMrInt8 = 16;
 
 Int8PanelFn PickInt8Kernel();
+
+/// Quantizes the rows of a row-major [m, k] activation matrix for the int8
+/// kernels. Row i's lo and hi are std::min and std::max folded over the row
+/// from its first element (so a NaN first element is both, and later NaNs
+/// are skipped); row_scale[i] = (hi - lo)/255 and row_min[i] = lo; code kk
+/// is nearbyint(min(255, max(0, (a - lo) * (255/(hi - lo))))), with a zero
+/// scale and inverse scale when hi - lo is not positive. Row i's codes go
+/// to qa + i*kp, zero-padded from k to kp. Every rung writes the same
+/// bytes and floats.
+using QuantizeRowsFn = void (*)(const float* a, size_t m, size_t k, size_t kp,
+                                float* row_scale, float* row_min, uint8_t* qa);
+void QuantizeRowsScalar(const float* a, size_t m, size_t k, size_t kp,
+                        float* row_scale, float* row_min, uint8_t* qa);
+/// Sixteen elements per step; the AVX-512 rung.
+void QuantizeRowsAvx512(const float* a, size_t m, size_t k, size_t kp,
+                        float* row_scale, float* row_min, uint8_t* qa);
+QuantizeRowsFn PickQuantizeRowsKernel();
 
 /// Shared dequantization of one int8 accumulator — a single expression so
 /// every kernel produces identical floats from identical accumulators:
@@ -120,12 +181,27 @@ void FloatToHalfF16c(const float* src, uint16_t* dst, size_t count);
 void HalfToFloat(const uint16_t* src, float* dst, size_t count);
 void FloatToHalf(const float* src, uint16_t* dst, size_t count);
 
-/// out[m,n] = A x B with both operands strided: A(i,kk) = a[i*a_rs +
-/// kk*a_cs], B(kk,j) = b[kk*b_rs + j*b_cs]. Packs B into panels on the
-/// calling thread, then parallelizes disjoint output row ranges over the
-/// global pool. Matmul (b_rs=n, b_cs=1), MatmulTransposeA (a_rs=1,
-/// a_cs=m) and MatmulTransposeB (b_rs=1, b_cs=k) call it for products of
-/// 16 rows or more in FMA builds.
+/// Floats that the panels of a [k, n] operand take at panel width nr.
+size_t PanelFloats(size_t k, size_t n, size_t nr);
+
+/// Packs the strided B(kk, j) = b[kk*b_rs + j*b_cs] ([k, n]) into
+/// PanelFloats(k, n, nr) floats at `packed`, panel p at p*k*nr.
+void PackPanels(const float* b, size_t b_rs, size_t b_cs, size_t k, size_t n,
+                size_t nr, float* packed);
+
+/// out[m,n] = A x B over panels that PackPanels packed at width nr, with
+/// A(i,kk) = a[i*a_rs + kk*a_cs]. Checks that nr is the width of the
+/// kernel the ladder selects now: panels packed for another rung hold
+/// other columns per panel. Sweeps disjoint output row ranges through
+/// ParallelGemmRows.
+void RunPanels(const float* a, size_t a_rs, size_t a_cs, const float* packed,
+               size_t nr, size_t m, size_t k, size_t n, float* out);
+
+/// out[m,n] = A x B with both operands strided: PackPanels into
+/// thread-local scratch on the calling thread, then RunPanels. Matmul
+/// (b_rs=n, b_cs=1), MatmulTransposeA (a_rs=1, a_cs=m) and
+/// MatmulTransposeB (b_rs=1, b_cs=k) call it for products of 16 rows or
+/// more in FMA builds.
 void GemmStrided(const float* a, size_t a_rs, size_t a_cs, const float* b,
                  size_t b_rs, size_t b_cs, float* out, size_t m, size_t k,
                  size_t n);
@@ -201,9 +277,8 @@ inline constexpr float kTanhP[5] = {-5.70498872745e-3f, 2.06390887954e-2f,
                                     -5.37397155531e-2f, 1.33314422036e-1f,
                                     -3.33332819422e-1f};
 
-/// Grow-only, 64-byte-aligned thread-local scratch used by the drivers for
-/// packed panels (exposed for the quantized drivers in quant.cc).
-float* PackBufferFp32(size_t floats);
+/// Grow-only, 64-byte-aligned thread-local scratch for Int8MatmulInto's
+/// activation codes (quant.cc).
 uint8_t* PackBufferBytes(size_t bytes);
 
 }  // namespace apots::tensor::simd

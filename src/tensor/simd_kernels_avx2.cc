@@ -9,77 +9,54 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace apots::tensor::simd {
 
 namespace {
 
-/// 6x16 register tile: 12 ymm accumulators + 2 panel vectors + 1 broadcast
-/// leaves headroom in the 16-register file. The k loop is load-b /
-/// broadcast-a / fma with no output traffic; each output element is one
-/// k-ascending FMA chain.
-constexpr size_t kMr = 6;
-
-template <size_t kRows>
-void Kernel6x16Full(const float* a, size_t a_rs, size_t a_cs,
-                    const float* panel, size_t k, float* out, size_t out_ld,
-                    size_t i0) {
-  __m256 acc[kRows][2];
-  for (size_t r = 0; r < kRows; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
-  }
+/// Rows [0, sizeof...(r)) of a 6x16 register tile (a and out point at the
+/// tile's first row) over the panel's `width` live columns. As in the
+/// AVX-512 tile, the compile-time row count and the fold over its index
+/// sequence make each row's two accumulators named ymm values: the k loop
+/// is two panel loads and, per row, one broadcast and two FMAs, with no
+/// accumulator load or store. A full tile holds 12 accumulators, 2 panel
+/// vectors and 1 broadcast of the 16 registers. Each output element is one
+/// k-ascending FMA chain. Narrow stores go through an aligned spill so no
+/// lane past `width` is touched.
+template <size_t... r>
+void Tile(std::index_sequence<r...>, const float* a, size_t a_rs,
+          size_t a_cs, const float* panel, size_t k, float* out,
+          size_t out_ld, size_t width) {
+  constexpr size_t kRows = sizeof...(r);
+  __m256 lo[kRows] = {(static_cast<void>(r), _mm256_setzero_ps())...};
+  __m256 hi[kRows] = {(static_cast<void>(r), _mm256_setzero_ps())...};
   for (size_t kk = 0; kk < k; ++kk) {
     const __m256 b0 = _mm256_load_ps(panel + kk * kNrAvx2);
     const __m256 b1 = _mm256_load_ps(panel + kk * kNrAvx2 + 8);
-    for (size_t r = 0; r < kRows; ++r) {
-      const __m256 av = _mm256_broadcast_ss(a + (i0 + r) * a_rs + kk * a_cs);
-      acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
-    }
-  }
-  for (size_t r = 0; r < kRows; ++r) {
-    float* out_row = out + (i0 + r) * out_ld;
-    _mm256_storeu_ps(out_row, acc[r][0]);
-    _mm256_storeu_ps(out_row + 8, acc[r][1]);
-  }
-}
-
-/// Remainder tile: < kMr rows and/or a ragged panel (width < 16). Narrow
-/// stores go through an aligned spill so no lane past `width` is touched.
-void Kernel6x16Tail(const float* a, size_t a_rs, size_t a_cs,
-                    const float* panel, size_t k, float* out, size_t out_ld,
-                    size_t i0, size_t rows, size_t width) {
-  __m256 acc[kMr][2];
-  for (size_t r = 0; r < rows; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
-  }
-  for (size_t kk = 0; kk < k; ++kk) {
-    const __m256 b0 = _mm256_load_ps(panel + kk * kNrAvx2);
-    const __m256 b1 = _mm256_load_ps(panel + kk * kNrAvx2 + 8);
-    for (size_t r = 0; r < rows; ++r) {
-      const __m256 av = _mm256_broadcast_ss(a + (i0 + r) * a_rs + kk * a_cs);
-      acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
-    }
+    const float* a_k = a + kk * a_cs;
+    ((lo[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a_k + r * a_rs), b0, lo[r]),
+      hi[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a_k + r * a_rs), b1, hi[r])),
+     ...);
   }
   if (width == kNrAvx2) {
-    for (size_t r = 0; r < rows; ++r) {
-      float* out_row = out + (i0 + r) * out_ld;
-      _mm256_storeu_ps(out_row, acc[r][0]);
-      _mm256_storeu_ps(out_row + 8, acc[r][1]);
-    }
+    ((_mm256_storeu_ps(out + r * out_ld, lo[r]),
+      _mm256_storeu_ps(out + r * out_ld + 8, hi[r])),
+     ...);
     return;
   }
   alignas(32) float spill[kNrAvx2];
-  for (size_t r = 0; r < rows; ++r) {
-    _mm256_store_ps(spill, acc[r][0]);
-    _mm256_store_ps(spill + 8, acc[r][1]);
-    std::memcpy(out + (i0 + r) * out_ld, spill, width * sizeof(float));
-  }
+  ((_mm256_store_ps(spill, lo[r]), _mm256_store_ps(spill + 8, hi[r]),
+    std::memcpy(out + r * out_ld, spill, width * sizeof(float))),
+   ...);
+}
+
+template <size_t kRows>
+void TileRows(const float* a, size_t a_rs, size_t a_cs, const float* panel,
+              size_t k, float* out, size_t out_ld, size_t width) {
+  Tile(std::make_index_sequence<kRows>(), a, a_rs, a_cs, panel, k, out,
+       out_ld, width);
 }
 
 }  // namespace
@@ -88,13 +65,24 @@ void GemmPanelAvx2(const float* a, size_t a_rs, size_t a_cs,
                    const float* panel, size_t k, size_t nr, float* out,
                    size_t out_ld, size_t r0, size_t r1, size_t width) {
   (void)nr;  // the AVX2 panel width is kNrAvx2 by construction
-  for (size_t i = r0; i < r1; i += kMr) {
-    const size_t rows = std::min(kMr, r1 - i);
-    if (rows == kMr && width == kNrAvx2) {
-      Kernel6x16Full<kMr>(a, a_rs, a_cs, panel, k, out, out_ld, i);
-    } else {
-      Kernel6x16Tail(a, a_rs, a_cs, panel, k, out, out_ld, i, rows, width);
-    }
+  size_t i = r0;
+  for (; i + kMrAvx2 <= r1; i += kMrAvx2) {
+    TileRows<kMrAvx2>(a + i * a_rs, a_rs, a_cs, panel, k, out + i * out_ld,
+                      out_ld, width);
+  }
+  const float* a_i = a + i * a_rs;
+  float* out_i = out + i * out_ld;
+  switch (r1 - i) {
+    case 5:
+      return TileRows<5>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
+    case 4:
+      return TileRows<4>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
+    case 3:
+      return TileRows<3>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
+    case 2:
+      return TileRows<2>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
+    case 1:
+      return TileRows<1>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
   }
 }
 

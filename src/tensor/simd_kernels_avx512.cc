@@ -1,82 +1,75 @@
-// AVX-512 microkernels (fp32 8x32 FMA tile, int8 VPDPBUSD tile). Compiled
-// with -mavx512{f,bw,vl,vnni} regardless of the build's baseline arch and
-// dispatched only behind the CPUID checks in cpu_features.h.
+// AVX-512 microkernels (fp32 8x32 FMA tile, int8 VPDPBUSD tile, int8 row
+// quantization). Compiled with -mavx512{f,bw,vl,vnni} regardless of the
+// build's baseline arch and dispatched only behind the CPUID checks in
+// cpu_features.h.
 
 #include "tensor/simd_kernels.h"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__) && \
     defined(__AVX512VNNI__)
 
+// GCC 12's unmasked AVX-512 intrinsics pass a self-initialized "undefined"
+// vector as the merge source, and -Wmaybe-uninitialized flags it once they
+// inline (GCC bug 105593).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace apots::tensor::simd {
 
 namespace {
-
-/// 8x32 register tile: 16 zmm accumulators + 2 panel vectors + 1 broadcast
-/// out of 32 architectural registers; 16 independent FMA chains hide the
-/// FMA latency on two ports.
-constexpr size_t kMr = 8;
 
 inline __mmask16 LaneMask(size_t live) {
   return live >= 16 ? static_cast<__mmask16>(0xFFFFu)
                     : static_cast<__mmask16>((1u << live) - 1u);
 }
 
-template <size_t kRows>
-void Kernel8x32Full(const float* a, size_t a_rs, size_t a_cs,
-                    const float* panel, size_t k, float* out, size_t out_ld,
-                    size_t i0) {
-  __m512 acc[kRows][2];
-  for (size_t r = 0; r < kRows; ++r) {
-    acc[r][0] = _mm512_setzero_ps();
-    acc[r][1] = _mm512_setzero_ps();
-  }
+/// Rows [0, sizeof...(r)) of an 8x32 register tile (a and out point at the
+/// tile's first row) over the panel's `width` live columns. The row count
+/// is a compile-time constant and every row step is a fold over its index
+/// sequence, so each row's two accumulators are named values the compiler
+/// keeps in zmm registers: the k loop is two panel loads and, per row, one
+/// broadcast of A into two FMAs, with no accumulator load or store. A full
+/// tile holds 16 accumulators and 2 panel vectors of the 32 registers, 16
+/// independent chains to cover the FMA latency on two ports. Lanes past
+/// `width` are never written.
+template <size_t... r>
+void Tile(std::index_sequence<r...>, const float* a, size_t a_rs,
+          size_t a_cs, const float* panel, size_t k, float* out,
+          size_t out_ld, size_t width) {
+  constexpr size_t kRows = sizeof...(r);
+  __m512 lo[kRows] = {(static_cast<void>(r), _mm512_setzero_ps())...};
+  __m512 hi[kRows] = {(static_cast<void>(r), _mm512_setzero_ps())...};
   for (size_t kk = 0; kk < k; ++kk) {
     const __m512 b0 = _mm512_load_ps(panel + kk * kNrAvx512);
     const __m512 b1 = _mm512_load_ps(panel + kk * kNrAvx512 + 16);
-    for (size_t r = 0; r < kRows; ++r) {
-      const __m512 av = _mm512_set1_ps(a[(i0 + r) * a_rs + kk * a_cs]);
-      acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
-    }
+    const float* a_k = a + kk * a_cs;
+    ((lo[r] = _mm512_fmadd_ps(_mm512_set1_ps(a_k[r * a_rs]), b0, lo[r]),
+      hi[r] = _mm512_fmadd_ps(_mm512_set1_ps(a_k[r * a_rs]), b1, hi[r])),
+     ...);
   }
-  for (size_t r = 0; r < kRows; ++r) {
-    float* out_row = out + (i0 + r) * out_ld;
-    _mm512_storeu_ps(out_row, acc[r][0]);
-    _mm512_storeu_ps(out_row + 16, acc[r][1]);
-  }
-}
-
-/// Remainder tile: < kMr rows and/or width < 32, finished with masked
-/// stores — no lane past `width` is written.
-void Kernel8x32Tail(const float* a, size_t a_rs, size_t a_cs,
-                    const float* panel, size_t k, float* out, size_t out_ld,
-                    size_t i0, size_t rows, size_t width) {
-  __m512 acc[kMr][2];
-  for (size_t r = 0; r < rows; ++r) {
-    acc[r][0] = _mm512_setzero_ps();
-    acc[r][1] = _mm512_setzero_ps();
-  }
-  for (size_t kk = 0; kk < k; ++kk) {
-    const __m512 b0 = _mm512_load_ps(panel + kk * kNrAvx512);
-    const __m512 b1 = _mm512_load_ps(panel + kk * kNrAvx512 + 16);
-    for (size_t r = 0; r < rows; ++r) {
-      const __m512 av = _mm512_set1_ps(a[(i0 + r) * a_rs + kk * a_cs]);
-      acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
-    }
+  if (width == kNrAvx512) {
+    ((_mm512_storeu_ps(out + r * out_ld, lo[r]),
+      _mm512_storeu_ps(out + r * out_ld + 16, hi[r])),
+     ...);
+    return;
   }
   const __mmask16 m0 = LaneMask(width);
   const __mmask16 m1 = width > 16 ? LaneMask(width - 16) : 0;
-  for (size_t r = 0; r < rows; ++r) {
-    float* out_row = out + (i0 + r) * out_ld;
-    _mm512_mask_storeu_ps(out_row, m0, acc[r][0]);
-    if (m1 != 0) _mm512_mask_storeu_ps(out_row + 16, m1, acc[r][1]);
-  }
+  ((_mm512_mask_storeu_ps(out + r * out_ld, m0, lo[r]),
+    _mm512_mask_storeu_ps(out + r * out_ld + 16, m1, hi[r])),
+   ...);
+}
+
+template <size_t kRows>
+void TileRows(const float* a, size_t a_rs, size_t a_cs, const float* panel,
+              size_t k, float* out, size_t out_ld, size_t width) {
+  Tile(std::make_index_sequence<kRows>(), a, a_rs, a_cs, panel, k, out,
+       out_ld, width);
 }
 
 }  // namespace
@@ -85,13 +78,28 @@ void GemmPanelAvx512(const float* a, size_t a_rs, size_t a_cs,
                      const float* panel, size_t k, size_t nr, float* out,
                      size_t out_ld, size_t r0, size_t r1, size_t width) {
   (void)nr;  // the AVX-512 panel width is kNrAvx512 by construction
-  for (size_t i = r0; i < r1; i += kMr) {
-    const size_t rows = std::min(kMr, r1 - i);
-    if (rows == kMr && width == kNrAvx512) {
-      Kernel8x32Full<kMr>(a, a_rs, a_cs, panel, k, out, out_ld, i);
-    } else {
-      Kernel8x32Tail(a, a_rs, a_cs, panel, k, out, out_ld, i, rows, width);
-    }
+  size_t i = r0;
+  for (; i + kMrAvx512 <= r1; i += kMrAvx512) {
+    TileRows<kMrAvx512>(a + i * a_rs, a_rs, a_cs, panel, k, out + i * out_ld,
+                        out_ld, width);
+  }
+  const float* a_i = a + i * a_rs;
+  float* out_i = out + i * out_ld;
+  switch (r1 - i) {
+    case 7:
+      return TileRows<7>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
+    case 6:
+      return TileRows<6>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
+    case 5:
+      return TileRows<5>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
+    case 4:
+      return TileRows<4>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
+    case 3:
+      return TileRows<3>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
+    case 2:
+      return TileRows<2>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
+    case 1:
+      return TileRows<1>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
   }
 }
 
@@ -105,6 +113,51 @@ inline __m512i BroadcastA4(const uint8_t* a4) {
   return _mm512_set1_epi32(static_cast<int>(dword));
 }
 
+/// Rows [i0, i0 + sizeof...(r)) of the int8 tile over one panel: one
+/// VPDPBUSD chain per row, folded like the fp32 Tile. The integer sums
+/// are exact, so the accumulators equal Int8PanelScalar's.
+/// The dequantization is DequantInt8Acc lane for lane: the same products
+/// in the same order, the same int-to-float rounding and one fused
+/// multiply-add, so it returns its floats.
+template <size_t... r>
+void Int8Tile(std::index_sequence<r...>, const uint8_t* qa, size_t qa_ld,
+              const float* row_scale, const float* row_min,
+              const int8_t* panel, size_t groups, const float* col_scale,
+              const int32_t* col_zsum, float* out, size_t out_ld, size_t i0,
+              size_t width) {
+  constexpr size_t kRows = sizeof...(r);
+  __m512i acc[kRows] = {(static_cast<void>(r), _mm512_setzero_si512())...};
+  const uint8_t* a0 = qa + i0 * qa_ld;
+  for (size_t g = 0; g < groups; ++g) {
+    const __m512i bv = _mm512_load_si512(panel + g * kNrInt8 * 4);
+    ((acc[r] = _mm512_dpbusd_epi32(acc[r],
+                                   BroadcastA4(a0 + r * qa_ld + g * 4), bv)),
+     ...);
+  }
+  const __mmask16 mask = LaneMask(width);
+  const __m512 scale = _mm512_maskz_loadu_ps(mask, col_scale);
+  const __m512 zsum =
+      _mm512_cvtepi32_ps(_mm512_maskz_loadu_epi32(mask, col_zsum));
+  (_mm512_mask_storeu_ps(
+       out + (i0 + r) * out_ld, mask,
+       _mm512_fmadd_ps(
+           _mm512_mul_ps(_mm512_set1_ps(row_scale[i0 + r]), scale),
+           _mm512_cvtepi32_ps(acc[r]),
+           _mm512_mul_ps(
+               _mm512_mul_ps(_mm512_set1_ps(row_min[i0 + r]), scale),
+               zsum))),
+   ...);
+}
+
+template <size_t kRows>
+void Int8TileRows(const uint8_t* qa, size_t qa_ld, const float* row_scale,
+                  const float* row_min, const int8_t* panel, size_t groups,
+                  const float* col_scale, const int32_t* col_zsum, float* out,
+                  size_t out_ld, size_t i0, size_t width) {
+  Int8Tile(std::make_index_sequence<kRows>(), qa, qa_ld, row_scale, row_min,
+           panel, groups, col_scale, col_zsum, out, out_ld, i0, width);
+}
+
 }  // namespace
 
 void Int8PanelVnni(const uint8_t* qa, size_t qa_ld, const float* row_scale,
@@ -112,54 +165,85 @@ void Int8PanelVnni(const uint8_t* qa, size_t qa_ld, const float* row_scale,
                    const float* col_scale, const int32_t* col_zsum, float* out,
                    size_t out_ld, size_t r0, size_t r1, size_t width) {
   const size_t groups = kp / 4;
-  // 4 rows x 16 columns per step: 4 VPDPBUSD chains per panel load. The
-  // integer accumulation is exact, so this matches Int8PanelScalar bit for
-  // bit (same accumulators, same shared dequantization expression).
   size_t i = r0;
+  for (; i + kMrInt8 <= r1; i += kMrInt8) {
+    Int8TileRows<kMrInt8>(qa, qa_ld, row_scale, row_min, panel, groups,
+                          col_scale, col_zsum, out, out_ld, i, width);
+  }
   for (; i + 4 <= r1; i += 4) {
-    __m512i acc0 = _mm512_setzero_si512();
-    __m512i acc1 = _mm512_setzero_si512();
-    __m512i acc2 = _mm512_setzero_si512();
-    __m512i acc3 = _mm512_setzero_si512();
-    const uint8_t* a0 = qa + i * qa_ld;
-    const uint8_t* a1 = a0 + qa_ld;
-    const uint8_t* a2 = a1 + qa_ld;
-    const uint8_t* a3 = a2 + qa_ld;
-    for (size_t g = 0; g < groups; ++g) {
-      const __m512i bv = _mm512_load_si512(panel + g * kNrInt8 * 4);
-      acc0 = _mm512_dpbusd_epi32(acc0, BroadcastA4(a0 + g * 4), bv);
-      acc1 = _mm512_dpbusd_epi32(acc1, BroadcastA4(a1 + g * 4), bv);
-      acc2 = _mm512_dpbusd_epi32(acc2, BroadcastA4(a2 + g * 4), bv);
-      acc3 = _mm512_dpbusd_epi32(acc3, BroadcastA4(a3 + g * 4), bv);
-    }
-    alignas(64) int32_t lanes[4][kNrInt8];
-    _mm512_store_si512(lanes[0], acc0);
-    _mm512_store_si512(lanes[1], acc1);
-    _mm512_store_si512(lanes[2], acc2);
-    _mm512_store_si512(lanes[3], acc3);
-    for (size_t r = 0; r < 4; ++r) {
-      float* out_row = out + (i + r) * out_ld;
-      for (size_t c = 0; c < width; ++c) {
-        out_row[c] = DequantInt8Acc(lanes[r][c], col_zsum[c],
-                                    row_scale[i + r], row_min[i + r],
-                                    col_scale[c]);
-      }
-    }
+    Int8TileRows<4>(qa, qa_ld, row_scale, row_min, panel, groups, col_scale,
+                    col_zsum, out, out_ld, i, width);
   }
   for (; i < r1; ++i) {
-    __m512i acc = _mm512_setzero_si512();
-    const uint8_t* a_row = qa + i * qa_ld;
-    for (size_t g = 0; g < groups; ++g) {
-      const __m512i bv = _mm512_load_si512(panel + g * kNrInt8 * 4);
-      acc = _mm512_dpbusd_epi32(acc, BroadcastA4(a_row + g * 4), bv);
+    Int8TileRows<1>(qa, qa_ld, row_scale, row_min, panel, groups, col_scale,
+                    col_zsum, out, out_ld, i, width);
+  }
+}
+
+namespace {
+
+/// The first element of a[0, k) that compares equal to zero: the one a
+/// sequential std::min or std::max keeps when the extreme is a zero, whose
+/// sign a lane-parallel fold does not know.
+float FirstZero(const float* a, size_t k) {
+  for (size_t kk = 0; kk < k; ++kk) {
+    if (a[kk] == 0.0f) return a[kk];
+  }
+  return 0.0f;
+}
+
+}  // namespace
+
+void QuantizeRowsAvx512(const float* a, size_t m, size_t k, size_t kp,
+                        float* row_scale, float* row_min, uint8_t* qa) {
+  if (k == 0) {
+    QuantizeRowsScalar(a, m, k, kp, row_scale, row_min, qa);
+    return;
+  }
+  for (size_t i = 0; i < m; ++i) {
+    const float* a_row = a + i * k;
+    // Each lane folds its elements in order from a_row[0] with the
+    // operand order of std::min(lo, x) = MINPS(x, lo) and std::max(hi, x)
+    // = MAXPS(x, hi): a NaN x keeps the bound, and a NaN a_row[0] stays
+    // in every lane. Lanes past k keep a_row[0], which is already folded.
+    __m512 lo = _mm512_set1_ps(a_row[0]);
+    __m512 hi = lo;
+    for (size_t kk = 0; kk < k; kk += 16) {
+      const __mmask16 mask = LaneMask(k - kk);
+      const __m512 x = _mm512_mask_loadu_ps(lo, mask, a_row + kk);
+      const __m512 y = _mm512_mask_loadu_ps(hi, mask, a_row + kk);
+      lo = _mm512_min_ps(x, lo);
+      hi = _mm512_max_ps(y, hi);
     }
-    alignas(64) int32_t lanes[kNrInt8];
-    _mm512_store_si512(lanes, acc);
-    float* out_row = out + i * out_ld;
-    for (size_t c = 0; c < width; ++c) {
-      out_row[c] = DequantInt8Acc(lanes[c], col_zsum[c], row_scale[i],
-                                  row_min[i], col_scale[c]);
+    // Away from zero an extreme has one bit pattern, so the lane order
+    // does not matter; for a zero extreme the sequential fold keeps the
+    // row's first zero.
+    float row_lo = _mm512_reduce_min_ps(lo);
+    float row_hi = _mm512_reduce_max_ps(hi);
+    if (row_lo == 0.0f) row_lo = FirstZero(a_row, k);
+    if (row_hi == 0.0f) row_hi = FirstZero(a_row, k);
+    const float range = row_hi - row_lo;
+    const float inv_scale = range > 0.0f ? 255.0f / range : 0.0f;
+    row_scale[i] = range > 0.0f ? range / 255.0f : 0.0f;
+    row_min[i] = row_lo;
+    // (a - lo) * inv, then max(0, .) and min(255, .) in std::max(0, s) =
+    // MAXPS(s, 0) and std::min(255, c) = MINPS(c, 255) order (NaN -> 0),
+    // rounded to nearest even like std::nearbyintf.
+    const __m512 vlo = _mm512_set1_ps(row_lo);
+    const __m512 vinv = _mm512_set1_ps(inv_scale);
+    const __m512 zero = _mm512_setzero_ps();
+    const __m512 top = _mm512_set1_ps(255.0f);
+    uint8_t* q_row = qa + i * kp;
+    for (size_t kk = 0; kk < k; kk += 16) {
+      const __mmask16 mask = LaneMask(k - kk);
+      const __m512 scaled = _mm512_mul_ps(
+          _mm512_sub_ps(_mm512_maskz_loadu_ps(mask, a_row + kk), vlo), vinv);
+      const __m512 clamped =
+          _mm512_min_ps(_mm512_max_ps(scaled, zero), top);
+      _mm_mask_storeu_epi8(q_row + kk, mask,
+                           _mm512_cvtepi32_epi8(_mm512_cvtps_epi32(clamped)));
     }
+    for (size_t kk = k; kk < kp; ++kk) q_row[kk] = 0;
   }
 }
 
@@ -181,6 +265,11 @@ void Int8PanelVnni(const uint8_t* qa, size_t qa_ld, const float* row_scale,
                    size_t out_ld, size_t r0, size_t r1, size_t width) {
   Int8PanelScalar(qa, qa_ld, row_scale, row_min, panel, kp, col_scale,
                   col_zsum, out, out_ld, r0, r1, width);
+}
+
+void QuantizeRowsAvx512(const float* a, size_t m, size_t k, size_t kp,
+                        float* row_scale, float* row_min, uint8_t* qa) {
+  QuantizeRowsScalar(a, m, k, kp, row_scale, row_min, qa);
 }
 
 }  // namespace apots::tensor::simd

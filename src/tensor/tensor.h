@@ -68,6 +68,8 @@ class Tensor {
   const std::vector<size_t>& shape() const { return shape_; }
   size_t rank() const { return shape_.size(); }
   size_t size() const { return data_.size(); }
+  /// Floats the buffer holds, which ResetShape never shrinks.
+  size_t capacity() const { return data_.capacity(); }
 
   /// Dimension `axis`; checked.
   size_t dim(size_t axis) const {

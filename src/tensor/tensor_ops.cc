@@ -23,13 +23,7 @@ void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
 /// large ranges are handed to the pool.
 constexpr size_t kElementwiseGrain = 1 << 18;
 
-/// Target work per GEMM chunk, in fused multiply-adds. Row grains are
-/// derived from this so tiny matrices stay on the calling thread.
-constexpr size_t kGemmGrainFma = 1 << 15;
-
-size_t RowGrain(size_t fma_per_row) {
-  return std::max<size_t>(1, kGemmGrainFma / std::max<size_t>(1, fma_per_row));
-}
+using simd::RowGrain;
 
 /// The panel microkernels fuse every multiply-add; the tiles and the
 /// reference loops fuse theirs only when the compiler targets FMA. Without
@@ -88,8 +82,8 @@ void GemmRowStrip(LhsAt lhs_at, const float* pb, float* po, size_t i,
 /// Writes out rows [r0, r1) of a * b. Full 4-row groups run 4 x 16 tiles;
 /// a 3-, 2- or 1-row remainder runs a 3 x 16, 2 x 32 or 1 x 64 tile, so
 /// every tile holds 48-64 accumulators. Remainders are common: one-key
-/// serving runs m = 1, and the pool cuts a 64-row training product into
-/// 2-row chunks.
+/// serving runs m = 1. (The pool's chunks are whole 4-row groups, so only
+/// a product's last rows run one.)
 template <typename LhsAt>
 void GemmRowRangeImpl(LhsAt lhs_at, const float* pb, float* po, size_t r0,
                       size_t r1, size_t k, size_t n) {
@@ -108,11 +102,35 @@ void GemmRowRangeImpl(LhsAt lhs_at, const float* pb, float* po, size_t r0,
   }
 }
 
-/// Writes out rows [r0, r1) of a * b (both row-major).
-void MatmulRowRange(const float* pa, const float* pb, float* po, size_t r0,
-                    size_t r1, size_t k, size_t n) {
-  GemmRowRangeImpl([pa, k](size_t i, size_t kk) { return pa[i * k + kk]; },
-                   pb, po, r0, r1, k, n);
+/// Writes the [m, n] product of the logical left operand and the row-major
+/// right operand `pb` through the tiles, chunked in whole 4-row groups.
+template <typename LhsAt>
+void RunTiles(LhsAt lhs_at, const float* pb, float* po, size_t m, size_t k,
+              size_t n) {
+  simd::ParallelGemmRows(m, k * n, 4, [&](size_t r0, size_t r1) {
+    GemmRowRangeImpl(lhs_at, pb, po, r0, r1, k, n);
+  });
+}
+
+/// The tiles' product of a row-major [m, k] a and [k, n] b.
+void MatmulTiles(const float* pa, size_t lda, const float* pb, float* po,
+                 size_t m, size_t k, size_t n) {
+  RunTiles([pa, lda](size_t i, size_t kk) { return pa[i * lda + kk]; }, pb,
+           po, m, k, n);
+}
+
+/// Writes b^T ([k, n]) of the [n, k] b, read with row stride ldb, to pbt.
+void TransposeRhs(const float* pb, size_t ldb, size_t k, size_t n,
+                  float* pbt) {
+  GlobalPool().ParallelFor(0, k, RowGrain(n),
+                           [&](size_t r0, size_t r1, size_t) {
+                             for (size_t kk = r0; kk < r1; ++kk) {
+                               float* bt_row = pbt + kk * n;
+                               for (size_t j = 0; j < n; ++j) {
+                                 bt_row[j] = pb[j * ldb + kk];
+                               }
+                             }
+                           });
 }
 
 /// Writes the row-major [m, n] product a b^T, where a is [m, k] and b is
@@ -130,22 +148,18 @@ void MatmulTransposeBStrided(const float* pa, size_t lda, const float* pb,
     return;
   }
   bt->ResetShape({k, n});
-  float* pbt = bt->data();
-  GlobalPool().ParallelFor(0, k, RowGrain(n),
-                           [&](size_t r0, size_t r1, size_t) {
-                             for (size_t kk = r0; kk < r1; ++kk) {
-                               float* bt_row = pbt + kk * n;
-                               for (size_t j = 0; j < n; ++j) {
-                                 bt_row[j] = pb[j * ldb + kk];
-                               }
-                             }
-                           });
-  GlobalPool().ParallelFor(
-      0, m, RowGrain(k * n), [&](size_t r0, size_t r1, size_t) {
-        GemmRowRangeImpl(
-            [pa, lda](size_t i, size_t kk) { return pa[i * lda + kk]; }, pbt,
-            po, r0, r1, k, n);
-      });
+  TransposeRhs(pb, ldb, k, n, bt->data());
+  MatmulTiles(pa, lda, bt->data(), po, m, k, n);
+}
+
+/// Packs the strided [k, n] B into `storage` at the current kernel's
+/// panel width.
+PreparedRhs PackRhs(const float* b, size_t b_rs, size_t b_cs, size_t k,
+                    size_t n, Tensor* storage) {
+  const size_t nr = simd::PickGemmKernel().nr;
+  storage->ResetShape({simd::PanelFloats(k, n, nr)});
+  simd::PackPanels(b, b_rs, b_cs, k, n, nr, storage->data());
+  return {storage->data(), k, n, nr};
 }
 
 /// Where tap (ki, kj) of a "same" convolution reads: output pixel (i, j)
@@ -359,12 +373,8 @@ Tensor MatmulTransposeA(const Tensor& a, const Tensor& b) {
   // Parallel over output rows (columns of a): each worker owns a disjoint
   // row panel of `out` and walks all of k, so the k-ascending accumulation
   // order per element matches the reference kernel exactly.
-  GlobalPool().ParallelFor(
-      0, m, RowGrain(k * n), [&](size_t r0, size_t r1, size_t) {
-        GemmRowRangeImpl(
-            [pa, m](size_t i, size_t kk) { return pa[kk * m + i]; }, pb, po,
-            r0, r1, k, n);
-      });
+  RunTiles([pa, m](size_t i, size_t kk) { return pa[kk * m + i]; }, pb, po, m,
+           k, n);
   return out;
 }
 
@@ -417,10 +427,40 @@ void MatmulInto(const Tensor& a, const Tensor& b, Tensor* out) {
     simd::GemmStrided(pa, k, 1, pb, n, 1, po, m, k, n);
     return;
   }
-  GlobalPool().ParallelFor(0, m, RowGrain(k * n),
-                           [&](size_t r0, size_t r1, size_t) {
-                             MatmulRowRange(pa, pb, po, r0, r1, k, n);
-                           });
+  MatmulTiles(pa, k, pb, po, m, k, n);
+}
+
+PreparedRhs PrepareRhs(const Tensor& b, size_t rows, Tensor* storage) {
+  APOTS_CHECK_EQ(b.rank(), 2u);
+  const size_t k = b.rows(), n = b.cols();
+  if (!UsePanels(rows)) return {b.data(), k, n, 0};
+  return PackRhs(b.data(), n, 1, k, n, storage);
+}
+
+PreparedRhs PrepareRhsTransposed(const Tensor& b, size_t rows,
+                                 Tensor* storage) {
+  APOTS_CHECK_EQ(b.rank(), 2u);
+  const size_t n = b.rows(), k = b.cols();
+  if (UsePanels(rows)) return PackRhs(b.data(), 1, k, k, n, storage);
+  storage->ResetShape({k, n});
+  TransposeRhs(b.data(), k, k, n, storage->data());
+  return {storage->data(), k, n, 0};
+}
+
+void MatmulInto(const Tensor& a, const PreparedRhs& b, Tensor* out) {
+  APOTS_CHECK_EQ(a.rank(), 2u);
+  APOTS_CHECK_EQ(a.cols(), b.k);
+  const size_t m = a.rows(), k = b.k, n = b.n;
+  APOTS_CHECK_EQ(out->rank(), 2u);
+  APOTS_CHECK_EQ(out->rows(), m);
+  APOTS_CHECK_EQ(out->cols(), n);
+  // The row count that prepared b must pick the same kernel as this one.
+  APOTS_CHECK_EQ(UsePanels(m), b.nr != 0);
+  if (b.nr != 0) {
+    simd::RunPanels(a.data(), k, 1, b.data, b.nr, m, k, n, out->data());
+    return;
+  }
+  MatmulTiles(a.data(), k, b.data, out->data(), m, k, n);
 }
 
 void Transpose12Into(const Tensor& a, Tensor* out) {

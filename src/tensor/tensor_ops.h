@@ -53,6 +53,39 @@ Tensor MatmulTransposeB(const Tensor& a, const Tensor& b);
 Tensor Im2Col(const Tensor& input, size_t kh, size_t kw, size_t pad);
 }  // namespace reference
 
+/// A right operand prepared once for a run of products that share it, such
+/// as an LSTM's gate weights over its timesteps. PrepareRhs picks the
+/// kernel from the row count of the left operands to come, as MatmulInto
+/// does: where that picks the panels, it packs B at the panel width `nr`
+/// of the kernel the ISA ladder selects, and each product skips its own
+/// pack; otherwise it holds B row-major (nr = 0) and the products run the
+/// tiles. Products against it return MatmulInto's bits, or
+/// MatmulTransposeB's for PrepareRhsTransposed. `data` points into B or
+/// into the storage tensor it was prepared in, and is valid while both
+/// are unchanged. Callers prepare once per call, not once per weight
+/// update: optimizer steps, checkpoint loads and rollbacks rewrite the
+/// weights, and one O(k*n) pack per call is small beside its products.
+struct PreparedRhs {
+  const float* data = nullptr;
+  size_t k = 0;
+  size_t n = 0;
+  size_t nr = 0;
+};
+
+/// Prepares b ([k, n]) for products a b with `rows`-row left operands,
+/// packing into `storage` (reshaped) when the panels run.
+PreparedRhs PrepareRhs(const Tensor& b, size_t rows, Tensor* storage);
+/// Prepares b^T for products a b^T with `rows`-row left operands, where b
+/// is [n, k]: packed into `storage` for the panels, else b^T materialized
+/// there for the tiles (the transpose MatmulTransposeB makes per call).
+PreparedRhs PrepareRhsTransposed(const Tensor& b, size_t rows,
+                                 Tensor* storage);
+/// out = a b for a prepared b; `out` is preshaped to [a.rows(), b.n]. a
+/// must have a row count that picks the kernel b was prepared for, and a
+/// packed b must run under the panel width it was packed at (a forced ISA
+/// rung that changes nr fails a check).
+void MatmulInto(const Tensor& a, const PreparedRhs& b, Tensor* out);
+
 /// Workspace-friendly kernel variants: write into a preallocated output of
 /// the correct shape instead of returning a fresh tensor; `out` contents
 /// may be dirty (every element is overwritten). Matmul, Im2Col and

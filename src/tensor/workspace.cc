@@ -37,7 +37,7 @@ void Workspace::Rewind(size_t mark) {
 
 size_t Workspace::capacity_floats() const {
   size_t total = 0;
-  for (const auto& slot : slots_) total += slot->size();
+  for (const auto& slot : slots_) total += slot->capacity();
   return total;
 }
 

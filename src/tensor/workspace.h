@@ -59,7 +59,9 @@ class Workspace {
   size_t slots_in_use() const { return cursor_; }
   /// Total slots ever created.
   size_t capacity_slots() const { return slots_.size(); }
-  /// Total floats currently resident across all slot buffers.
+  /// Total floats currently resident across all slot buffers: their
+  /// capacity, which a slot keeps when a later Acquire or Rewind hands it
+  /// out at a smaller shape.
   size_t capacity_floats() const;
   /// Largest capacity_floats observed over the arena's lifetime.
   size_t high_water_floats() const { return high_water_floats_; }

@@ -138,8 +138,12 @@ TEST(InferenceRuntimeTest, BatchedMatchesPerAnchorBitwiseAllPredictors) {
         {"batch1_1t", 1, 1},
         {"batch2_1t", 2, 1},
         {"batch7_1t", 7, 1},
+        {"batch16_1t", 16, 1},
+        {"batch17_1t", 17, 1},
         {"batch64_1t", 64, 1},
+        {"batch65_1t", 65, 1},
         {"batch7_4t", 7, 4},
+        {"batch64_4t", 64, 4},
     };
     for (const Arm& arm : arms) {
       ResetGlobalPool(arm.threads);

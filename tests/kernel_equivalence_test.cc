@@ -1,8 +1,9 @@
 // Property-style equivalence suite for the matmul family's two kernels: the
 // register tiles (products under 16 rows) and the packed-panel microkernels
 // of simd::GemmStrided (16 rows and up in FMA builds), swept over odd,
-// aligned and ragged shapes, across forced ISA rungs and pool sizes. The
-// numerics contract under test (DESIGN.md §15):
+// aligned and ragged shapes, every row count of the panels' register
+// tiles, forced ISA rungs and pool sizes, and the prepared right operand
+// (tensor::PrepareRhs). The numerics contract under test (DESIGN.md §15):
 //  - the public entry points == reference bitwise, in every build, at
 //    every ISA rung and pool size;
 //  - the panels called directly == reference bitwise where the library
@@ -19,6 +20,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,6 +168,53 @@ TEST_P(KernelEquivalenceTest, EveryIsaRungMatchesReference) {
   }
 }
 
+TEST_P(KernelEquivalenceTest, PanelTilesMatchReferenceAtEveryRung) {
+  // Every row count of both register tiles: m = 16..24 and 31 leave each
+  // remainder of the 8-row (AVX-512) and the 6-row (AVX2) tile after full
+  // ones, 64, 65 and 192 are the training, what-if and adversarial
+  // batches. The n values run one-column, ragged, full and multi-panel
+  // widths at both panel widths (16 and 32); k = 1 is a one-step chain.
+  // The last shape is past the fork minimum (simd::kGemmForkMinFma), so
+  // pool size 4 runs it in whole-tile chunks, with a remainder of 5 rows
+  // on AVX-512 and 3 on AVX2. Both the public dispatch and the panels
+  // called directly.
+  const int op = GetParam();
+  struct Shape {
+    size_t m, k, n;
+  };
+  std::vector<Shape> shapes;
+  std::vector<size_t> rows;
+  for (size_t m = 16; m <= 24; ++m) rows.push_back(m);
+  for (size_t m : {31u, 64u, 65u, 192u}) rows.push_back(m);
+  for (size_t m : rows) {
+    for (size_t k : {1u, 9u, 64u, 104u}) {
+      for (size_t n : {1u, 15u, 16u, 17u, 31u, 32u, 33u, 104u, 256u}) {
+        shapes.push_back({m, k, n});
+      }
+    }
+  }
+  shapes.push_back({333, 320, 320});
+  ASSERT_GE(size_t{333} * 320 * 320, simd::kGemmForkMinFma);
+  for (const Shape& s : shapes) {
+    Tensor a, b;
+    MakeOperands(op, s.m, s.k, s.n, &a, &b);
+    const Tensor ref = RunReference(op, a, b);
+    for (size_t threads : {1u, 4u}) {
+      ResetGlobalPool(threads);
+      for (SimdIsa rung : kRungs) {
+        internal::OverrideIsaForTesting(rung);
+        SCOPED_TRACE(::testing::Message()
+                     << "m " << s.m << " k " << s.k << " n " << s.n
+                     << " threads " << threads << " isa "
+                     << IsaName(DetectedIsa()));
+        ExpectBitwise(RunOp(op, a, b), ref, "dispatch vs reference");
+        ExpectPanelsMatch(RunPanels(op, a, b), ref, "panels vs reference");
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
 TEST_P(KernelEquivalenceTest, BitwiseStableAcrossPoolSizes) {
   const int op = GetParam();
   Tensor a, b;
@@ -300,6 +349,72 @@ TEST_F(KernelEquivalenceEdgeTest, KernelModeNamesRoundTrip) {
   EXPECT_STREQ(IsaName(SimdIsa::kScalar), "scalar");
   EXPECT_STREQ(IsaName(SimdIsa::kAvx2), "avx2");
   EXPECT_STREQ(IsaName(SimdIsa::kAvx512), "avx512");
+}
+
+/// Products against one prepared right operand, on left operands that
+/// differ per call, return MatmulInto's bits (plain) or MatmulTransposeB's
+/// (transposed) at every rung, on both sides of the 16-row switch.
+TEST_F(KernelEquivalenceEdgeTest, PreparedRhsMatchesUnpreparedProducts) {
+  for (SimdIsa rung : kRungs) {
+    internal::OverrideIsaForTesting(rung);
+    for (size_t m : {1u, 15u, 16u, 17u, 64u}) {
+      for (auto [k, n] : {std::pair<size_t, size_t>{104, 256}, {9, 33}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "isa " << IsaName(DetectedIsa()) << " m " << m
+                     << " k " << k << " n " << n);
+        const Tensor b = Random({k, n}, 700 + m + k);
+        const Tensor b_rows = Random({n, k}, 800 + m + k);  // b^T's rows
+        Tensor storage, storage_t;
+        const PreparedRhs prepared = PrepareRhs(b, m, &storage);
+        const PreparedRhs prepared_t =
+            PrepareRhsTransposed(b_rows, m, &storage_t);
+        EXPECT_EQ(prepared.nr != 0, GetKernelMode() ==
+                                        KernelMode::kTilesAndPanels &&
+                                    m >= 16);
+        for (uint64_t call = 0; call < 3; ++call) {
+          const Tensor a = Random({m, k}, 900 + call * 17 + m);
+          Tensor expect({m, n}), got({m, n});
+          MatmulInto(a, b, &expect);
+          got.Fill(123.0f);  // dirty contents must be fully overwritten
+          MatmulInto(a, prepared, &got);
+          ExpectBitwise(got, expect, "prepared vs MatmulInto");
+          got.Fill(123.0f);
+          MatmulInto(a, prepared_t, &got);
+          ExpectBitwise(got, MatmulTransposeB(a, b_rows),
+                        "prepared transpose vs MatmulTransposeB");
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelEquivalenceEdgeTest, PreparedRhsRefusesAnotherPanelWidth) {
+  // Panels packed 32 wide (AVX-512) hold other columns than the AVX2
+  // kernel's 16-wide panels expect, and the other way round: a run under
+  // a rung of another width must stop at a check, not return numbers.
+  if (GetKernelMode() != KernelMode::kTilesAndPanels ||
+      DetectedIsa() != SimdIsa::kAvx512) {
+    GTEST_SKIP() << "needs AVX-512 and a build whose products run panels";
+  }
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+#endif
+  const Tensor a = Random({64, 104}, 1);
+  const Tensor b = Random({104, 256}, 2);
+  Tensor out({64, 256});
+  for (SimdIsa pack_rung : {SimdIsa::kAvx512, SimdIsa::kAvx2}) {
+    const SimdIsa run_rung =
+        pack_rung == SimdIsa::kAvx512 ? SimdIsa::kAvx2 : SimdIsa::kAvx512;
+    internal::OverrideIsaForTesting(pack_rung);
+    Tensor storage;
+    const PreparedRhs prepared = PrepareRhs(b, 64, &storage);
+    internal::OverrideIsaForTesting(run_rung);
+    EXPECT_DEATH(MatmulInto(a, prepared, &out), "kernel.nr")
+        << IsaName(pack_rung);
+  }
 }
 
 class LstmCellKernelTest : public ::testing::Test {

@@ -1,5 +1,8 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +12,7 @@
 #include "nn/lstm.h"
 #include "nn/sequential.h"
 #include "tensor/tensor_ops.h"
+#include "tensor/workspace.h"
 #include "util/rng.h"
 
 namespace apots::nn {
@@ -64,6 +68,65 @@ TEST(LeakyReluTest, ScalesNegatives) {
   const Tensor out = leaky.Forward(Tensor::FromVector({-2.0f, 3.0f}), true);
   EXPECT_FLOAT_EQ(out[0], -0.2f);
   EXPECT_FLOAT_EQ(out[1], 3.0f);
+}
+
+/// NaN, signed zeros, infinities, subnormals either side of zero, and
+/// random values: 83 floats, so the passes run vector blocks and a tail.
+Tensor ActivationInputs() {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  std::vector<float> xs = {nan,  -nan, 0.0f,  -0.0f, inf, -inf, sub,
+                           -sub, 1e-39f, -1e-39f, 1.0f, -1.0f};
+  apots::Rng rng(3);
+  while (xs.size() < 83) xs.push_back(static_cast<float>(rng.Normal(0.0, 2.0)));
+  return Tensor::FromVector(xs);
+}
+
+void ExpectSameBits(const Tensor& got, const std::vector<float>& want,
+                    const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(got[i]), std::bit_cast<uint32_t>(want[i]))
+        << what << " at " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+TEST(ActivationPassTest, ReluAndLeakyReluKeepTheScalarLoopsBits) {
+  // The scalar loops the vector passes replaced, branch for branch.
+  const Tensor x = ActivationInputs();
+  const Tensor g = Tensor::Full({x.size()}, 0.75f);
+  const float slope = 0.2f;
+  std::vector<float> relu(x.size()), relu_grad(x.size());
+  std::vector<float> leaky(x.size()), leaky_grad(x.size());
+  for (size_t i = 0; i < x.size(); ++i) {
+    relu[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    relu_grad[i] = g[i];
+    if (x[i] <= 0.0f) relu_grad[i] = 0.0f;
+    leaky[i] = x[i];
+    if (leaky[i] < 0.0f) leaky[i] *= slope;
+    leaky_grad[i] = g[i];
+    if (x[i] < 0.0f) leaky_grad[i] *= slope;
+  }
+
+  Relu r;
+  ExpectSameBits(r.Forward(x, /*training=*/true), relu, "relu forward");
+  ExpectSameBits(r.Backward(g), relu_grad, "relu backward");
+  tensor::Workspace ws;
+  ExpectSameBits(*r.Forward(x, /*training=*/false, &ws), relu,
+                 "relu workspace forward");
+  LeakyRelu l(slope);
+  ExpectSameBits(l.Forward(x, /*training=*/true), leaky, "leaky forward");
+  ExpectSameBits(l.Backward(g), leaky_grad, "leaky backward");
+
+  // The asymmetries the bits carry: Relu's forward maps NaN and -0 to +0
+  // but its backward passes the gradient at NaN; LeakyRelu leaves NaN and
+  // -0 unscaled.
+  EXPECT_EQ(std::bit_cast<uint32_t>(relu[0]), 0u);
+  EXPECT_EQ(std::bit_cast<uint32_t>(relu[3]), 0u);
+  EXPECT_EQ(relu_grad[0], 0.75f);
+  EXPECT_TRUE(std::isnan(leaky[0]));
+  EXPECT_EQ(std::bit_cast<uint32_t>(leaky[3]), 0x80000000u);
 }
 
 TEST(SigmoidScalarTest, StableAtExtremes) {

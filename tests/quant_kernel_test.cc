@@ -2,8 +2,11 @@
 // the scalar-vs-VNNI integer accumulation, fp16 conversion bit contracts,
 // and the workspace byte-arena scratch path (DESIGN.md §15).
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -86,23 +89,137 @@ TEST_F(QuantKernelTest, ScalarAndVnniKernelsAgreeBitwise) {
   }
 }
 
-TEST_F(QuantKernelTest, Int8StableAcrossPoolSizesAndWorkspaceScratch) {
-  const Tensor a = Random({65, 63}, 21);
-  const Tensor w = Random({63, 40}, 22);
+TEST_F(QuantKernelTest, VnniTileRowsMatchScalarKernel) {
+  // Every row remainder of the 16-row VNNI tile and its 4- and 1-row
+  // steps, over a ragged last panel.
+  if (!HasVnni()) GTEST_SKIP() << "host has no AVX-512 VNNI";
+  const Tensor w = Random({67, 45}, 8);
   const Int8Matrix packed = PackInt8Weights(w);
-  Tensor base({65, 40});
-  Int8MatmulInto(a, packed, &base, nullptr);
-  Workspace ws;
-  for (size_t threads : {1u, 4u}) {
-    ResetGlobalPool(threads);
-    ws.Reset();
-    Tensor out({65, 40});
-    Int8MatmulInto(a, packed, &out, &ws);
-    for (size_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(out[i], base[i]) << "threads=" << threads << " at " << i;
+  for (size_t m : {1u, 3u, 4u, 5u, 15u, 16u, 17u, 20u, 31u, 64u, 70u}) {
+    const Tensor a = Random({m, 67}, 40 + m);
+    Tensor vnni({m, 45}), scalar({m, 45});
+    Int8MatmulInto(a, packed, &vnni, nullptr);
+    internal::OverrideIsaForTesting(SimdIsa::kScalar);
+    Int8MatmulInto(a, packed, &scalar, nullptr);
+    internal::ClearIsaOverrideForTesting();
+    for (size_t i = 0; i < vnni.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(vnni[i]),
+                std::bit_cast<uint32_t>(scalar[i]))
+          << "m=" << m << " at " << i;
     }
-    EXPECT_GE(ws.byte_slots_in_use(), 1u);
   }
+}
+
+/// Rows that reach every branch of the scalar row quantization: a NaN
+/// first element (min and max stay NaN), later NaNs (skipped), infinities,
+/// a constant row (zero range), and zero extremes whose first zero is -0
+/// or +0 (the sequential fold keeps the first).
+std::vector<std::vector<float>> QuantizationRows(size_t k) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<std::vector<float>> rows;
+  apots::Rng rng(k);
+  auto random_row = [&](float lo, float hi) {
+    std::vector<float> row(k);
+    for (float& x : row) x = static_cast<float>(rng.Uniform(lo, hi));
+    return row;
+  };
+  rows.push_back(random_row(-1.0f, 1.0f));
+  rows.push_back(random_row(-3e4f, 2e4f));
+  std::vector<float> tiny = random_row(-1.0f, 1.0f);
+  for (size_t i = 0; i < k; i += 2) tiny[i] *= 1e-38f;  // subnormals
+  rows.push_back(tiny);
+  std::vector<float> row = random_row(-1.0f, 1.0f);
+  row[0] = nan;
+  rows.push_back(row);
+  row = random_row(-1.0f, 1.0f);
+  row[k / 2] = nan;
+  row[k - 1] = -nan;
+  rows.push_back(row);
+  row = random_row(-1.0f, 1.0f);
+  row[k - 1] = inf;
+  rows.push_back(row);
+  row = random_row(-1.0f, 1.0f);
+  row[k / 3] = -inf;
+  rows.push_back(row);
+  row = random_row(-1.0f, 1.0f);
+  row[k / 3] = -inf;
+  row[k / 2] = inf;
+  rows.push_back(row);
+  rows.push_back(std::vector<float>(k, 0.37f));
+  for (float first : {-0.0f, 0.0f}) {
+    // Non-negative with a zero minimum, non-positive with a zero maximum,
+    // and all zeros, each with `first` as the first zero and the other
+    // sign after it.
+    row = random_row(0.1f, 1.0f);
+    row[k / 2] = first;
+    row[k - 1] = -first;
+    rows.push_back(row);
+    row = random_row(-1.0f, -0.1f);
+    row[k / 2] = first;
+    row[k - 1] = -first;
+    rows.push_back(row);
+    row.assign(k, -first);
+    row[0] = first;
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+TEST_F(QuantKernelTest, VectorQuantizationMatchesScalarCodes) {
+  if (DetectedIsa() != SimdIsa::kAvx512) {
+    GTEST_SKIP() << "host has no AVX-512; the scalar rung is the only one";
+  }
+  for (size_t k : {1u, 2u, 15u, 16u, 17u, 33u, 67u, 104u}) {
+    const std::vector<std::vector<float>> rows = QuantizationRows(k);
+    const size_t m = rows.size();
+    const size_t kp = (k + 3) / 4 * 4;
+    std::vector<float> a;
+    for (const auto& row : rows) a.insert(a.end(), row.begin(), row.end());
+    std::vector<float> scale_s(m), min_s(m), scale_v(m), min_v(m);
+    std::vector<uint8_t> codes_s(m * kp, 7), codes_v(m * kp, 9);
+    simd::QuantizeRowsScalar(a.data(), m, k, kp, scale_s.data(), min_s.data(),
+                             codes_s.data());
+    simd::QuantizeRowsAvx512(a.data(), m, k, kp, scale_v.data(),
+                             min_v.data(), codes_v.data());
+    for (size_t i = 0; i < m; ++i) {
+      SCOPED_TRACE(::testing::Message() << "k " << k << " row " << i);
+      EXPECT_EQ(std::bit_cast<uint32_t>(scale_v[i]),
+                std::bit_cast<uint32_t>(scale_s[i]));
+      EXPECT_EQ(std::bit_cast<uint32_t>(min_v[i]),
+                std::bit_cast<uint32_t>(min_s[i]));
+      for (size_t kk = 0; kk < kp; ++kk) {
+        ASSERT_EQ(codes_v[i * kp + kk], codes_s[i * kp + kk]) << "code " << kk;
+      }
+    }
+  }
+}
+
+TEST_F(QuantKernelTest, Int8StableAcrossPoolSizesAndWorkspaceScratch) {
+  // The second shape is past the fork minimum, so four threads run it in
+  // whole 16-row tiles, with a 3-row remainder.
+  for (auto [m, k, n] : {std::tuple<size_t, size_t, size_t>{65, 63, 40},
+                         {259, 520, 250}}) {
+    const Tensor a = Random({m, k}, 21);
+    const Tensor w = Random({k, n}, 22);
+    const Int8Matrix packed = PackInt8Weights(w);
+    ResetGlobalPool(1);
+    Tensor base({m, n});
+    Int8MatmulInto(a, packed, &base, nullptr);
+    Workspace ws;
+    for (size_t threads : {1u, 4u}) {
+      ResetGlobalPool(threads);
+      ws.Reset();
+      Tensor out({m, n});
+      Int8MatmulInto(a, packed, &out, &ws);
+      for (size_t i = 0; i < out.size(); ++i) {
+        ASSERT_EQ(out[i], base[i]) << "m=" << m << " threads=" << threads
+                                   << " at " << i;
+      }
+      EXPECT_GE(ws.byte_slots_in_use(), 1u);
+    }
+  }
+  ASSERT_GE(size_t{259} * 520 * 250, simd::kGemmForkMinFma);
 }
 
 TEST_F(QuantKernelTest, Int8EdgeShapes) {
