@@ -2,7 +2,7 @@
 // runtime. Times repeated PredictKmh rounds over a fixed anchor set under
 // the arms below and writes a machine-readable report (default
 // bench_out/perf_infer.json) that CI archives and gates on:
-//   per_anchor        one allocating (training-path) forward per anchor,
+//   per_anchor        one recorded fp32 training forward per anchor,
 //                     outside the runtime, no feature cache — the seed's
 //                     one-anchor-at-a-time deployment path and the bitwise
 //                     ground truth
@@ -106,7 +106,7 @@ double MeanAbsError(const std::vector<double>& a,
   return a.empty() ? 0.0 : sum / static_cast<double>(a.size());
 }
 
-/// The seed path: one allocating (training-path) forward per anchor,
+/// The seed path: one recorded fp32 training forward per anchor,
 /// assembled without a feature cache.
 std::vector<double> PerAnchorKmh(core::ApotsModel* model,
                                  const std::vector<long>& anchors) {

@@ -18,11 +18,12 @@
 #            (fault injection / imputation, the training guard, the
 #            checkpoint/serialization layer, the serving stack + front door,
 #            the parallel execution layer, the SIMD/quantized kernel
-#            layer, the conv trunk, and the inference path), which exercise
-#            the code paths that write through masks, restore checkpointed
-#            tensors, parse untrusted checkpoint bytes, share work across
-#            pool threads, write packed panels at ragged tile edges, and
-#            serve every prediction from dirty arena slots.
+#            layer, the conv trunk, the inference path, and the training
+#            path), which exercise the code paths that write through masks,
+#            restore checkpointed tensors, parse untrusted checkpoint bytes,
+#            share work across pool threads, write packed panels at ragged
+#            tile edges, serve every prediction from dirty arena slots, and
+#            backpropagate through records that point into the arena.
 #   lane 3 — TSan: -DAPOTS_SANITIZE=thread build of the thread-pool,
 #            parallel-determinism, serving-watchdog, MPSC-queue, and
 #            frontend suites (the code that runs more than one thread), plus
@@ -98,6 +99,13 @@ sharded_regex='RoadGraph|PartitionTest|ShardedService|ParseChaosKinds|ChaosSched
 # run too.
 arena_regex='InferenceRuntime|InferenceConfigGuard|WorkspaceTest|ContextSpec|ContextTable|ContextAssembly|ContextRuntime|PlausibilityBudget|AttackerTest|ResidualDetector|RdatDefense|FeatureAssemblerTest'
 
+# The training path: every layer's recorded forward leaves raw pointers
+# into its workspace (its input, each LSTM step's states and gates, the
+# trunk's columns and activations) that Backward reads after the forward
+# returns — the layer suites, the finite-difference sweeps, the predictor
+# families (at paper scale too), and the discriminator and trainer.
+train_regex='GradientTest|GradientCheckerSelfTest|LstmGradientSweep|Conv2dGradientSweep|PredictorFamilySweep|PaperScale|DiscriminatorTest|TrainerFixture|LstmTest|DenseTest|ReluTest|SequentialTest'
+
 if [[ ${lane_tier1} -eq 1 ]]; then
   echo "=== lane 1: tier-1 (Release build + labeled ctest) ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
@@ -110,7 +118,7 @@ if [[ ${lane_tier1} -eq 1 ]]; then
 fi
 
 if [[ ${lane_asan} -eq 1 ]]; then
-  echo "=== lane 2: ASan+UBSan (fault injector, train guard, parallel, inference suites) ==="
+  echo "=== lane 2: ASan+UBSan (fault injector, train guard, parallel, inference, training suites) ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAPOTS_SANITIZE=address
   cmake --build build-asan -j --target fault_injector_test train_guard_test \
     thread_pool_test parallel_determinism_test checkpoint_test \
@@ -118,9 +126,10 @@ if [[ ${lane_asan} -eq 1 ]]; then
     mpsc_queue_test frontend_test kernel_equivalence_test quant_kernel_test \
     road_graph_test sharded_service_test chaos_test inference_runtime_test \
     workspace_test context_test attack_test features_test conv_trunk_test \
-    nn_layers_test
+    nn_layers_test nn_gradient_test predictor_test \
+    discriminator_trainer_test paper_scale_test
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R "FaultInjector|FaultKinds|ValidityMask|Imputation|FeatureAssemblerMask|TrafficDatasetBounds|TrainGuard|GuardedTraining|SerializeV2|CheckpointStore|KillRestore|FeatureCacheKey|FeatureCacheStream|FaultyFeed|StreamIngestor|ServeWatchdog|Supervisor|Harness|${parallel_regex}|${obs_regex}|${frontdoor_regex}|${kernel_regex}|${conv_regex}|${sharded_regex}|${arena_regex}"
+    -R "FaultInjector|FaultKinds|ValidityMask|Imputation|FeatureAssemblerMask|TrafficDatasetBounds|TrainGuard|GuardedTraining|SerializeV2|CheckpointStore|KillRestore|FeatureCacheKey|FeatureCacheStream|FaultyFeed|StreamIngestor|ServeWatchdog|Supervisor|Harness|${parallel_regex}|${obs_regex}|${frontdoor_regex}|${kernel_regex}|${conv_regex}|${sharded_regex}|${arena_regex}|${train_regex}"
 fi
 
 if [[ ${lane_tsan} -eq 1 ]]; then

@@ -175,7 +175,7 @@ bool AdversarialTrainer::AdversarialEligible(long anchor) const {
 }
 
 Tensor AdversarialTrainer::PredictedSequences(
-    const std::vector<long>& anchors, bool training) {
+    const std::vector<long>& anchors) {
   const int alpha = assembler_->alpha();
   // Stack all sub-anchors into one predictor batch of size N * alpha; the
   // reshape back to [N, alpha] yields one predicted sequence per anchor.
@@ -188,7 +188,9 @@ Tensor AdversarialTrainer::PredictedSequences(
     }
   }
   const Tensor inputs = assembler_->BatchMatrix(sub_anchors);
-  Tensor outputs = predictor_->Forward(inputs, training);  // [N*alpha, 1]
+  // [N*alpha, 1]. The predictor records its own copy of `inputs`, which
+  // the generator step's Backward reads after this local is gone.
+  const Tensor outputs = predictor_->Forward(inputs, /*training=*/true);
   return outputs.Reshape({anchors.size(), static_cast<size_t>(alpha)});
 }
 
@@ -224,18 +226,16 @@ void AdversarialTrainer::AdversarialRound(const std::vector<long>& anchors,
   const Tensor real_seq = assembler_->BatchRealSequences(anchors);
   // Fake sequences. One predictor forward serves both steps: D's step
   // leaves the predictor's weights alone, so the generator step below
-  // would recompute the same outputs, and this forward's caches are what
-  // its backward needs.
-  const Tensor fake_seq = PredictedSequences(anchors, /*training=*/true);
+  // would recompute the same outputs, and this forward's record is what
+  // its backward reads.
+  const Tensor fake_seq = PredictedSequences(anchors);
 
-  Tensor real_logits =
-      discriminator_->Forward(real_seq, context, /*training=*/true);
+  const Tensor real_logits = discriminator_->Forward(real_seq, context);
   const LossResult real_loss = apots::nn::BceWithLogitsLoss(
       real_logits, Tensor::Full({n, 1}, 1.0f));
   discriminator_->Backward(real_loss.grad);
 
-  Tensor fake_logits =
-      discriminator_->Forward(fake_seq, context, /*training=*/true);
+  const Tensor fake_logits = discriminator_->Forward(fake_seq, context);
   const LossResult fake_loss = apots::nn::BceWithLogitsLoss(
       fake_logits, Tensor::Full({n, 1}, 0.0f));
   discriminator_->Backward(fake_loss.grad);
@@ -260,8 +260,7 @@ void AdversarialTrainer::AdversarialRound(const std::vector<long>& anchors,
   // configured ratio under Adam's scale-invariant updates.
   double gen_loss_value = 0.0;
   if (total_adv_rounds_++ >= config_.adv_warmup_rounds) {
-    Tensor live_logits =
-        discriminator_->Forward(fake_seq, context, /*training=*/true);
+    const Tensor live_logits = discriminator_->Forward(fake_seq, context);
     const LossResult gen_loss =
         apots::nn::AdversarialGeneratorLoss(live_logits);
     gen_loss_value = gen_loss.value;

@@ -124,9 +124,9 @@ class AdversarialTrainer {
   Result<TrainReport> TrainGuarded(const std::vector<long>& train_anchors);
 
   /// The predicted sequence S-hat_{t-a+b+1 : t+b} for each anchor
-  /// ([N, alpha]); each column is one predictor invocation. `training`
-  /// selects whether the predictor caches for backward.
-  Tensor PredictedSequences(const std::vector<long>& anchors, bool training);
+  /// ([N, alpha]); each column is one predictor invocation. A training
+  /// forward: the predictor's Backward reads it.
+  Tensor PredictedSequences(const std::vector<long>& anchors);
 
   /// True when `anchor`'s full adversarial window (alpha sub-anchors, each
   /// with its own alpha-length input) fits in the dataset.

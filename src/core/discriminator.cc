@@ -30,14 +30,15 @@ Discriminator::Discriminator(const DiscriminatorHparams& hparams,
                                  apots::nn::Init::kXavierUniform);
 }
 
-Tensor Discriminator::Forward(const Tensor& sequences, const Tensor& context,
-                              bool training) {
+Tensor Discriminator::Forward(const Tensor& sequences,
+                              const Tensor& context) {
   APOTS_CHECK_EQ(sequences.rank(), 2u);
   APOTS_CHECK_EQ(sequences.dim(1), alpha_);
   const size_t batch = sequences.dim(0);
-  Tensor input({batch, alpha_ + context_width_});
+  ws_.Reset();
+  Tensor* input = ws_.Acquire({batch, alpha_ + context_width_});
   for (size_t n = 0; n < batch; ++n) {
-    float* dst = input.data() + n * (alpha_ + context_width_);
+    float* dst = input->data() + n * (alpha_ + context_width_);
     std::copy(sequences.data() + n * alpha_,
               sequences.data() + (n + 1) * alpha_, dst);
     if (context_width_ > 0) {
@@ -48,7 +49,7 @@ Tensor Discriminator::Forward(const Tensor& sequences, const Tensor& context,
                 context.data() + (n + 1) * context_width_, dst + alpha_);
     }
   }
-  return net_.Forward(input, training);
+  return *net_.RecordForward(*input, &ws_);
 }
 
 Tensor Discriminator::Backward(const Tensor& grad_logits) {

@@ -6,6 +6,7 @@
 
 #include "nn/module.h"
 #include "nn/sequential.h"
+#include "tensor/workspace.h"
 #include "util/rng.h"
 
 namespace apots::core {
@@ -39,13 +40,15 @@ class Discriminator {
                 size_t context_width, apots::Rng* rng);
 
   /// `sequences` is [batch, alpha]; `context` is [batch, context_width]
-  /// (ignored when context_width == 0). Returns logits [batch, 1].
-  Tensor Forward(const Tensor& sequences, const Tensor& context,
-                 bool training);
+  /// (ignored when context_width == 0). Returns logits [batch, 1]. Records
+  /// in D's own workspace (reset here) what Backward reads, the joined
+  /// input included, so neither argument need outlive the call.
+  Tensor Forward(const Tensor& sequences, const Tensor& context);
 
-  /// Backpropagates logits-gradient [batch, 1]; returns the gradient with
-  /// respect to the *sequence* part of the input (context gradient is
-  /// dropped — the context is data, not a trainable path).
+  /// Backpropagates logits-gradient [batch, 1] through the last Forward;
+  /// returns the gradient with respect to the *sequence* part of the input
+  /// (context gradient is dropped — the context is data, not a trainable
+  /// path).
   Tensor Backward(const Tensor& grad_logits);
 
   std::vector<Parameter*> Parameters();
@@ -54,10 +57,15 @@ class Discriminator {
   size_t context_width() const { return context_width_; }
   std::string Name() const;
 
+  /// The workspace Forward records into; it stops growing once it has
+  /// seen each batch size.
+  const apots::tensor::Workspace& training_workspace() const { return ws_; }
+
  private:
   size_t alpha_;
   size_t context_width_;
   apots::nn::Sequential net_;
+  apots::tensor::Workspace ws_;
 };
 
 }  // namespace apots::core

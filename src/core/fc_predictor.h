@@ -2,10 +2,8 @@
 #define APOTS_CORE_FC_PREDICTOR_H_
 
 #include <string>
-#include <vector>
 
 #include "core/predictor.h"
-#include "nn/sequential.h"
 
 namespace apots::core {
 
@@ -17,21 +15,13 @@ class FcPredictor : public Predictor {
   FcPredictor(const PredictorHparams& hparams, size_t num_rows, size_t alpha,
               apots::Rng* rng);
 
-  Tensor Forward(const Tensor& batch, bool training) override;
-  const Tensor* Forward(const Tensor& batch, bool training,
-                        apots::tensor::Workspace* ws) const override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void PrepareQuantized(apots::tensor::QuantMode mode) override {
-    net_.PrepareQuantized(mode);
-  }
-  std::vector<Parameter*> Parameters() override;
   PredictorType type() const override { return PredictorType::kFc; }
   std::string Name() const override;
 
- private:
-  size_t num_rows_;
-  size_t alpha_;
-  apots::nn::Sequential net_;
+ protected:
+  const Tensor* NetInput(const Tensor& batch,
+                         apots::tensor::Workspace* ws) const override;
+  Tensor BatchGradient(Tensor net_grad) const override;
 };
 
 }  // namespace apots::core

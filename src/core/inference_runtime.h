@@ -51,10 +51,10 @@ struct WorkItem {
 /// forward on workspace arenas, and shards batches across the global
 /// ThreadPool whenever it has more than one thread. Deterministic contract
 /// (see DESIGN.md §10): the batch grid depends only on (N, batch_size),
-/// every batch owns a disjoint output range, and the inference forward is
-/// bitwise identical to the allocating training forward — so predictions
-/// match a per-anchor training-forward loop bit for bit at any batch
-/// size, pool size, and cache temperature.
+/// every batch owns a disjoint output range, and the inference forward
+/// runs the training forward's body — so fp32 predictions match a
+/// per-anchor training-forward loop bit for bit at any batch size, pool
+/// size, and cache temperature.
 ///
 /// The predictor and assembler are borrowed and must outlive the runtime.
 /// The runtime only reads the predictor and serves whatever precision its

@@ -23,37 +23,20 @@ void BuildLstmHead(const PredictorHparams& hparams, size_t input_features,
 
 LstmPredictor::LstmPredictor(const PredictorHparams& hparams,
                              size_t num_rows, size_t alpha, apots::Rng* rng)
-    : num_rows_(num_rows), alpha_(alpha) {
+    : Predictor(num_rows, alpha) {
   BuildLstmHead(hparams, num_rows, &net_, rng);
 }
 
-Tensor LstmPredictor::Forward(const Tensor& batch, bool training) {
-  APOTS_CHECK_EQ(batch.rank(), 3u);
-  APOTS_CHECK_EQ(batch.dim(1), num_rows_);
-  APOTS_CHECK_EQ(batch.dim(2), alpha_);
+const Tensor* LstmPredictor::NetInput(const Tensor& batch,
+                                      apots::tensor::Workspace* ws) const {
   // [N, rows, alpha] -> [N, alpha, rows]: one feature vector per step.
-  const Tensor sequence = apots::tensor::Transpose12(batch);
-  return net_.Forward(sequence, training);
-}
-
-const Tensor* LstmPredictor::Forward(const Tensor& batch, bool training,
-                                     apots::tensor::Workspace* ws) const {
-  APOTS_CHECK(!training);
-  APOTS_CHECK_EQ(batch.rank(), 3u);
-  APOTS_CHECK_EQ(batch.dim(1), num_rows_);
-  APOTS_CHECK_EQ(batch.dim(2), alpha_);
   Tensor* sequence = ws->Acquire({batch.dim(0), alpha_, num_rows_});
   apots::tensor::Transpose12Into(batch, sequence);
-  return net_.Forward(*sequence, training, ws);
+  return sequence;
 }
 
-Tensor LstmPredictor::Backward(const Tensor& grad_output) {
-  Tensor grad_sequence = net_.Backward(grad_output);
-  return apots::tensor::Transpose12(grad_sequence);
-}
-
-std::vector<Parameter*> LstmPredictor::Parameters() {
-  return net_.Parameters();
+Tensor LstmPredictor::BatchGradient(Tensor net_grad) const {
+  return apots::tensor::Transpose12(net_grad);
 }
 
 std::string LstmPredictor::Name() const {

@@ -2,7 +2,6 @@
 #define APOTS_CORE_LSTM_PREDICTOR_H_
 
 #include <string>
-#include <vector>
 
 #include "core/predictor.h"
 #include "nn/sequential.h"
@@ -18,21 +17,13 @@ class LstmPredictor : public Predictor {
   LstmPredictor(const PredictorHparams& hparams, size_t num_rows,
                 size_t alpha, apots::Rng* rng);
 
-  Tensor Forward(const Tensor& batch, bool training) override;
-  const Tensor* Forward(const Tensor& batch, bool training,
-                        apots::tensor::Workspace* ws) const override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void PrepareQuantized(apots::tensor::QuantMode mode) override {
-    net_.PrepareQuantized(mode);
-  }
-  std::vector<Parameter*> Parameters() override;
   PredictorType type() const override { return PredictorType::kLstm; }
   std::string Name() const override;
 
- private:
-  size_t num_rows_;
-  size_t alpha_;
-  apots::nn::Sequential net_;
+ protected:
+  const Tensor* NetInput(const Tensor& batch,
+                         apots::tensor::Workspace* ws) const override;
+  Tensor BatchGradient(Tensor net_grad) const override;
 };
 
 /// Appends the stacked-LSTM head (used by LstmPredictor and

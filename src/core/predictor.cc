@@ -61,6 +61,29 @@ PredictorHparams PredictorHparams::Scaled(PredictorType type,
   return hparams;
 }
 
+Tensor Predictor::Forward(const Tensor& batch, bool training) {
+  training_ws_.Reset();
+  return *net_.RecordForward(*Input(batch, &training_ws_), &training_ws_);
+}
+
+const Tensor* Predictor::Forward(const Tensor& batch, bool training,
+                                 apots::tensor::Workspace* ws) const {
+  APOTS_CHECK(!training);
+  return net_.Forward(*Input(batch, ws), ws);
+}
+
+Tensor Predictor::Backward(const Tensor& grad_output) {
+  return BatchGradient(net_.Backward(grad_output));
+}
+
+const Tensor* Predictor::Input(const Tensor& batch,
+                               apots::tensor::Workspace* ws) const {
+  APOTS_CHECK_EQ(batch.rank(), 3u);
+  APOTS_CHECK_EQ(batch.dim(1), num_rows_);
+  APOTS_CHECK_EQ(batch.dim(2), alpha_);
+  return NetInput(batch, ws);
+}
+
 std::unique_ptr<Predictor> MakePredictor(const PredictorHparams& hparams,
                                          size_t num_rows, size_t alpha,
                                          apots::Rng* rng) {

@@ -32,44 +32,47 @@ float ReluGrad(float x, float g) { return x <= 0.0f ? 0.0f : g; }
 
 float SigmoidScalar(float x) { return tensor::simd::SigmoidLane(x); }
 
-Tensor Relu::Forward(const Tensor& input, bool training) {
-  cached_input_ = input;
-  Tensor out(input.shape());
-  MaskPass(input.data(), input.data(), out.data(), out.size(), ReluForward);
-  return out;
-}
-
-const Tensor* Relu::Forward(const Tensor& input, bool training,
-                            tensor::Workspace* ws) const {
-  APOTS_CHECK(!training);
+const Tensor* Relu::Run(const Tensor& input, tensor::Workspace* ws,
+                        InputRecord* record) const {
   Tensor* out = ws->Acquire(input.shape());
   MaskPass(input.data(), input.data(), out->data(), out->size(), ReluForward);
+  if (record != nullptr) {
+    record->stamp.Set(ws);
+    record->input = &input;
+  }
   return out;
 }
 
 Tensor Relu::Backward(const Tensor& grad_output) {
-  APOTS_CHECK(grad_output.SameShape(cached_input_));
+  record_.stamp.Check(Name());
+  const Tensor& input = *record_.input;
+  APOTS_CHECK(grad_output.SameShape(input));
   Tensor grad = grad_output;
-  MaskPass(cached_input_.data(), grad.data(), grad.data(), grad.size(),
-           ReluGrad);
+  MaskPass(input.data(), grad.data(), grad.data(), grad.size(), ReluGrad);
   return grad;
 }
 
 // x < 0 is false for NaN and -0, so LeakyRelu leaves both unscaled.
-Tensor LeakyRelu::Forward(const Tensor& input, bool training) {
-  cached_input_ = input;
-  Tensor out(input.shape());
+const Tensor* LeakyRelu::Run(const Tensor& input, tensor::Workspace* ws,
+                             InputRecord* record) const {
+  Tensor* out = ws->Acquire(input.shape());
   const float slope = slope_;
-  MaskPass(input.data(), input.data(), out.data(), out.size(),
+  MaskPass(input.data(), input.data(), out->data(), out->size(),
            [slope](float x, float v) { return x < 0.0f ? v * slope : v; });
+  if (record != nullptr) {
+    record->stamp.Set(ws);
+    record->input = &input;
+  }
   return out;
 }
 
 Tensor LeakyRelu::Backward(const Tensor& grad_output) {
-  APOTS_CHECK(grad_output.SameShape(cached_input_));
+  record_.stamp.Check(Name());
+  const Tensor& input = *record_.input;
+  APOTS_CHECK(grad_output.SameShape(input));
   Tensor grad = grad_output;
   const float slope = slope_;
-  MaskPass(cached_input_.data(), grad.data(), grad.data(), grad.size(),
+  MaskPass(input.data(), grad.data(), grad.data(), grad.size(),
            [slope](float x, float g) { return x < 0.0f ? g * slope : g; });
   return grad;
 }

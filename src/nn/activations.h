@@ -11,14 +11,23 @@ namespace apots::nn {
 class Relu : public Layer {
  public:
   Relu() = default;
-  Tensor Forward(const Tensor& input, bool training) override;
-  const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) const override;
+  const Tensor* Forward(const Tensor& input,
+                        tensor::Workspace* ws) const override {
+    return Run(input, ws, nullptr);
+  }
+  const Tensor* RecordForward(const Tensor& input,
+                              tensor::Workspace* ws) override {
+    return Run(input, ws, &record_);
+  }
   Tensor Backward(const Tensor& grad_output) override;
   std::string Name() const override { return "Relu"; }
 
  private:
-  Tensor cached_input_;
+  /// The forward body; `record` is null for inference.
+  const Tensor* Run(const Tensor& input, tensor::Workspace* ws,
+                    InputRecord* record) const;
+
+  InputRecord record_;
 };
 
 /// Leaky ReLU with configurable negative slope (default 0.2, the usual GAN
@@ -26,13 +35,24 @@ class Relu : public Layer {
 class LeakyRelu : public Layer {
  public:
   explicit LeakyRelu(float slope = 0.2f) : slope_(slope) {}
-  Tensor Forward(const Tensor& input, bool training) override;
+  const Tensor* Forward(const Tensor& input,
+                        tensor::Workspace* ws) const override {
+    return Run(input, ws, nullptr);
+  }
+  const Tensor* RecordForward(const Tensor& input,
+                              tensor::Workspace* ws) override {
+    return Run(input, ws, &record_);
+  }
   Tensor Backward(const Tensor& grad_output) override;
   std::string Name() const override;
 
  private:
+  /// The forward body; `record` is null for inference.
+  const Tensor* Run(const Tensor& input, tensor::Workspace* ws,
+                    InputRecord* record) const;
+
   float slope_;
-  Tensor cached_input_;
+  InputRecord record_;
 };
 
 /// The LSTM cell kernel's one-lane sigmoid (tensor::simd::SigmoidLane), so

@@ -12,7 +12,7 @@ namespace ops = apots::tensor;
 
 namespace {
 
-/// The workspace forward runs its samples in blocks whose widest layer
+/// The inference forward runs its samples in blocks whose widest layer
 /// buffer (columns or activations) holds about this many floats (256 KB),
 /// so the arena holds one block's buffers instead of the batch's. Time
 /// does not depend on it: on one thread, blocks of 2 to 64 samples ran a
@@ -80,8 +80,8 @@ ConvTrunk::ConvTrunk(size_t in_channels, size_t height, size_t width,
   }
   block_samples_ =
       std::max<size_t>(1, kBlockFloats / (widest * height * width));
-  cached_columns_.resize(layers_.size());
-  cached_acts_.resize(layers_.size());
+  record_.columns.resize(layers_.size());
+  record_.acts.resize(layers_.size());
 }
 
 size_t ConvTrunk::CheckInput(const Tensor& input) const {
@@ -149,37 +149,15 @@ void ConvTrunk::RunLayer(size_t l, const Tensor& x, Tensor* columns,
   }
 }
 
-Tensor ConvTrunk::Forward(const Tensor& input, bool training) {
-  const size_t batch = CheckInput(input);
-  const size_t cols = batch * height_ * width_;
-  cached_input_shape_ = input.shape();
-  Tensor out(OutputShape(batch));
-  // One block of the whole batch, kept for Backward. The buffers keep
-  // their storage from step to step.
-  cached_input_.ResetShape({in_channels_, cols});
-  GatherInput(input, 0, &cached_input_);
-  const Tensor* x = &cached_input_;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    const Conv& conv = layers_[l];
-    Tensor* columns = nullptr;
-    if (conv.kernel > 1) {
-      columns = &cached_columns_[l];
-      columns->ResetShape({conv.in_channels * conv.kernel * conv.kernel, cols});
-    }
-    cached_acts_[l].ResetShape({conv.out_channels, cols});
-    RunLayer(l, *x, columns, &cached_acts_[l], 0, &out);
-    x = &cached_acts_[l];
-  }
-  return out;
-}
-
-const Tensor* ConvTrunk::Forward(const Tensor& input, bool training,
-                                 tensor::Workspace* ws) const {
-  APOTS_CHECK(!training);
+const Tensor* ConvTrunk::Run(const Tensor& input, tensor::Workspace* ws,
+                             Record* record) const {
   const size_t batch = CheckInput(input);
   Tensor* out = ws->Acquire(OutputShape(batch));
   const size_t plane = height_ * width_;
-  const size_t blocks = (batch + block_samples_ - 1) / block_samples_;
+  // A recorded forward is one block of the whole batch: Backward's
+  // weight-gradient products read every sample's columns.
+  const size_t blocks =
+      record != nullptr ? 1 : (batch + block_samples_ - 1) / block_samples_;
   const size_t mark = ws->slots_in_use();
   for (size_t b = 0, n0 = 0; b < blocks; ++b) {
     // Blocks differ by at most one sample, so a batch's blocks reuse the
@@ -188,6 +166,7 @@ const Tensor* ConvTrunk::Forward(const Tensor& input, bool training,
     ws->Rewind(mark);
     Tensor* x = ws->Acquire({in_channels_, count * plane});
     GatherInput(input, n0, x);
+    if (record != nullptr) record->x = x;
     for (size_t l = 0; l < layers_.size(); ++l) {
       const Conv& conv = layers_[l];
       Tensor* columns =
@@ -197,16 +176,24 @@ const Tensor* ConvTrunk::Forward(const Tensor& input, bool training,
               : nullptr;
       Tensor* act = ws->Acquire({conv.out_channels, count * plane});
       RunLayer(l, *x, columns, act, n0, out);
+      if (record != nullptr) {
+        record->columns[l] = columns;
+        record->acts[l] = act;
+      }
       x = act;
     }
     n0 += count;
+  }
+  if (record != nullptr) {
+    record->stamp.Set(ws);
+    record->input_shape = input.shape();
   }
   return out;
 }
 
 Tensor ConvTrunk::Backward(const Tensor& grad_output) {
-  APOTS_CHECK(!cached_input_shape_.empty()) << "Backward before Forward";
-  const size_t batch = cached_input_shape_[0];
+  record_.stamp.Check(Name());
+  const size_t batch = record_.input_shape[0];
   APOTS_CHECK(grad_output.shape() == OutputShape(batch));
   const size_t plane = height_ * width_;
   const size_t cols = batch * plane;
@@ -229,11 +216,11 @@ Tensor ConvTrunk::Backward(const Tensor& grad_output) {
 
   for (size_t l = layers_.size(); l-- > 0;) {
     Conv& conv = layers_[l];
-    // Through the layer's ReLU. The cache holds its activation, which is
+    // Through the layer's ReLU. The record holds its activation, which is
     // positive exactly where its pre-activation is (NaN aside).
-    ReluGradInPlace(cached_acts_[l].data(), grad.data(), grad.size());
-    const Tensor& x = l == 0 ? cached_input_ : cached_acts_[l - 1];
-    const Tensor& columns = conv.kernel > 1 ? cached_columns_[l] : x;
+    ReluGradInPlace(record_.acts[l]->data(), grad.data(), grad.size());
+    const Tensor& x = l == 0 ? *record_.x : *record_.acts[l - 1];
+    const Tensor& columns = conv.kernel > 1 ? *record_.columns[l] : x;
     // Weight and bias gradients: each sample's sum, added in sample order.
     ops::AddSampleProductsTransposeB(grad, columns, batch, &conv.weight.grad);
     for (size_t oc = 0; oc < conv.out_channels; ++oc) {
@@ -255,7 +242,7 @@ Tensor ConvTrunk::Backward(const Tensor& grad_output) {
   }
 
   // Channel-major [in_channels, batch*plane] back to the input's shape.
-  Tensor grad_input(cached_input_shape_);
+  Tensor grad_input(record_.input_shape);
   for (size_t c = 0; c < in_channels_; ++c) {
     for (size_t n = 0; n < batch; ++n) {
       const float* src = grad.data() + (c * batch + n) * plane;

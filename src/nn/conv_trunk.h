@@ -50,9 +50,14 @@ class ConvTrunk : public Layer {
             const std::vector<size_t>& kernels, Layout layout,
             apots::Rng* rng);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) const override;
+  const Tensor* Forward(const Tensor& input,
+                        tensor::Workspace* ws) const override {
+    return Run(input, ws, nullptr);
+  }
+  const Tensor* RecordForward(const Tensor& input,
+                              tensor::Workspace* ws) override {
+    return Run(input, ws, &record_);
+  }
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
   std::string Name() const override;
@@ -67,6 +72,20 @@ class ConvTrunk : public Layer {
     Parameter weight;  // [out_channels, in_channels*kernel*kernel]
     Parameter bias;    // [out_channels]
   };
+
+  /// What Backward reads, all in the recorded forward's workspace: the
+  /// input's shape, and the one batch-wide block's channel-major input and
+  /// each layer's columns (kernels > 1) and activation.
+  struct Record {
+    RecordStamp stamp;
+    std::vector<size_t> input_shape;
+    const Tensor* x = nullptr;
+    std::vector<const Tensor*> columns, acts;
+  };
+
+  /// The forward body; `record` is null for inference.
+  const Tensor* Run(const Tensor& input, tensor::Workspace* ws,
+                    Record* record) const;
 
   /// Checks the input's shape; returns its batch size.
   size_t CheckInput(const Tensor& input) const;
@@ -87,15 +106,9 @@ class ConvTrunk : public Layer {
   size_t width_;
   Layout layout_;
   std::vector<Conv> layers_;
-  /// Samples per block of the workspace forward.
+  /// Samples per block of the inference forward.
   size_t block_samples_;
-
-  // Training cache, one batch-wide block: the channel-major input and each
-  // layer's columns (kernels > 1) and act.
-  std::vector<size_t> cached_input_shape_;
-  Tensor cached_input_;
-  std::vector<Tensor> cached_columns_;
-  std::vector<Tensor> cached_acts_;
+  Record record_;
 };
 
 }  // namespace apots::nn

@@ -17,22 +17,12 @@ Dense::Dense(size_t in_features, size_t out_features, apots::Rng* rng,
   // Bias starts at zero regardless of scheme.
 }
 
-Tensor Dense::Forward(const Tensor& input, bool training) {
-  APOTS_CHECK_EQ(input.rank(), 2u);
-  APOTS_CHECK_EQ(input.cols(), in_features_);
-  cached_input_ = input;
-  Tensor out = apots::tensor::Matmul(input, weight_.value);
-  apots::tensor::AddRowBias(&out, bias_.value);
-  return out;
-}
-
-const Tensor* Dense::Forward(const Tensor& input, bool training,
-                             tensor::Workspace* ws) const {
-  APOTS_CHECK(!training);
+const Tensor* Dense::Run(const Tensor& input, tensor::Workspace* ws,
+                         InputRecord* record) const {
   APOTS_CHECK_EQ(input.rank(), 2u);
   APOTS_CHECK_EQ(input.cols(), in_features_);
   Tensor* out = ws->Acquire({input.rows(), out_features_});
-  switch (quant_mode_) {
+  switch (record != nullptr ? tensor::QuantMode::kOff : quant_mode_) {
     case tensor::QuantMode::kInt8:
       apots::tensor::Int8MatmulInto(input, int8_weight_, out, ws);
       break;
@@ -44,6 +34,10 @@ const Tensor* Dense::Forward(const Tensor& input, bool training,
       break;
   }
   apots::tensor::AddRowBias(out, bias_.value);
+  if (record != nullptr) {
+    record->stamp.Set(ws);
+    record->input = &input;
+  }
   return out;
 }
 
@@ -58,13 +52,14 @@ void Dense::PrepareQuantized(tensor::QuantMode mode) {
 }
 
 Tensor Dense::Backward(const Tensor& grad_output) {
+  record_.stamp.Check(Name());
+  const Tensor& input = *record_.input;
   APOTS_CHECK_EQ(grad_output.rank(), 2u);
   APOTS_CHECK_EQ(grad_output.cols(), out_features_);
-  APOTS_CHECK_EQ(grad_output.rows(), cached_input_.rows());
+  APOTS_CHECK_EQ(grad_output.rows(), input.rows());
   // dW = x^T dy ; db = column sums of dy ; dx = dy W^T.
   apots::tensor::AddInPlace(
-      &weight_.grad,
-      apots::tensor::MatmulTransposeA(cached_input_, grad_output));
+      &weight_.grad, apots::tensor::MatmulTransposeA(input, grad_output));
   apots::tensor::AddInPlace(&bias_.grad,
                             apots::tensor::SumRows(grad_output));
   return apots::tensor::MatmulTransposeB(grad_output, weight_.value);

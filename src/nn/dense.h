@@ -17,9 +17,14 @@ class Dense : public Layer {
   Dense(size_t in_features, size_t out_features, apots::Rng* rng,
         Init init = Init::kXavierUniform);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) const override;
+  const Tensor* Forward(const Tensor& input,
+                        tensor::Workspace* ws) const override {
+    return Run(input, ws, nullptr);
+  }
+  const Tensor* RecordForward(const Tensor& input,
+                              tensor::Workspace* ws) override {
+    return Run(input, ws, &record_);
+  }
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(tensor::QuantMode mode) override;
   std::vector<Parameter*> Parameters() override;
@@ -29,13 +34,17 @@ class Dense : public Layer {
   size_t out_features() const { return out_features_; }
 
  private:
+  /// The forward body; `record` is null for inference.
+  const Tensor* Run(const Tensor& input, tensor::Workspace* ws,
+                    InputRecord* record) const;
+
   size_t in_features_;
   size_t out_features_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;
-  // Packed weight copies for reduced-precision inference; consulted only
-  // by the workspace inference Forward (see Layer::PrepareQuantized).
+  InputRecord record_;
+  // Packed weight copies for reduced-precision inference; read only by the
+  // unrecorded Forward (see Layer::PrepareQuantized).
   tensor::QuantMode quant_mode_ = tensor::QuantMode::kOff;
   tensor::Int8Matrix int8_weight_;
   tensor::Fp16Matrix fp16_weight_;

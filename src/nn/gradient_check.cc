@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "tensor/tensor_ops.h"
+#include "tensor/workspace.h"
 
 namespace apots::nn {
 
@@ -35,38 +36,41 @@ GradCheckResult CheckLayerGradients(Layer* layer, const Tensor& input,
   GradCheckResult result;
   if (stride == 0) stride = 1;
 
-  // Analytic pass: forward, then backward with dL/dout = loss_weights.
+  // Analytic pass: recorded forward, then backward with dL/dout =
+  // loss_weights.
   for (Parameter* p : layer->Parameters()) p->ZeroGrad();
-  Tensor output = layer->Forward(input, /*training=*/false);
-  APOTS_CHECK(output.SameShape(loss_weights));
+  tensor::Workspace ws;
+  const Tensor* output = layer->RecordForward(input, &ws);
+  APOTS_CHECK(output->SameShape(loss_weights));
   Tensor grad_input = layer->Backward(loss_weights);
   APOTS_CHECK(grad_input.SameShape(input));
+
+  // The numeric passes run the inference forward.
+  const auto loss = [&](const Tensor& x) {
+    ws.Reset();
+    return WeightedSum(*layer->Forward(x, &ws), loss_weights);
+  };
 
   // Numeric input gradient.
   Tensor perturbed = input;
   for (size_t i = 0; i < input.size(); i += stride) {
     const float saved = perturbed[i];
     perturbed[i] = saved + static_cast<float>(epsilon);
-    const double plus =
-        WeightedSum(layer->Forward(perturbed, false), loss_weights);
+    const double plus = loss(perturbed);
     perturbed[i] = saved - static_cast<float>(epsilon);
-    const double minus =
-        WeightedSum(layer->Forward(perturbed, false), loss_weights);
+    const double minus = loss(perturbed);
     perturbed[i] = saved;
     Accumulate(&result, grad_input[i], (plus - minus) / (2.0 * epsilon));
   }
 
-  // Numeric parameter gradients. Note: Forward above overwrote layer
-  // caches, but parameter grads were accumulated before any perturbation.
+  // Numeric parameter gradients, against the grads accumulated above.
   for (Parameter* p : layer->Parameters()) {
     for (size_t i = 0; i < p->value.size(); i += stride) {
       const float saved = p->value[i];
       p->value[i] = saved + static_cast<float>(epsilon);
-      const double plus =
-          WeightedSum(layer->Forward(input, false), loss_weights);
+      const double plus = loss(input);
       p->value[i] = saved - static_cast<float>(epsilon);
-      const double minus =
-          WeightedSum(layer->Forward(input, false), loss_weights);
+      const double minus = loss(input);
       p->value[i] = saved;
       Accumulate(&result, p->grad[i], (plus - minus) / (2.0 * epsilon));
     }

@@ -27,94 +27,42 @@ Lstm::Lstm(size_t input_size, size_t hidden_size, bool return_sequences,
   }
 }
 
-Tensor Lstm::Forward(const Tensor& input, bool training) {
-  APOTS_CHECK_EQ(input.rank(), 3u);
-  APOTS_CHECK_EQ(input.dim(2), input_size_);
-  const size_t batch = input.dim(0);
-  const size_t time = input.dim(1);
-  cached_batch_ = batch;
-  cached_time_ = time;
-  steps_.clear();
-  steps_.reserve(time);
-
-  Tensor h = Tensor::Zeros({batch, hidden_size_});
-  Tensor c = Tensor::Zeros({batch, hidden_size_});
-  Tensor sequence_out;
-  if (return_sequences_) {
-    sequence_out = Tensor({batch, time, hidden_size_});
-  }
-  // The gate weights are prepared once for the call's 2 * time products.
-  Tensor wx_storage, wh_storage;
-  const ops::PreparedRhs wx =
-      ops::PrepareRhs(weight_x_.value, batch, &wx_storage);
-  const ops::PreparedRhs wh =
-      ops::PrepareRhs(weight_h_.value, batch, &wh_storage);
-  Tensor gates_h({batch, 4 * hidden_size_});
-
-  for (size_t t = 0; t < time; ++t) {
-    StepCache step;
-    // Slice x_t: [batch, input].
-    step.x = Tensor({batch, input_size_});
-    for (size_t n = 0; n < batch; ++n) {
-      const float* src = input.data() + (n * time + t) * input_size_;
-      std::copy(src, src + input_size_, step.x.data() + n * input_size_);
-    }
-
-    // The cell activates the gates in place: [i | f | g | o].
-    step.gates = Tensor({batch, 4 * hidden_size_});
-    ops::MatmulInto(step.x, wx, &step.gates);
-    ops::MatmulInto(h, wh, &gates_h);
-    step.tanh_c = Tensor({batch, hidden_size_});
-    Tensor new_c({batch, hidden_size_});
-    Tensor new_h({batch, hidden_size_});
-    ops::LstmCell(step.gates, gates_h, bias_.value, c, &new_c, &new_h,
-                  &step.gates, &step.tanh_c);
-    step.h_prev = std::move(h);
-    step.c_prev = std::move(c);
-    c = std::move(new_c);
-    h = std::move(new_h);
-
-    if (return_sequences_) {
-      for (size_t n = 0; n < batch; ++n) {
-        std::copy(h.data() + n * hidden_size_,
-                  h.data() + (n + 1) * hidden_size_,
-                  sequence_out.data() + (n * time + t) * hidden_size_);
-      }
-    }
-    steps_.push_back(std::move(step));
-  }
-  return return_sequences_ ? sequence_out : h;
-}
-
-const Tensor* Lstm::Forward(const Tensor& input, bool training,
-                            tensor::Workspace* ws) const {
-  APOTS_CHECK(!training);
+const Tensor* Lstm::Run(const Tensor& input, tensor::Workspace* ws,
+                        Record* record) const {
   APOTS_CHECK_EQ(input.rank(), 3u);
   APOTS_CHECK_EQ(input.dim(2), input_size_);
   const size_t batch = input.dim(0);
   const size_t time = input.dim(1);
   const size_t H = hidden_size_;
+  // A recorded forward runs fp32 whatever the precision: Backward
+  // differentiates the fp32 weights.
+  const tensor::QuantMode mode =
+      record != nullptr ? tensor::QuantMode::kOff : quant_mode_;
 
-  // All state lives in the arena: no StepCache (backward-only) and no
-  // member writes, so concurrent inference forwards are safe. The products
-  // and the cell kernel are the allocating Forward's, so results are
-  // bitwise identical.
   Tensor* h = ws->Acquire({batch, H});
   Tensor* sequence_out =
       return_sequences_ ? ws->Acquire({batch, time, H}) : nullptr;
   // The rest is scratch, rewound on return so the next layer reuses it,
-  // the packed weights included.
+  // the packed weights included. A recorded forward keeps it all.
   const size_t mark = ws->slots_in_use();
   Tensor* c = ws->Acquire({batch, H});
   h->Fill(0.0f);
   c->Fill(0.0f);
   Tensor* x_t = ws->Acquire({batch, input_size_});
-  Tensor* gates = ws->Acquire({batch, 4 * H});
+  Tensor* gates = record != nullptr ? nullptr : ws->Acquire({batch, 4 * H});
   Tensor* gates_h = ws->Acquire({batch, 4 * H});
   ops::PreparedRhs wx, wh;
-  if (quant_mode_ == tensor::QuantMode::kOff) {
+  if (mode == tensor::QuantMode::kOff) {
     wx = ops::PrepareRhs(weight_x_.value, batch, ws->Acquire({0}));
     wh = ops::PrepareRhs(weight_h_.value, batch, ws->Acquire({0}));
+  }
+  if (record != nullptr) {
+    record->stamp.Set(ws);
+    record->input = &input;
+    record->h.assign(1, h);
+    record->c.assign(1, c);
+    record->act.clear();
+    record->tanh_c.clear();
   }
 
   for (size_t t = 0; t < time; ++t) {
@@ -123,22 +71,37 @@ const Tensor* Lstm::Forward(const Tensor& input, bool training,
       const float* src = input.data() + (n * time + t) * input_size_;
       std::copy(src, src + input_size_, x_t->data() + n * input_size_);
     }
-    switch (quant_mode_) {
+    // Inference updates h and c in place. A recorded step writes its own
+    // h, c, activated gates and tanh(c), which Backward reads.
+    Tensor* act = gates;
+    Tensor* tanh_c = nullptr;
+    Tensor* h_next = h;
+    Tensor* c_next = c;
+    if (record != nullptr) {
+      act = record->act.emplace_back(ws->Acquire({batch, 4 * H}));
+      tanh_c = record->tanh_c.emplace_back(ws->Acquire({batch, H}));
+      h_next = record->h.emplace_back(ws->Acquire({batch, H}));
+      c_next = record->c.emplace_back(ws->Acquire({batch, H}));
+    }
+    switch (mode) {
       case tensor::QuantMode::kInt8:
-        ops::Int8MatmulInto(*x_t, int8_wx_, gates, ws);
+        ops::Int8MatmulInto(*x_t, int8_wx_, act, ws);
         ops::Int8MatmulInto(*h, int8_wh_, gates_h, ws);
         break;
       case tensor::QuantMode::kFp16:
-        ops::Fp16MatmulInto(*x_t, fp16_wx_, gates);
+        ops::Fp16MatmulInto(*x_t, fp16_wx_, act);
         ops::Fp16MatmulInto(*h, fp16_wh_, gates_h);
         break;
       case tensor::QuantMode::kOff:
-        ops::MatmulInto(*x_t, wx, gates);
+        ops::MatmulInto(*x_t, wx, act);
         ops::MatmulInto(*h, wh, gates_h);
         break;
     }
-    // Updates h and c in place.
-    ops::LstmCell(*gates, *gates_h, bias_.value, *c, c, h);
+    // The cell activates the gates in place: [i | f | g | o].
+    ops::LstmCell(*act, *gates_h, bias_.value, *c, c_next, h_next,
+                  record != nullptr ? act : nullptr, tanh_c);
+    h = h_next;
+    c = c_next;
     if (return_sequences_) {
       for (size_t n = 0; n < batch; ++n) {
         std::copy(h->data() + n * H, h->data() + (n + 1) * H,
@@ -146,7 +109,7 @@ const Tensor* Lstm::Forward(const Tensor& input, bool training,
       }
     }
   }
-  ws->Rewind(mark);
+  if (record == nullptr) ws->Rewind(mark);
   return return_sequences_ ? sequence_out : h;
 }
 
@@ -165,16 +128,15 @@ void Lstm::PrepareQuantized(tensor::QuantMode mode) {
 }
 
 Tensor Lstm::Backward(const Tensor& grad_output) {
-  const size_t batch = cached_batch_;
-  const size_t time = cached_time_;
+  record_.stamp.Check(Name());
+  const Tensor& input = *record_.input;
+  const size_t batch = input.dim(0);
+  const size_t time = input.dim(1);
   const size_t H = hidden_size_;
-  if (return_sequences_) {
-    APOTS_CHECK_EQ(grad_output.rank(), 3u);
-    APOTS_CHECK_EQ(grad_output.dim(1), time);
-  } else {
-    APOTS_CHECK_EQ(grad_output.rank(), 2u);
-    APOTS_CHECK_EQ(grad_output.dim(1), H);
-  }
+  APOTS_CHECK(grad_output.shape() ==
+              (return_sequences_ ? std::vector<size_t>{batch, time, H}
+                                 : std::vector<size_t>{batch, H}))
+      << Name() << ": the gradient's shape is not the recorded output's";
 
   Tensor grad_input({batch, time, input_size_});
   Tensor dh_next = Tensor::Zeros({batch, H});
@@ -185,10 +147,17 @@ Tensor Lstm::Backward(const Tensor& grad_output) {
       ops::PrepareRhsTransposed(weight_x_.value, batch, &wx_t_storage);
   const ops::PreparedRhs wh_t =
       ops::PrepareRhsTransposed(weight_h_.value, batch, &wh_t_storage);
+  Tensor x_t({batch, input_size_});
   Tensor dx({batch, input_size_});
 
   for (size_t t = time; t-- > 0;) {
-    const StepCache& step = steps_[t];
+    for (size_t n = 0; n < batch; ++n) {
+      const float* src = input.data() + (n * time + t) * input_size_;
+      std::copy(src, src + input_size_, x_t.data() + n * input_size_);
+    }
+    const Tensor& act = *record_.act[t];
+    const Tensor& tanh_c = *record_.tanh_c[t];
+    const Tensor& c_prev = *record_.c[t];
     // dh at this step = incoming-from-future + slice of grad_output.
     Tensor dh = dh_next;
     if (return_sequences_) {
@@ -205,9 +174,9 @@ Tensor Lstm::Backward(const Tensor& grad_output) {
     Tensor dgates({batch, 4 * H});
     Tensor dc_prev({batch, H});
     for (size_t n = 0; n < batch; ++n) {
-      const float* g_row = step.gates.data() + n * 4 * H;
-      const float* tc = step.tanh_c.data() + n * H;
-      const float* cp = step.c_prev.data() + n * H;
+      const float* g_row = act.data() + n * 4 * H;
+      const float* tc = tanh_c.data() + n * H;
+      const float* cp = c_prev.data() + n * H;
       const float* dh_row = dh.data() + n * H;
       const float* dcn = dc_next.data() + n * H;
       float* dg = dgates.data() + n * 4 * H;
@@ -233,9 +202,9 @@ Tensor Lstm::Backward(const Tensor& grad_output) {
     }
 
     // Parameter gradients.
-    ops::AddInPlace(&weight_x_.grad, ops::MatmulTransposeA(step.x, dgates));
+    ops::AddInPlace(&weight_x_.grad, ops::MatmulTransposeA(x_t, dgates));
     ops::AddInPlace(&weight_h_.grad,
-                    ops::MatmulTransposeA(step.h_prev, dgates));
+                    ops::MatmulTransposeA(*record_.h[t], dgates));
     ops::AddInPlace(&bias_.grad, ops::SumRows(dgates));
 
     // Input and recurrent gradients: dgates W_x^T and dgates W_h^T.

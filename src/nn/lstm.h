@@ -23,9 +23,14 @@ class Lstm : public Layer {
   Lstm(size_t input_size, size_t hidden_size, bool return_sequences,
        apots::Rng* rng);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) const override;
+  const Tensor* Forward(const Tensor& input,
+                        tensor::Workspace* ws) const override {
+    return Run(input, ws, nullptr);
+  }
+  const Tensor* RecordForward(const Tensor& input,
+                              tensor::Workspace* ws) override {
+    return Run(input, ws, &record_);
+  }
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(tensor::QuantMode mode) override;
   std::vector<Parameter*> Parameters() override;
@@ -34,6 +39,20 @@ class Lstm : public Layer {
   size_t hidden_size() const { return hidden_size_; }
 
  private:
+  /// What BPTT reads, all in the recorded forward's workspace. Step t reads
+  /// h[t] and c[t] (h[0] and c[0] are the zero initial state) and writes
+  /// h[t + 1] and c[t + 1], its activated gates act[t] ([batch, 4*hidden],
+  /// i|f|g|o) and tanh_c[t]. Backward slices x_t from `input` again.
+  struct Record {
+    RecordStamp stamp;
+    const Tensor* input = nullptr;  ///< [batch, time, input]
+    std::vector<Tensor*> h, c, act, tanh_c;
+  };
+
+  /// The forward body; `record` is null for inference.
+  const Tensor* Run(const Tensor& input, tensor::Workspace* ws,
+                    Record* record) const;
+
   size_t input_size_;
   size_t hidden_size_;
   bool return_sequences_;
@@ -41,23 +60,13 @@ class Lstm : public Layer {
   Parameter weight_x_;  ///< [input, 4*hidden]
   Parameter weight_h_;  ///< [hidden, 4*hidden]
   Parameter bias_;      ///< [4*hidden]
-  // Packed gate-matmul weights for reduced-precision inference; consulted
-  // only by the workspace inference Forward (see Layer::PrepareQuantized).
+  // Packed gate-matmul weights for reduced-precision inference; read only
+  // by the unrecorded Forward (see Layer::PrepareQuantized).
   tensor::QuantMode quant_mode_ = tensor::QuantMode::kOff;
   tensor::Int8Matrix int8_wx_, int8_wh_;
   tensor::Fp16Matrix fp16_wx_, fp16_wh_;
 
-  // Per-timestep caches for BPTT.
-  struct StepCache {
-    Tensor x;        ///< [batch, input]
-    Tensor h_prev;   ///< [batch, hidden]
-    Tensor c_prev;   ///< [batch, hidden]
-    Tensor gates;    ///< [batch, 4*hidden], post-activation (i,f,g,o)
-    Tensor tanh_c;   ///< [batch, hidden]
-  };
-  std::vector<StepCache> steps_;
-  size_t cached_batch_ = 0;
-  size_t cached_time_ = 0;
+  Record record_;
 };
 
 }  // namespace apots::nn

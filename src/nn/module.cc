@@ -6,10 +6,11 @@
 
 namespace apots::nn {
 
-const Tensor* Layer::Forward(const Tensor& input, bool training,
-                             tensor::Workspace* ws) const {
-  APOTS_CHECK(false) << Name() << " has no inference forward";
-  return nullptr;
+void RecordStamp::Check(const std::string& layer) const {
+  APOTS_CHECK(ws_ != nullptr)
+      << layer << ": Backward before a recorded forward";
+  APOTS_CHECK_EQ(ws_->generation(), generation_)
+      << layer << ": Backward after its workspace was reset";
 }
 
 void ZeroAllGrads(const std::vector<Parameter*>& params) {

@@ -29,10 +29,37 @@ struct Parameter {
   void ZeroGrad() { grad.Fill(0.0f); }
 };
 
-/// Base class for differentiable layers. Layers are stateful across a
-/// Forward/Backward pair: Forward caches whatever Backward needs, Backward
-/// consumes the cache, accumulates parameter gradients, and returns the
-/// gradient with respect to the layer input.
+/// Where a layer's recorded forward left what its Backward reads: the
+/// workspace and the generation it wrote in. Backward reads a record only
+/// when one was made and its workspace has not been reset since.
+class RecordStamp {
+ public:
+  /// Notes a recorded forward into `ws`'s current generation.
+  void Set(const tensor::Workspace* ws) {
+    ws_ = ws;
+    generation_ = ws->generation();
+  }
+  /// Dies, naming `layer`, unless a recorded forward came before and its
+  /// workspace was not reset since.
+  void Check(const std::string& layer) const;
+
+ private:
+  const tensor::Workspace* ws_ = nullptr;
+  size_t generation_ = 0;
+};
+
+/// The record of a layer whose Backward reads only its input.
+struct InputRecord {
+  RecordStamp stamp;
+  const Tensor* input = nullptr;
+};
+
+/// Base class for differentiable layers. Every layer has one forward body,
+/// reached two ways. Forward serves: it is const and writes nothing but its
+/// workspace. RecordForward trains: the same body, which also records into
+/// the workspace what Backward reads. Backward consumes that record,
+/// accumulates parameter gradients, and returns the gradient with respect
+/// to the layer input.
 ///
 /// Batch conventions: Dense-style layers take [batch, features]; ConvTrunk
 /// takes [batch, channels, height, width]; Lstm takes
@@ -44,34 +71,33 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Computes the layer output. `training` marks the training path; no
-  /// layer behaves differently under it. This allocating forward is the
-  /// training path and the bitwise reference of the inference forward
-  /// below.
-  virtual Tensor Forward(const Tensor& input, bool training) = 0;
+  /// Inference forward: borrows the output (and any scratch) from `ws` and
+  /// writes no layer state, so concurrent inference forwards on a shared
+  /// layer are safe. Runs at the precision PrepareQuantized chose. The
+  /// returned pointer lives until `ws->Reset()`.
+  virtual const Tensor* Forward(const Tensor& input,
+                                tensor::Workspace* ws) const = 0;
 
-  /// Inference forward: borrows the output (and any scratch) from `ws`
-  /// instead of allocating and writes no layer state, so concurrent
-  /// inference forwards on a shared layer are safe. Bitwise identical to
-  /// the allocating Forward; `training` must be false (checked). The
-  /// returned pointer lives until `ws->Reset()`; it may alias `&input` for
-  /// identity layers. The default fails: only layers that run at inference
-  /// have a body.
-  virtual const Tensor* Forward(const Tensor& input, bool training,
-                                tensor::Workspace* ws) const;
+  /// Training forward: Forward's body at fp32, which also records in `ws`
+  /// what Backward reads and keeps those slots (no scratch is rewound).
+  /// The record may point at `input`, which must stay alive and unchanged
+  /// until Backward; predictors keep theirs in the same workspace.
+  virtual const Tensor* RecordForward(const Tensor& input,
+                                      tensor::Workspace* ws) = 0;
 
-  /// Backpropagates `grad_output` (gradient of the loss w.r.t. this layer's
-  /// output), accumulating into parameter grads, and returns the gradient
-  /// w.r.t. the layer's input. Must be called after a matching Forward.
+  /// Backpropagates `grad_output` (gradient of the loss w.r.t. the output
+  /// of the last RecordForward), accumulating into parameter grads, and
+  /// returns the gradient w.r.t. the layer's input. Dies unless a
+  /// RecordForward came before and its workspace was not reset since.
   virtual Tensor Backward(const Tensor& grad_output) = 0;
 
   /// Packs this layer's frozen weights for reduced-precision inference
-  /// (tensor::QuantMode). Only the workspace inference Forward consults the
-  /// packed weights; training and the allocating Forward always run fp32,
-  /// so gradients are unaffected. The packed copy snapshots the weights at
-  /// call time — call again after any weight mutation, or with kOff to
-  /// drop the packed copy and return to exact fp32 inference. Default:
-  /// no-op (layers without matmul weights have nothing to quantize).
+  /// (tensor::QuantMode). Only the unrecorded Forward reads the packed
+  /// weights; recorded forwards run fp32, so gradients are unaffected.
+  /// The packed copy snapshots the weights at call time — call again after
+  /// any weight mutation, or with kOff to drop the packed copy and return
+  /// to exact fp32 inference. Default: no-op (layers without matmul
+  /// weights have nothing to quantize).
   virtual void PrepareQuantized(tensor::QuantMode mode) { (void)mode; }
 
   /// Trainable parameters (empty for stateless layers). Pointers remain

@@ -7,21 +7,17 @@ Layer* Sequential::Add(std::unique_ptr<Layer> layer) {
   return layers_.back().get();
 }
 
-Tensor Sequential::Forward(const Tensor& input, bool training) {
-  Tensor current = input;
-  for (auto& layer : layers_) {
-    current = layer->Forward(current, training);
-  }
+const Tensor* Sequential::Forward(const Tensor& input,
+                                  tensor::Workspace* ws) const {
+  const Tensor* current = &input;
+  for (const auto& layer : layers_) current = layer->Forward(*current, ws);
   return current;
 }
 
-const Tensor* Sequential::Forward(const Tensor& input, bool training,
-                                  tensor::Workspace* ws) const {
-  APOTS_CHECK(!training);
+const Tensor* Sequential::RecordForward(const Tensor& input,
+                                        tensor::Workspace* ws) {
   const Tensor* current = &input;
-  for (auto& layer : layers_) {
-    current = layer->Forward(*current, training, ws);
-  }
+  for (auto& layer : layers_) current = layer->RecordForward(*current, ws);
   return current;
 }
 

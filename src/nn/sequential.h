@@ -27,9 +27,10 @@ class Sequential : public Layer {
     return raw;
   }
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  const Tensor* Forward(const Tensor& input, bool training,
+  const Tensor* Forward(const Tensor& input,
                         tensor::Workspace* ws) const override;
+  const Tensor* RecordForward(const Tensor& input,
+                              tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(tensor::QuantMode mode) override;
   std::vector<Parameter*> Parameters() override;

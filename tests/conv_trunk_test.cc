@@ -1,12 +1,13 @@
 // nn::ConvTrunk against its per-sample oracle (conv_reference.h), bit for
-// bit: outputs of both forwards, the input gradient and every parameter
-// gradient. The trunk runs each layer as one im2col and one product over a
-// channel-major batch (or over blocks of samples, in the workspace
-// forward), so these cases cross the things that could move a bit: batch
-// sizes around the workspace forward's blocks and the 16-row panel
-// threshold, 1x1 and 3x3 kernels, 1 and 16 channels (products of 1, 15,
-// 16 and 17 rows), both output layouts, pool sizes 1 and 4, and a trunk
-// run inside a pool task, where every kernel runs inline.
+// bit: outputs of the inference and the recorded forward, the input
+// gradient and every parameter gradient. The trunk runs each layer as one
+// im2col and one product over a channel-major batch (over blocks of
+// samples, in the inference forward), so these cases cross the things that
+// could move a bit: batch sizes around the inference forward's blocks and
+// the 16-row panel threshold, 1x1 and 3x3 kernels, 1 and 16 channels
+// (products of 1, 15, 16 and 17 rows), both output layouts, pool sizes 1
+// and 4, and a trunk run inside a pool task, where every kernel runs
+// inline.
 
 #include <cstring>
 #include <string>
@@ -103,12 +104,12 @@ TEST_P(ConvTrunkOracleTest, MatchesPerSampleConvBitwise) {
 
   const auto check = [&](const std::string& where) {
     tensor::Workspace ws;
-    ExpectBitIdentical(expected.output,
-                       *trunk.Forward(input, /*training=*/false, &ws),
-                       where + " workspace forward");
+    ExpectBitIdentical(expected.output, *trunk.Forward(input, &ws),
+                       where + " inference forward");
     ZeroAllGrads(trunk.Parameters());
-    ExpectBitIdentical(expected.output, trunk.Forward(input, true),
-                       where + " forward");
+    tensor::Workspace record_ws;
+    ExpectBitIdentical(expected.output, *trunk.RecordForward(input, &record_ws),
+                       where + " recorded forward");
     ExpectBitIdentical(expected.grad_input, trunk.Backward(grad_output)
                                                 .Reshape(expected.grad_input
                                                              .shape()),
@@ -142,15 +143,16 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The gradients accumulate across Backward calls like every layer's, and a
-// second Forward on a different batch size replaces the cache.
+// second recorded forward on a different batch size replaces the record.
+// The trunk records its own copy of the input, so the batch may go first.
 TEST(ConvTrunkTest, BackwardAccumulatesAndForwardRecaches) {
   apots::Rng rng(3);
   ConvTrunk trunk(1, 5, 4, {3, 2}, {3, 1}, ConvTrunk::Layout::kFlat, &rng);
-  const Tensor small = Random({2, 5, 4}, 4);
   const Tensor grad_small = Random({2, 2 * 5 * 4}, 5);
   ZeroAllGrads(trunk.Parameters());
-  (void)trunk.Forward(Random({7, 5, 4}, 6), true);
-  (void)trunk.Forward(small, true);
+  tensor::Workspace ws;
+  (void)trunk.RecordForward(Random({7, 5, 4}, 6), &ws);
+  (void)trunk.RecordForward(Random({2, 5, 4}, 4), &ws);
   (void)trunk.Backward(grad_small);
   const Tensor once = trunk.Parameters()[0]->grad;
   (void)trunk.Backward(grad_small);
@@ -160,18 +162,36 @@ TEST(ConvTrunkTest, BackwardAccumulatesAndForwardRecaches) {
   }
 }
 
-// The workspace forward's blocks reuse their slots: a 64-sample forward
+// The inference forward's blocks reuse their slots: a 64-sample forward
 // holds one block's columns and activations, not the batch's.
 TEST(ConvTrunkTest, WorkspaceHoldsOneBlockOfScratch) {
   apots::Rng rng(8);
   const ConvTrunk trunk(1, 13, 12, {16, 4, 8}, {3, 1, 3},
                         ConvTrunk::Layout::kSequence, &rng);
   tensor::Workspace ws;
-  (void)trunk.Forward(Random({64, 13, 12}, 9), false, &ws);
+  (void)trunk.Forward(Random({64, 13, 12}, 9), &ws);
   const size_t batch_scratch = (1 + 9 + 16 + 4 + 36 + 8) * 64 * 13 * 12;
   const size_t output = 8 * 64 * 13 * 12;
   EXPECT_LT(ws.high_water_floats(), output + batch_scratch / 4);
   EXPECT_EQ(ws.slots_in_use(), 7u);
+}
+
+// Backward reads the last recorded forward's record: it dies when there is
+// none, or when that forward's workspace was reset since.
+TEST(ConvTrunkTest, BackwardNeedsALiveRecord) {
+  apots::Rng rng(10);
+  ConvTrunk trunk(1, 5, 4, {3, 2}, {3, 1}, ConvTrunk::Layout::kFlat, &rng);
+  const Tensor input = Random({2, 5, 4}, 11);
+  const Tensor grad = Random({2, 2 * 5 * 4}, 12);
+  EXPECT_DEATH((void)trunk.Backward(grad),
+               "Backward before a recorded forward");
+  tensor::Workspace ws;
+  (void)trunk.RecordForward(input, &ws);
+  (void)trunk.Forward(input, &ws);
+  (void)trunk.Backward(grad);
+  ws.Reset();
+  EXPECT_DEATH((void)trunk.Backward(grad),
+               "Backward after its workspace was reset");
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ TEST(DiscriminatorTest, LogitShape) {
   apots::Rng rng(1);
   Discriminator disc(DiscriminatorHparams::Scaled(8), 12, 20, &rng);
   const Tensor out =
-      disc.Forward(Random({5, 12}, 2), Random({5, 20}, 3), false);
+      disc.Forward(Random({5, 12}, 2), Random({5, 20}, 3));
   EXPECT_EQ(out.rows(), 5u);
   EXPECT_EQ(out.cols(), 1u);
 }
@@ -38,17 +38,38 @@ TEST(DiscriminatorTest, LogitShape) {
 TEST(DiscriminatorTest, UnconditionedWhenContextWidthZero) {
   apots::Rng rng(4);
   Discriminator disc(DiscriminatorHparams::Scaled(8), 12, 0, &rng);
-  const Tensor out = disc.Forward(Random({3, 12}, 5), Tensor(), false);
+  const Tensor out = disc.Forward(Random({3, 12}, 5), Tensor());
   EXPECT_EQ(out.rows(), 3u);
 }
 
 TEST(DiscriminatorTest, BackwardReturnsSequenceGradientOnly) {
   apots::Rng rng(6);
   Discriminator disc(DiscriminatorHparams::Scaled(8), 12, 20, &rng);
-  (void)disc.Forward(Random({4, 12}, 7), Random({4, 20}, 8), true);
+  (void)disc.Forward(Random({4, 12}, 7), Random({4, 20}, 8));
   const Tensor grad = disc.Backward(Random({4, 1}, 9));
   EXPECT_EQ(grad.rows(), 4u);
   EXPECT_EQ(grad.cols(), 12u);
+}
+
+// D records into its own workspace, which stops growing: a second step at
+// the same batch size adds no slots and no floats.
+TEST(DiscriminatorTest, SecondStepAddsNoSlotsOrFloats) {
+  apots::Rng rng(16);
+  Discriminator disc(DiscriminatorHparams::Scaled(8), 12, 20, &rng);
+  for (size_t rows : {15u, 16u, 17u, 192u}) {
+    size_t slots = 0, floats = 0;
+    for (int step = 0; step < 2; ++step) {
+      (void)disc.Forward(Random({rows, 12}, 17), Random({rows, 20}, 18));
+      (void)disc.Backward(Random({rows, 1}, 19));
+      const tensor::Workspace& ws = disc.training_workspace();
+      if (step == 1) {
+        EXPECT_EQ(ws.capacity_slots(), slots) << rows;
+        EXPECT_EQ(ws.capacity_floats(), floats) << rows;
+      }
+      slots = ws.capacity_slots();
+      floats = ws.capacity_floats();
+    }
+  }
 }
 
 TEST(DiscriminatorTest, FiveFullyConnectedLayers) {
@@ -72,16 +93,16 @@ TEST(DiscriminatorTest, CanLearnASimpleSeparation) {
     }
   }
   for (int step = 0; step < 200; ++step) {
-    Tensor rl = disc.Forward(real, Tensor(), true);
+    Tensor rl = disc.Forward(real, Tensor());
     auto rloss = apots::nn::BceWithLogitsLoss(rl, Tensor::Full({16, 1}, 1.0f));
     disc.Backward(rloss.grad);
-    Tensor fl = disc.Forward(fake, Tensor(), true);
+    Tensor fl = disc.Forward(fake, Tensor());
     auto floss = apots::nn::BceWithLogitsLoss(fl, Tensor::Full({16, 1}, 0.0f));
     disc.Backward(floss.grad);
     opt.StepAndZero(disc.Parameters());
   }
-  const Tensor rl = disc.Forward(real, Tensor(), false);
-  const Tensor fl = disc.Forward(fake, Tensor(), false);
+  const Tensor rl = disc.Forward(real, Tensor());
+  const Tensor fl = disc.Forward(fake, Tensor());
   for (size_t n = 0; n < 16; ++n) {
     EXPECT_GT(rl[n], 0.0f);
     EXPECT_LT(fl[n], 0.0f);
@@ -156,7 +177,7 @@ TEST_F(TrainerFixture, PredictedSequencesMatchSinglePredictions) {
   AdversarialTrainer trainer(&predictor, nullptr, &assembler_,
                              MakeTrainConfig(false));
   const std::vector<long> anchors = {50, 80};
-  const Tensor sequences = trainer.PredictedSequences(anchors, false);
+  const Tensor sequences = trainer.PredictedSequences(anchors);
   ASSERT_EQ(sequences.rows(), 2u);
   ASSERT_EQ(sequences.cols(), 12u);
   // Entry (n, i) is the prediction anchored at anchors[n] - 12 + 1 + i.

@@ -1,6 +1,6 @@
 // Bitwise-equivalence and accounting tests for the batched inference
 // runtime: batched predictions must equal a per-anchor loop over the
-// allocating training forward bit for bit at any batch size, pool size,
+// recorded training forward bit for bit at any batch size, pool size,
 // and cache temperature, for every predictor family; fallback counts must
 // not depend on whether the batch grid was walked serially or in
 // parallel.
@@ -48,8 +48,8 @@ ApotsConfig ConfigFor(PredictorType type) {
   return config;
 }
 
-// The bitwise reference: one allocating (training-path) forward per
-// anchor, outside the runtime.
+// The bitwise reference: one recorded fp32 training forward per anchor,
+// outside the runtime.
 std::vector<double> ReferenceKmh(ApotsModel& model,
                                  const std::vector<long>& anchors) {
   std::vector<double> out;

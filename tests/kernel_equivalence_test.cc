@@ -594,13 +594,14 @@ TEST_F(LstmCellKernelTest, OneLaneWithinBoundOfLibm) {
   EXPECT_EQ(edges.act[8], -1.0f);
 }
 
-/// Both Lstm forwards on one input; H = 13 runs one vector block and a
-/// five-unit tail per row.
-void RunBothForwards(nn::Lstm* lstm, const Tensor& input, Tensor* allocating,
-                     Tensor* arena) {
-  *allocating = lstm->Forward(input, /*training=*/false);
+/// The recorded (training) and the inference forward of an Lstm on one
+/// input; H = 13 runs one vector block and a five-unit tail per row.
+void RunBothForwards(nn::Lstm* lstm, const Tensor& input, Tensor* recorded,
+                     Tensor* inference) {
+  Workspace record_ws;
+  *recorded = *lstm->RecordForward(input, &record_ws);
   Workspace ws;
-  *arena = *lstm->Forward(input, /*training=*/false, &ws);
+  *inference = *lstm->Forward(input, &ws);
 }
 
 TEST_F(LstmCellKernelTest, NanWeightOrInputReachesH) {
@@ -613,12 +614,12 @@ TEST_F(LstmCellKernelTest, NanWeightOrInputReachesH) {
     apots::Rng rng(5);
     nn::Lstm lstm(6, 13, /*return_sequences=*/false, &rng);
     const Tensor input = Random({3, 4, 6}, 17);
-    Tensor allocating, arena;
+    Tensor recorded, inference;
 
     Tensor nan_input = input;
     nan_input[(1 * 4 + 0) * 6 + 2] = std::numeric_limits<float>::quiet_NaN();
-    RunBothForwards(&lstm, nan_input, &allocating, &arena);
-    for (const Tensor* h : {&allocating, &arena}) {
+    RunBothForwards(&lstm, nan_input, &recorded, &inference);
+    for (const Tensor* h : {&recorded, &inference}) {
       for (size_t n = 0; n < 3; ++n) {
         for (size_t j = 0; j < 13; ++j) {
           EXPECT_EQ(std::isnan(h->At(n, j)), n == 1) << n << "," << j;
@@ -629,8 +630,8 @@ TEST_F(LstmCellKernelTest, NanWeightOrInputReachesH) {
     // Unit 0's input-gate column: a lane of the vector block. After one
     // step the recurrence carries the NaN to every unit.
     lstm.Parameters()[0]->value[0] = std::numeric_limits<float>::quiet_NaN();
-    RunBothForwards(&lstm, input, &allocating, &arena);
-    for (const Tensor* h : {&allocating, &arena}) {
+    RunBothForwards(&lstm, input, &recorded, &inference);
+    for (const Tensor* h : {&recorded, &inference}) {
       for (size_t i = 0; i < h->size(); ++i) {
         EXPECT_TRUE(std::isnan((*h)[i])) << i;
       }
@@ -638,17 +639,23 @@ TEST_F(LstmCellKernelTest, NanWeightOrInputReachesH) {
   }
 }
 
-TEST_F(LstmCellKernelTest, ArenaForwardMatchesAllocatingForward) {
-  for (bool sequences : {false, true}) {
-    for (SimdIsa rung : kRungs) {
-      internal::OverrideIsaForTesting(rung);
-      SCOPED_TRACE(::testing::Message()
-                   << IsaName(DetectedIsa()) << " sequences " << sequences);
-      apots::Rng rng(9);
-      nn::Lstm lstm(6, 13, sequences, &rng);
-      Tensor allocating, arena;
-      RunBothForwards(&lstm, Random({5, 7, 6}, 23), &allocating, &arena);
-      ExpectSameBits(arena, allocating, "arena vs allocating");
+// The row counts put the gate products on both sides of the 16-row panel
+// threshold; 192 is an adversarial round's batch.
+TEST_F(LstmCellKernelTest, RecordedForwardMatchesInferenceForward) {
+  for (size_t rows : {5u, 15u, 16u, 17u, 192u}) {
+    for (bool sequences : {false, true}) {
+      for (SimdIsa rung : kRungs) {
+        internal::OverrideIsaForTesting(rung);
+        SCOPED_TRACE(::testing::Message() << IsaName(DetectedIsa()) << " rows "
+                                          << rows << " sequences "
+                                          << sequences);
+        apots::Rng rng(9);
+        nn::Lstm lstm(6, 13, sequences, &rng);
+        Tensor recorded, inference;
+        RunBothForwards(&lstm, Random({rows, 7, 6}, 23), &recorded,
+                        &inference);
+        ExpectSameBits(inference, recorded, "inference vs recorded");
+      }
     }
   }
 }

@@ -18,6 +18,7 @@
 #include "nn/lstm.h"
 #include "nn/sequential.h"
 #include "tensor/tensor_ops.h"
+#include "tensor/workspace.h"
 #include "util/rng.h"
 
 namespace apots::nn {
@@ -40,7 +41,8 @@ constexpr double kEpsilon = 1e-2;
 // Checks a layer at the given input shape; forward must define the output
 // shape, so we run one forward to size the loss weights.
 void CheckLayer(Layer* layer, const Tensor& input, double tolerance = 2e-2) {
-  const Tensor probe = layer->Forward(input, false);
+  tensor::Workspace ws;
+  const Tensor& probe = *layer->Forward(input, &ws);
   apots::Rng rng(99);
   Tensor weights(probe.shape());
   apots::tensor::FillUniform(&weights, &rng, -1.0f, 1.0f);
@@ -164,8 +166,9 @@ TEST(GradientTest, StackedMlp) {
   // pre-activation by at most a few epsilon at these weights (|W| <= 0.87).
   constexpr float kMargin = 10 * kEpsilon;
   const auto hidden = [&](const Tensor& x, Tensor* h1, Tensor* h2) {
-    *h1 = first->Forward(x, false);
-    *h2 = second->Forward(leaky->Forward(*h1, false), false);
+    tensor::Workspace ws;
+    *h1 = *first->Forward(x, &ws);
+    *h2 = *second->Forward(*leaky->Forward(*h1, &ws), &ws);
   };
   Tensor input({3, 6});
   Tensor h1, h2;
@@ -205,18 +208,21 @@ TEST(GradientCheckerSelfTest, FlagsAWrongGradient) {
   // A layer lying about its gradient must be caught by the checker.
   class LyingLayer : public Layer {
    public:
-    Tensor Forward(const Tensor& input, bool) override {
-      cached_ = input;
-      return apots::tensor::Scale(input, 2.0f);
+    const Tensor* Forward(const Tensor& input,
+                          tensor::Workspace* ws) const override {
+      Tensor* out = ws->Acquire(input.shape());
+      *out = apots::tensor::Scale(input, 2.0f);
+      return out;
+    }
+    const Tensor* RecordForward(const Tensor& input,
+                                tensor::Workspace* ws) override {
+      return Forward(input, ws);
     }
     Tensor Backward(const Tensor& grad) override {
       // True gradient is 2 * grad; report 3 * grad.
       return apots::tensor::Scale(grad, 3.0f);
     }
     std::string Name() const override { return "LyingLayer"; }
-
-   private:
-    Tensor cached_;
   };
   LyingLayer layer;
   const Tensor input = Random({2, 3}, 11);
@@ -228,8 +234,15 @@ TEST(GradientCheckerSelfTest, FlagsAWrongGradient) {
 TEST(GradientCheckerSelfTest, AcceptsACorrectGradient) {
   class HonestLayer : public Layer {
    public:
-    Tensor Forward(const Tensor& input, bool) override {
-      return apots::tensor::Scale(input, 2.0f);
+    const Tensor* Forward(const Tensor& input,
+                          tensor::Workspace* ws) const override {
+      Tensor* out = ws->Acquire(input.shape());
+      *out = apots::tensor::Scale(input, 2.0f);
+      return out;
+    }
+    const Tensor* RecordForward(const Tensor& input,
+                                tensor::Workspace* ws) override {
+      return Forward(input, ws);
     }
     Tensor Backward(const Tensor& grad) override {
       return apots::tensor::Scale(grad, 2.0f);

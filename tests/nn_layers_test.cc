@@ -30,7 +30,9 @@ Tensor Random(std::vector<size_t> shape, uint64_t seed) {
 TEST(DenseTest, OutputShape) {
   apots::Rng rng(1);
   Dense layer(5, 3, &rng);
-  const Tensor out = layer.Forward(Random({4, 5}, 2), true);
+  tensor::Workspace ws;
+  const Tensor input = Random({4, 5}, 2);
+  const Tensor& out = *layer.RecordForward(input, &ws);
   EXPECT_EQ(out.rows(), 4u);
   EXPECT_EQ(out.cols(), 3u);
 }
@@ -38,7 +40,8 @@ TEST(DenseTest, OutputShape) {
 TEST(DenseTest, ZeroInputYieldsBias) {
   apots::Rng rng(1);
   Dense layer(3, 2, &rng);
-  const Tensor out = layer.Forward(Tensor::Zeros({1, 3}), false);
+  tensor::Workspace ws;
+  const Tensor& out = *layer.Forward(Tensor::Zeros({1, 3}), &ws);
   // Bias starts at zero, so output must be exactly zero.
   EXPECT_FLOAT_EQ(out[0], 0.0f);
   EXPECT_FLOAT_EQ(out[1], 0.0f);
@@ -56,8 +59,9 @@ TEST(DenseTest, ParametersExposed) {
 
 TEST(ReluTest, ClampsNegatives) {
   Relu relu;
-  const Tensor out =
-      relu.Forward(Tensor::FromVector({-2.0f, 0.0f, 3.0f}), true);
+  tensor::Workspace ws;
+  const Tensor& out =
+      *relu.Forward(Tensor::FromVector({-2.0f, 0.0f, 3.0f}), &ws);
   EXPECT_FLOAT_EQ(out[0], 0.0f);
   EXPECT_FLOAT_EQ(out[1], 0.0f);
   EXPECT_FLOAT_EQ(out[2], 3.0f);
@@ -65,7 +69,8 @@ TEST(ReluTest, ClampsNegatives) {
 
 TEST(LeakyReluTest, ScalesNegatives) {
   LeakyRelu leaky(0.1f);
-  const Tensor out = leaky.Forward(Tensor::FromVector({-2.0f, 3.0f}), true);
+  tensor::Workspace ws;
+  const Tensor& out = *leaky.Forward(Tensor::FromVector({-2.0f, 3.0f}), &ws);
   EXPECT_FLOAT_EQ(out[0], -0.2f);
   EXPECT_FLOAT_EQ(out[1], 3.0f);
 }
@@ -109,15 +114,15 @@ TEST(ActivationPassTest, ReluAndLeakyReluKeepTheScalarLoopsBits) {
     if (x[i] < 0.0f) leaky_grad[i] *= slope;
   }
 
-  Relu r;
-  ExpectSameBits(r.Forward(x, /*training=*/true), relu, "relu forward");
-  ExpectSameBits(r.Backward(g), relu_grad, "relu backward");
   tensor::Workspace ws;
-  ExpectSameBits(*r.Forward(x, /*training=*/false, &ws), relu,
-                 "relu workspace forward");
+  Relu r;
+  ExpectSameBits(*r.RecordForward(x, &ws), relu, "relu recorded forward");
+  ExpectSameBits(r.Backward(g), relu_grad, "relu backward");
+  ExpectSameBits(*r.Forward(x, &ws), relu, "relu inference forward");
   LeakyRelu l(slope);
-  ExpectSameBits(l.Forward(x, /*training=*/true), leaky, "leaky forward");
+  ExpectSameBits(*l.RecordForward(x, &ws), leaky, "leaky recorded forward");
   ExpectSameBits(l.Backward(g), leaky_grad, "leaky backward");
+  ExpectSameBits(*l.Forward(x, &ws), leaky, "leaky inference forward");
 
   // The asymmetries the bits carry: Relu's forward maps NaN and -0 to +0
   // but its backward passes the gradient at NaN; LeakyRelu leaves NaN and
@@ -139,11 +144,12 @@ TEST(Conv2dTest, SamePaddingPreservesSpatialShape) {
   apots::Rng rng(8);
   ConvTrunk flat(1, 13, 12, {4}, {3}, ConvTrunk::Layout::kFlat, &rng);
   const Tensor image = Random({2, 1, 13, 12}, 9);
-  const Tensor out = flat.Forward(image, true);
+  tensor::Workspace ws;
+  const Tensor& out = *flat.RecordForward(image, &ws);
   EXPECT_EQ(out.shape(), (std::vector<size_t>{2, 4 * 13 * 12}));
   // The sequence layout keeps the 12 columns as time steps.
   ConvTrunk sequence(1, 13, 12, {4}, {3}, ConvTrunk::Layout::kSequence, &rng);
-  EXPECT_EQ(sequence.Forward(image, true).shape(),
+  EXPECT_EQ(sequence.RecordForward(image, &ws)->shape(),
             (std::vector<size_t>{2, 12, 4 * 13}));
 }
 
@@ -151,7 +157,8 @@ TEST(Conv2dTest, OneByOneKernelIsPerPixelDense) {
   apots::Rng rng(10);
   ConvTrunk conv(2, 3, 3, {1}, {1}, ConvTrunk::Layout::kFlat, &rng);
   Tensor in = Random({1, 2, 3, 3}, 11);
-  const Tensor out = conv.Forward(in, true);
+  tensor::Workspace ws;
+  const Tensor& out = *conv.Forward(in, &ws);
   // Manually compute pixel (1,1): relu(w0*c0 + w1*c1 + b).
   auto params = conv.Parameters();
   const float w0 = params[0]->value[0];
@@ -165,7 +172,8 @@ TEST(Conv2dTest, OneByOneKernelIsPerPixelDense) {
 TEST(Conv2dTest, ConstantImageUniformInterior) {
   apots::Rng rng(12);
   ConvTrunk conv(1, 5, 5, {1}, {3}, ConvTrunk::Layout::kFlat, &rng);
-  const Tensor out = conv.Forward(Tensor::Full({1, 1, 5, 5}, 1.0f), true);
+  tensor::Workspace ws;
+  const Tensor& out = *conv.Forward(Tensor::Full({1, 1, 5, 5}, 1.0f), &ws);
   // All interior pixels see the same receptive field.
   const float centre = out[2 * 5 + 2];
   EXPECT_NEAR(out[1 * 5 + 1], centre, 1e-5f);
@@ -175,7 +183,9 @@ TEST(Conv2dTest, ConstantImageUniformInterior) {
 TEST(LstmTest, LastStateShape) {
   apots::Rng rng(13);
   Lstm lstm(5, 7, /*return_sequences=*/false, &rng);
-  const Tensor out = lstm.Forward(Random({3, 12, 5}, 14), true);
+  tensor::Workspace ws;
+  const Tensor input = Random({3, 12, 5}, 14);
+  const Tensor& out = *lstm.RecordForward(input, &ws);
   EXPECT_EQ(out.rows(), 3u);
   EXPECT_EQ(out.cols(), 7u);
 }
@@ -183,7 +193,9 @@ TEST(LstmTest, LastStateShape) {
 TEST(LstmTest, SequenceShape) {
   apots::Rng rng(15);
   Lstm lstm(5, 7, /*return_sequences=*/true, &rng);
-  const Tensor out = lstm.Forward(Random({3, 12, 5}, 16), true);
+  tensor::Workspace ws;
+  const Tensor input = Random({3, 12, 5}, 16);
+  const Tensor& out = *lstm.RecordForward(input, &ws);
   EXPECT_EQ(out.dim(0), 3u);
   EXPECT_EQ(out.dim(1), 12u);
   EXPECT_EQ(out.dim(2), 7u);
@@ -194,8 +206,9 @@ TEST(LstmTest, SequenceLastStepMatchesLastState) {
   Lstm seq(4, 6, true, &rng_a);
   Lstm last(4, 6, false, &rng_b);  // identical weights from identical seed
   const Tensor in = Random({2, 9, 4}, 18);
-  const Tensor seq_out = seq.Forward(in, true);
-  const Tensor last_out = last.Forward(in, true);
+  tensor::Workspace ws;
+  const Tensor& seq_out = *seq.RecordForward(in, &ws);
+  const Tensor& last_out = *last.RecordForward(in, &ws);
   for (size_t n = 0; n < 2; ++n) {
     for (size_t h = 0; h < 6; ++h) {
       EXPECT_FLOAT_EQ(seq_out.At3(n, 8, h), last_out.At(n, h));
@@ -207,7 +220,8 @@ TEST(LstmTest, OutputBounded) {
   // h = o * tanh(c) with o in (0,1): |h| < 1 always.
   apots::Rng rng(19);
   Lstm lstm(3, 5, false, &rng);
-  const Tensor out = lstm.Forward(Random({4, 20, 3}, 20), true);
+  tensor::Workspace ws;
+  const Tensor& out = *lstm.Forward(Random({4, 20, 3}, 20), &ws);
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_LT(std::fabs(out[i]), 1.0f);
   }
@@ -231,8 +245,9 @@ TEST(SequentialTest, ChainsLayersAndCollectsParams) {
   net.Emplace<Dense>(4, 2, &rng);
   EXPECT_EQ(net.NumLayers(), 3u);
   EXPECT_EQ(net.Parameters().size(), 4u);
-  const Tensor out = net.Forward(Random({3, 6}, 23), true);
-  EXPECT_EQ(out.cols(), 2u);
+  tensor::Workspace ws;
+  const Tensor input = Random({3, 6}, 23);
+  EXPECT_EQ(net.RecordForward(input, &ws)->cols(), 2u);
   const Tensor grad = net.Backward(Random({3, 2}, 24));
   EXPECT_EQ(grad.cols(), 6u);
 }
@@ -245,6 +260,76 @@ TEST(SequentialTest, NameListsLayers) {
   const std::string name = net.Name();
   EXPECT_NE(name.find("Dense(2 -> 2)"), std::string::npos);
   EXPECT_NE(name.find("Relu"), std::string::npos);
+}
+
+/// Backward reads the record of the last recorded forward: it dies when no
+/// recorded forward came before it, or when that forward's workspace was
+/// reset since. An inference forward in between leaves the record alone.
+void ExpectBackwardNeedsALiveRecord(Layer* layer, const Tensor& input,
+                                    const Tensor& grad) {
+  EXPECT_DEATH((void)layer->Backward(grad),
+               "Backward before a recorded forward");
+  tensor::Workspace ws;
+  (void)layer->RecordForward(input, &ws);
+  (void)layer->Forward(input, &ws);
+  (void)layer->Backward(grad);
+  ws.Reset();
+  EXPECT_DEATH((void)layer->Backward(grad),
+               "Backward after its workspace was reset");
+}
+
+TEST(DenseTest, BackwardNeedsALiveRecord) {
+  apots::Rng rng(26);
+  Dense layer(5, 3, &rng);
+  ExpectBackwardNeedsALiveRecord(&layer, Random({4, 5}, 27),
+                                 Random({4, 3}, 28));
+}
+
+TEST(ReluTest, BackwardNeedsALiveRecord) {
+  Relu layer;
+  ExpectBackwardNeedsALiveRecord(&layer, Random({4, 5}, 29),
+                                 Random({4, 5}, 30));
+}
+
+TEST(LeakyReluTest, BackwardNeedsALiveRecord) {
+  LeakyRelu layer;
+  ExpectBackwardNeedsALiveRecord(&layer, Random({4, 5}, 31),
+                                 Random({4, 5}, 32));
+}
+
+TEST(LstmTest, BackwardNeedsALiveRecord) {
+  apots::Rng rng(33);
+  Lstm layer(5, 4, /*return_sequences=*/true, &rng);
+  ExpectBackwardNeedsALiveRecord(&layer, Random({4, 6, 5}, 34),
+                                 Random({4, 6, 4}, 35));
+}
+
+TEST(SequentialTest, BackwardNeedsALiveRecord) {
+  apots::Rng rng(36);
+  Sequential net;
+  net.Emplace<Dense>(6, 4, &rng);
+  net.Emplace<LeakyRelu>();
+  net.Emplace<Dense>(4, 2, &rng);
+  ExpectBackwardNeedsALiveRecord(&net, Random({3, 6}, 37),
+                                 Random({3, 2}, 38));
+}
+
+// Backward checks the whole gradient against the recorded output's shape:
+// BPTT reads every row the record has, so a gradient with fewer rows would
+// be read past its end.
+TEST(LstmTest, BackwardRefusesAGradientOfAnotherShape) {
+  apots::Rng rng(39);
+  for (bool sequences : {true, false}) {
+    Lstm lstm(5, 4, sequences, &rng);
+    const Tensor input = Random({4, 6, 5}, 40);
+    tensor::Workspace ws;
+    (void)lstm.RecordForward(input, &ws);
+    const Tensor short_grad =
+        sequences ? Random({2, 6, 4}, 41) : Random({2, 4}, 41);
+    EXPECT_DEATH((void)lstm.Backward(short_grad),
+                 "not the recorded output's")
+        << sequences;
+  }
 }
 
 TEST(ModuleTest, GradNormAndClip) {

@@ -7,6 +7,7 @@
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "tensor/tensor_ops.h"
+#include "tensor/workspace.h"
 #include "util/rng.h"
 
 namespace apots::nn {
@@ -134,8 +135,10 @@ TEST(TrainingTest, DenseRegressionLearnsLinearMap) {
     targets[i] = 2.0f * inputs.At(i, 0) - inputs.At(i, 1) + 0.5f;
   }
   float last = 0.0f;
+  tensor::Workspace ws;
   for (int epoch = 0; epoch < 400; ++epoch) {
-    const Tensor out = layer.Forward(inputs, true);
+    ws.Reset();
+    const Tensor& out = *layer.RecordForward(inputs, &ws);
     const LossResult loss = MseLoss(out, targets);
     layer.Backward(loss.grad);
     adam.StepAndZero(layer.Parameters());

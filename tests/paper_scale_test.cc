@@ -77,7 +77,7 @@ TEST(PaperScaleTest, DiscriminatorFullWidthForward) {
   apots::Rng rng(6);
   Discriminator disc(DiscriminatorHparams(), kAlpha, kRows * kAlpha, &rng);
   const Tensor logits = disc.Forward(Random({2, kAlpha}, 7),
-                                     Random({2, kRows * kAlpha}, 8), true);
+                                     Random({2, kRows * kAlpha}, 8));
   EXPECT_EQ(logits.rows(), 2u);
   EXPECT_TRUE(std::isfinite(logits[0]));
 }

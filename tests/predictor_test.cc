@@ -1,8 +1,12 @@
 #include "core/predictor.h"
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tensor/tensor_ops.h"
+#include "tensor/workspace.h"
 
 namespace apots::core {
 namespace {
@@ -68,6 +72,74 @@ TEST_P(PredictorFamilySweep, BatchInvariance) {
               batch.data() + (n + 1) * kRows * kAlpha, single.data());
     const Tensor out = predictor->Forward(single, false);
     EXPECT_NEAR(out[0], batched[n], 1e-5f);
+  }
+}
+
+// A training forward records into the predictor's own workspace, which
+// stops growing: a second step at the same batch size adds no slots and no
+// floats. The row counts put the products on both sides of the 16-row
+// panel threshold; 192 is an adversarial round's batch.
+TEST_P(PredictorFamilySweep, SecondTrainingStepAddsNoSlotsOrFloats) {
+  apots::Rng rng(11);
+  auto predictor = MakePredictor(PredictorHparams::Scaled(GetParam(), 16),
+                                 kRows, kAlpha, &rng);
+  for (size_t rows : {15u, 16u, 17u, 192u}) {
+    size_t slots = 0, floats = 0;
+    for (int step = 0; step < 2; ++step) {
+      (void)predictor->Forward(Random({rows, kRows, kAlpha}, 12), true);
+      (void)predictor->Backward(Random({rows, 1}, 13));
+      const tensor::Workspace& ws = predictor->training_workspace();
+      if (step == 1) {
+        EXPECT_EQ(ws.capacity_slots(), slots) << rows;
+        EXPECT_EQ(ws.capacity_floats(), floats) << rows;
+      }
+      slots = ws.capacity_slots();
+      floats = ws.capacity_floats();
+    }
+  }
+}
+
+// The adversarial round's pattern: the training forward's batch is gone by
+// the time Backward runs. The predictor records its own copy of the batch,
+// so every gradient equals the one from a batch that stayed alive.
+TEST_P(PredictorFamilySweep, BackwardOutlivesTheRecordedBatch) {
+  apots::Rng rng(14);
+  auto predictor = MakePredictor(PredictorHparams::Scaled(GetParam(), 16),
+                                 kRows, kAlpha, &rng);
+  const auto params = predictor->Parameters();
+  for (size_t rows : {15u, 16u, 17u, 192u}) {
+    const Tensor grad_output = Random({rows, 1}, 15);
+    const auto gradients = [&](const Tensor& input_grad) {
+      std::vector<Tensor> out = {input_grad};
+      for (const Parameter* p : params) out.push_back(p->grad);
+      return out;
+    };
+
+    apots::nn::ZeroAllGrads(params);
+    const Tensor kept = Random({rows, kRows, kAlpha}, 16);
+    (void)predictor->Forward(kept, true);
+    const std::vector<Tensor> want =
+        gradients(predictor->Backward(grad_output));
+
+    apots::nn::ZeroAllGrads(params);
+    {
+      const Tensor temporary = Random({rows, kRows, kAlpha}, 16);
+      (void)predictor->Forward(temporary, true);
+    }
+    // The allocator may hand the temporary's storage out again: a record
+    // that still pointed there would read these values.
+    const Tensor scribble = Tensor::Full({rows, kRows, kAlpha}, 1e30f);
+    const std::vector<Tensor> got =
+        gradients(predictor->Backward(grad_output));
+
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t g = 0; g < want.size(); ++g) {
+      ASSERT_TRUE(got[g].SameShape(want[g]));
+      EXPECT_EQ(std::memcmp(got[g].data(), want[g].data(),
+                            want[g].size() * sizeof(float)),
+                0)
+          << "rows " << rows << " gradient " << g;
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests for the tensor::Workspace bump arena (S3): slot reuse across
 // Reset, alignment of borrowed storage, grow-only buffers, non-aliasing of
-// tensors borrowed within one generation, and the workspace forward path
-// being inference-only and bitwise identical to the allocating forward.
+// tensors borrowed within one generation, and the inference forward on a
+// workspace being bitwise identical to the recorded (training) forward.
 
 #include <gtest/gtest.h>
 
@@ -115,49 +115,37 @@ TEST(WorkspaceTest, TensorsWithinOneGenerationNeverAlias) {
   }
 }
 
-TEST(WorkspaceTest, WorkspaceForwardMatchesAllocatingForwardBitwise) {
-  // A small Dense stack, random weights, random input: the 3-arg Forward
-  // on a workspace must reproduce the 2-arg allocating Forward bit for bit
-  // — and stay bitwise stable when the arena slots are dirty from a
-  // previous generation.
+TEST(WorkspaceTest, WorkspaceForwardMatchesRecordedForwardBitwise) {
+  // A small Dense stack, random weights, random input: the inference
+  // Forward on a workspace must reproduce the recorded training forward
+  // bit for bit — and stay bitwise stable when the arena slots are dirty
+  // from a previous generation. The row counts put the products on both
+  // sides of the 16-row panel threshold.
   Rng rng(7);
   apots::nn::Sequential net;
   net.Add(std::make_unique<apots::nn::Dense>(10, 7, &rng));
   net.Add(std::make_unique<apots::nn::Relu>());
   net.Add(std::make_unique<apots::nn::Dense>(7, 4, &rng));
-  Tensor input({5, 10});
-  for (size_t i = 0; i < input.size(); ++i) {
-    input[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  }
-  const Tensor expected = net.Forward(input, /*training=*/false);
+  for (size_t rows : {5u, 15u, 16u, 17u, 192u}) {
+    Tensor input({rows, 10});
+    for (size_t i = 0; i < input.size(); ++i) {
+      input[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
+    Workspace record_ws;
+    const Tensor expected = *net.RecordForward(input, &record_ws);
 
-  Workspace ws;
-  for (int gen = 0; gen < 3; ++gen) {
-    ws.Reset();
-    const Tensor* got = net.Forward(input, /*training=*/false, &ws);
-    ASSERT_NE(got, nullptr);
-    ASSERT_EQ(got->shape(), expected.shape());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ((*got)[i], expected[i]) << "element " << i << " generation "
-                                        << gen;
+    Workspace ws;
+    for (int gen = 0; gen < 3; ++gen) {
+      ws.Reset();
+      const Tensor* got = net.Forward(input, &ws);
+      ASSERT_NE(got, nullptr);
+      ASSERT_EQ(got->shape(), expected.shape());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ((*got)[i], expected[i])
+            << "rows " << rows << " element " << i << " generation " << gen;
+      }
     }
   }
-}
-
-TEST(WorkspaceTest, WorkspaceForwardIsInferenceOnly) {
-  // Training goes through the allocating forward, which caches for
-  // Backward; the workspace forward refuses it. A layer that never runs at
-  // inference has no workspace body and refuses every call.
-  Rng rng(9);
-  const apots::nn::Dense dense(4, 3, &rng);
-  const apots::nn::LeakyRelu leaky;
-  const apots::nn::Layer& train_only = leaky;
-  const Tensor input = Tensor::Full({2, 4}, 0.5f);
-  Workspace ws;
-  EXPECT_DEATH((void)dense.Forward(input, /*training=*/true, &ws),
-               "!training");
-  EXPECT_DEATH((void)train_only.Forward(input, /*training=*/false, &ws),
-               "LeakyRelu.*has no inference forward");
 }
 
 }  // namespace
