@@ -127,9 +127,12 @@ if [[ ${lane_asan} -eq 1 ]]; then
     road_graph_test sharded_service_test chaos_test inference_runtime_test \
     workspace_test context_test attack_test features_test conv_trunk_test \
     nn_layers_test nn_gradient_test predictor_test \
-    discriminator_trainer_test paper_scale_test
+    discriminator_trainer_test paper_scale_test csv_table_test \
+    parser_mutation_test apots_cli
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R "FaultInjector|FaultKinds|ValidityMask|Imputation|FeatureAssemblerMask|TrafficDatasetBounds|TrainGuard|GuardedTraining|SerializeV2|CheckpointStore|KillRestore|FeatureCacheKey|FeatureCacheStream|FaultyFeed|StreamIngestor|ServeWatchdog|Supervisor|Harness|${parallel_regex}|${obs_regex}|${frontdoor_regex}|${kernel_regex}|${conv_regex}|${sharded_regex}|${arena_regex}|${train_regex}"
+    -R "FaultInjector|FaultKinds|ValidityMask|Imputation|FeatureAssemblerMask|TrafficDatasetBounds|TrainGuard|GuardedTraining|SerializeV2|CheckpointStore|KillRestore|FeatureCacheKey|FeatureCacheStream|FaultyFeed|StreamIngestor|ServeWatchdog|Supervisor|Harness|${parallel_regex}|${obs_regex}|${frontdoor_regex}|${kernel_regex}|${conv_regex}|${sharded_regex}|${arena_regex}|${train_regex}|TrafficDatasetCsv|ParserMutation"
+  # apots_cli end to end: the README examples and every usage error.
+  ctest --test-dir build-asan --output-on-failure -j "$(nproc)" -R '^cli_'
 fi
 
 if [[ ${lane_tsan} -eq 1 ]]; then

@@ -1,8 +1,58 @@
 #include "data/context.h"
 
+#include <cmath>
+#include <string>
+
 #include "util/string_util.h"
 
 namespace apots::data {
+
+namespace {
+
+// One perturbation token of the what-if grammar; false when malformed.
+bool ParsePerturbation(std::string_view token, ContextPerturbation* p) {
+  std::string body = Trim(token);
+  const size_t at = body.find('@');
+  if (at != std::string::npos) {
+    const std::vector<std::string> range = Split(body.substr(at + 1), ':');
+    int64_t begin = 0, end = 0;
+    if (range.size() != 2 || !ParseInt64(range[0], &begin) ||
+        !ParseInt64(range[1], &end)) {
+      return false;
+    }
+    p->begin = begin;
+    p->end = end;
+    body.resize(at);
+  }
+  if (body == "clear-event" || body == "set-event") {
+    p->kind = body == "clear-event" ? PerturbationKind::kClearEvent
+                                    : PerturbationKind::kSetEvent;
+    return true;
+  }
+  if (StartsWith(body, "rain")) {
+    double delta = 0.0;
+    if (!ParseDouble(body.substr(4), &delta)) return false;
+    p->kind = PerturbationKind::kRainDelta;
+    p->value = static_cast<float>(delta);
+    return true;
+  }
+  if (!StartsWith(body, "day=")) return false;
+  const std::string name = body.substr(4);
+  static const char* const kDayTypes[] = {"weekday", "holiday",
+                                          "before-holiday", "after-holiday"};
+  int64_t index = -1;
+  for (int i = 0; i < 4; ++i) {
+    if (name == kDayTypes[i]) index = i;
+  }
+  if (index < 0 && (!ParseInt64(name, &index) || index < 0 || index > 3)) {
+    return false;
+  }
+  p->kind = PerturbationKind::kDayTypeOverride;
+  p->value = static_cast<float>(index);
+  return true;
+}
+
+}  // namespace
 
 const char* PerturbationKindName(PerturbationKind kind) {
   switch (kind) {
@@ -60,6 +110,22 @@ ContextSpec& ContextSpec::DayType(int day_type) {
   return *this;
 }
 
+Result<ContextSpec> ParseContextSpec(std::string_view text) {
+  ContextSpec spec;
+  for (const std::string& token : Split(text, ',')) {
+    ContextPerturbation p;
+    if (!ParsePerturbation(token, &p)) {
+      return Status::InvalidArgument(
+          "bad perturbation '" + Trim(token) +
+          "' (valid: clear-event, set-event, rain+X, rain-X, "
+          "day=weekday|holiday|before-holiday|after-holiday, each with an "
+          "optional @begin:end)");
+    }
+    spec.perturbations.push_back(p);
+  }
+  return spec;
+}
+
 Status ContextTable::Register(uint64_t id, ContextSpec spec) {
   if (id == 0) {
     return Status::InvalidArgument(
@@ -72,13 +138,19 @@ Status ContextTable::Register(uint64_t id, ContextSpec spec) {
                     "inverted",
                     static_cast<unsigned long long>(id), p.begin, p.end));
     }
-    if (p.kind == PerturbationKind::kDayTypeOverride) {
-      const int day_type = static_cast<int>(p.value);
-      if (day_type < 0 || day_type > 3) {
-        return Status::InvalidArgument(
-            StrFormat("context %llu: day-type override %d outside 0..3",
-                      static_cast<unsigned long long>(id), day_type));
-      }
+    if (!std::isfinite(p.value)) {
+      return Status::InvalidArgument(
+          StrFormat("context %llu: %s value %g is not finite",
+                    static_cast<unsigned long long>(id),
+                    PerturbationKindName(p.kind), p.value));
+    }
+    // Compared as a float: the int cast of an out-of-range value is
+    // undefined.
+    if (p.kind == PerturbationKind::kDayTypeOverride &&
+        !(p.value > -1.0f && p.value < 4.0f)) {
+      return Status::InvalidArgument(
+          StrFormat("context %llu: day-type override %g outside 0..3",
+                    static_cast<unsigned long long>(id), p.value));
     }
   }
   auto shared = std::make_shared<const ContextSpec>(std::move(spec));

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -71,6 +72,15 @@ struct ContextSpec {
   ContextSpec& DayType(int day_type);
 };
 
+/// Parses one context of the what-if grammar: a comma-separated list of
+/// perturbations, applied in order, each one of
+///   clear-event | set-event | rain+X | rain-X |
+///   day=weekday|holiday|before-holiday|after-holiday|0..3
+/// with an optional @begin:end interval window (default: every
+/// interval). Returns InvalidArgument naming the first bad token. Window
+/// order and finite values are ContextTable::Register's to check.
+Result<ContextSpec> ParseContextSpec(std::string_view text);
+
 /// A work item's resolved context binding: the id that keys cache entries
 /// and coalescing, plus the spec to overlay (null = base/live — the
 /// resolution of context 0 and of unknown ids).
@@ -95,8 +105,8 @@ class ContextTable {
   ContextTable(const ContextTable&) = delete;
   ContextTable& operator=(const ContextTable&) = delete;
 
-  /// Registers (or replaces) `id`. Rejects id 0 and day-type indices
-  /// outside 0..3.
+  /// Registers (or replaces) `id`. Rejects id 0, inverted windows,
+  /// non-finite values and day-type indices outside 0..3.
   Status Register(uint64_t id, ContextSpec spec);
 
   /// The spec for `id`, or null for 0 / unknown ids.

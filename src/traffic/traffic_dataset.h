@@ -67,16 +67,19 @@ class TrafficDataset {
 
   const std::vector<Incident>& incident_log() const { return incident_log_; }
 
-  /// Writes the dataset to CSV (one row per interval: day, hour, weather,
-  /// then per-road speed and event columns) — the exchange format the
-  /// examples read back.
+  /// Writes the dataset to CSV (one row per interval: interval, day,
+  /// weekday 0..6, holiday 0|1, hour, weather, then per-road speed and
+  /// event columns) — the exchange format `apots_cli` reads back.
   Status WriteCsv(const std::string& path) const;
 
-  /// Reads a dataset written by WriteCsv. The calendar is reconstructed
-  /// from the stored day-type columns is not possible, so the caller
-  /// supplies it (defaults to the Hyundai period when day counts match).
-  static Result<TrafficDataset> ReadCsv(const std::string& path,
-                                        const Calendar& calendar);
+  /// Reads a dataset written by WriteCsv. The day count comes from the
+  /// `day` column and the calendar from the `weekday` and `holiday`
+  /// columns. Returns InvalidArgument, naming the line and column, for a
+  /// missing column, days that are not contiguous or not equally long,
+  /// a weekday or holiday flag that disagrees within a day or with day
+  /// 0, an hour that does not fit the day's length, or a numeric cell
+  /// that is not a finite number.
+  static Result<TrafficDataset> ReadCsv(const std::string& path);
 
  private:
   void CheckIndex(int road, long t) const;

@@ -36,6 +36,7 @@ Result<CsvTable> ReadCsv(const std::string& path) {
                     table.header.size()));
     }
     table.rows.push_back(std::move(fields));
+    table.lines.push_back(line_no);
   }
   return table;
 }

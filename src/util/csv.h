@@ -12,6 +12,8 @@ namespace apots {
 struct CsvTable {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
+  /// 1-based file line of each row (blank lines are skipped).
+  std::vector<size_t> lines;
 
   /// Index of a header column, or -1 when absent.
   int ColumnIndex(const std::string& name) const;

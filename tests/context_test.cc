@@ -8,6 +8,7 @@
 #include "data/context.h"
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,8 +79,82 @@ TEST(ContextTableTest, RegistrationValidation) {
   negative_day.DayType(-1);
   EXPECT_FALSE(table.Register(1, negative_day).ok());
 
+  ContextSpec infinite_rain;
+  infinite_rain.RainDelta(std::numeric_limits<float>::infinity());
+  EXPECT_FALSE(table.Register(1, infinite_rain).ok());
+  ContextSpec nan_rain;
+  nan_rain.RainDelta(std::numeric_limits<float>::quiet_NaN());
+  EXPECT_FALSE(table.Register(1, nan_rain).ok());
+
   EXPECT_TRUE(table.Register(1, ok).ok());
   EXPECT_EQ(table.size(), 1u);
+}
+
+// --- ParseContextSpec -------------------------------------------------
+
+TEST(ContextSpecGrammarTest, ParsesEveryPerturbationKind) {
+  const struct {
+    const char* text;
+    PerturbationKind kind;
+    float value;
+  } cases[] = {
+      {"clear-event", PerturbationKind::kClearEvent, 0.0f},
+      {"set-event", PerturbationKind::kSetEvent, 0.0f},
+      {"rain+10", PerturbationKind::kRainDelta, 10.0f},
+      {"rain-2.5", PerturbationKind::kRainDelta, -2.5f},
+      {"day=weekday", PerturbationKind::kDayTypeOverride, 0.0f},
+      {"day=holiday", PerturbationKind::kDayTypeOverride, 1.0f},
+      {"day=before-holiday", PerturbationKind::kDayTypeOverride, 2.0f},
+      {"day=after-holiday", PerturbationKind::kDayTypeOverride, 3.0f},
+      {"day=3", PerturbationKind::kDayTypeOverride, 3.0f},
+  };
+  for (const auto& c : cases) {
+    const auto spec = ParseContextSpec(c.text);
+    ASSERT_TRUE(spec.ok()) << c.text << ": " << spec.status().ToString();
+    ASSERT_EQ(spec.value().perturbations.size(), 1u) << c.text;
+    const ContextPerturbation& p = spec.value().perturbations[0];
+    EXPECT_EQ(p.kind, c.kind) << c.text;
+    EXPECT_EQ(p.value, c.value) << c.text;
+    EXPECT_EQ(p.begin, 0) << c.text;
+    EXPECT_EQ(p.end, std::numeric_limits<long>::max()) << c.text;
+  }
+}
+
+TEST(ContextSpecGrammarTest, WindowsAndOrderSurvive) {
+  const auto spec = ParseContextSpec(" set-event@290:300 , rain+5");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const auto& ps = spec.value().perturbations;
+  ASSERT_EQ(ps.size(), 2u);
+  EXPECT_EQ(ps[0].kind, PerturbationKind::kSetEvent);
+  EXPECT_EQ(ps[0].begin, 290);
+  EXPECT_EQ(ps[0].end, 300);
+  EXPECT_EQ(ps[1].kind, PerturbationKind::kRainDelta);
+  EXPECT_EQ(ps[1].value, 5.0f);
+  EXPECT_EQ(ps[1].end, std::numeric_limits<long>::max());
+}
+
+TEST(ContextSpecGrammarTest, RejectsMalformedTokens) {
+  for (const char* text :
+       {"", "rain", "rain+x", "day=4", "day=-1", "day=sunday", "set-event@1",
+        "set-event@1:2:3", "set-event@a:2", "clear-event,", "flood",
+        "clear-event;set-event"}) {
+    const auto spec = ParseContextSpec(text);
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(spec.status().message().find("bad perturbation"),
+              std::string::npos)
+        << text;
+  }
+}
+
+TEST(ContextSpecGrammarTest, RegisterRefusesWhatTheGrammarLetsThrough) {
+  ContextTable table;
+  for (const char* text : {"rain+inf", "rain+nan", "set-event@300:290"}) {
+    const auto spec = ParseContextSpec(text);
+    ASSERT_TRUE(spec.ok()) << text;
+    EXPECT_FALSE(table.Register(1, spec.value()).ok()) << text;
+  }
+  EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(ContextTableTest, FindSnapshotAndReplace) {

@@ -1,10 +1,13 @@
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
 #include "traffic/dataset_generator.h"
 #include "util/csv.h"
+#include "util/string_util.h"
 #include "util/table_printer.h"
 
 namespace apots {
@@ -111,6 +114,15 @@ TEST(FormatHelpersTest, MetricAndGain) {
   EXPECT_EQ(FormatGain(-0.6), "-0.60%");
 }
 
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteText(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary) << text;
+}
+
 TEST(TrafficDatasetCsvTest, WriteReadRoundtrip) {
   using apots::traffic::DatasetSpec;
   using apots::traffic::TrafficDataset;
@@ -119,7 +131,7 @@ TEST(TrafficDatasetCsvTest, WriteReadRoundtrip) {
   const std::string path = TempPath("apots_dataset.csv");
   ASSERT_TRUE(original.WriteCsv(path).ok());
 
-  auto restored = TrafficDataset::ReadCsv(path, original.calendar());
+  auto restored = TrafficDataset::ReadCsv(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   const TrafficDataset& copy = restored.value();
   EXPECT_EQ(copy.num_roads(), original.num_roads());
@@ -135,12 +147,102 @@ TEST(TrafficDatasetCsvTest, WriteReadRoundtrip) {
   std::filesystem::remove(path);
 }
 
-TEST(TrafficDatasetCsvTest, MissingFileRejected) {
-  using apots::traffic::Calendar;
+// Every cell and every interval's day type survive a round trip: the
+// reread dataset writes the same bytes, and the calendar (holidays
+// included) comes back from the file alone.
+TEST(TrafficDatasetCsvTest, EveryCellAndDayTypeRoundTrips) {
+  using apots::traffic::DatasetSpec;
   using apots::traffic::TrafficDataset;
-  using apots::traffic::Weekday;
-  auto result = TrafficDataset::ReadCsv("/nonexistent/x.csv",
-                                        Calendar(1, Weekday::kMonday, {}));
+  for (const int days : {7, 30, 122}) {
+    DatasetSpec spec;
+    spec.num_days = days;
+    spec.num_roads = 3;
+    const TrafficDataset original = apots::traffic::GenerateDataset(spec);
+    const std::string path = TempPath("apots_dataset_days.csv");
+    const std::string again = TempPath("apots_dataset_days_again.csv");
+    ASSERT_TRUE(original.WriteCsv(path).ok());
+    auto restored = TrafficDataset::ReadCsv(path);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    const TrafficDataset& copy = restored.value();
+    ASSERT_EQ(copy.num_days(), days);
+    ASSERT_EQ(copy.intervals_per_day(), original.intervals_per_day());
+    ASSERT_EQ(copy.num_roads(), original.num_roads());
+    EXPECT_EQ(copy.calendar().num_holidays(),
+              original.calendar().num_holidays());
+    for (long t = 0; t < original.num_intervals(); ++t) {
+      ASSERT_EQ(copy.Day(t).TypeVector(), original.Day(t).TypeVector())
+          << days << " days, interval " << t;
+      ASSERT_EQ(copy.Day(t).weekday, original.Day(t).weekday);
+      for (int r = 0; r < original.num_roads(); ++r) {
+        ASSERT_NEAR(copy.Speed(r, t), original.Speed(r, t), 1e-3f);
+        ASSERT_EQ(copy.EventFlag(r, t), original.EventFlag(r, t));
+      }
+      ASSERT_NEAR(copy.Weather(t).temperature_c,
+                  original.Weather(t).temperature_c, 1e-2f);
+      ASSERT_NEAR(copy.Weather(t).precipitation_mm,
+                  original.Weather(t).precipitation_mm, 1e-3f);
+    }
+    ASSERT_TRUE(copy.WriteCsv(again).ok());
+    EXPECT_EQ(ReadText(again), ReadText(path)) << days << " days";
+    std::filesystem::remove(path);
+    std::filesystem::remove(again);
+  }
+}
+
+// Malformed files come back as InvalidArgument naming where, never as an
+// abort or a silently zeroed cell.
+TEST(TrafficDatasetCsvTest, MalformedFilesReturnStatus) {
+  using apots::traffic::DatasetSpec;
+  using apots::traffic::TrafficDataset;
+  const std::string path = TempPath("apots_dataset_bad.csv");
+  ASSERT_TRUE(
+      apots::traffic::GenerateDataset(DatasetSpec::Small(5)).WriteCsv(path)
+          .ok());
+  const std::string good = ReadText(path);
+  const size_t header_end = good.find('\n') + 1;
+  size_t hundred = header_end;
+  for (int i = 0; i < 100; ++i) hundred = good.find('\n', hundred) + 1;
+  // Line 3 holds day 0's second interval; its event_2 cell is the last.
+  const size_t line3 = good.find('\n', header_end) + 1;
+  const size_t last_cell = good.rfind(',', good.find('\n', line3)) + 1;
+  const auto with_event_cell = [&](const std::string& text) {
+    std::string out = good;
+    out.replace(last_cell, good.find('\n', line3) - last_cell, text);
+    return out;
+  };
+  // The format before the calendar columns: drop fields 2 and 3 of every
+  // line (weekday, holiday).
+  std::string old_format;
+  for (const std::string& line : Split(good, '\n')) {
+    if (line.empty()) continue;
+    std::vector<std::string> fields = Split(line, ',');
+    fields.erase(fields.begin() + 2, fields.begin() + 4);
+    old_format += Join(fields, ",") + "\n";
+  }
+  const struct {
+    const char* name;
+    std::string text;
+    const char* where;
+  } cases[] = {
+      {"header only", good.substr(0, header_end), "no data rows"},
+      {"100 rows", good.substr(0, hundred), "line 3, column hour"},
+      {"bad cell", with_event_cell("abc"), "line 3, column event_2"},
+      {"nan cell", with_event_cell("nan"), "line 3, column event_2"},
+      {"no calendar columns", old_format, "no weekday column"},
+  };
+  for (const auto& c : cases) {
+    WriteText(path, c.text);
+    auto result = TrafficDataset::ReadCsv(path);
+    ASSERT_FALSE(result.ok()) << c.name;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_NE(result.status().message().find(c.where), std::string::npos)
+        << c.name << ": " << result.status().ToString();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(TrafficDatasetCsvTest, MissingFileRejected) {
+  auto result = apots::traffic::TrafficDataset::ReadCsv("/nonexistent/x.csv");
   EXPECT_FALSE(result.ok());
 }
 
