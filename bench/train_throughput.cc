@@ -11,6 +11,15 @@
 // serial and tells us nothing. The report has no checks: the committed
 // baseline comparison gates its throughput.
 //
+// The report's `backward` section is a one-thread probe of each predictor
+// family at Scaled(*, 8) over a 13-row, alpha-12 input: the recorded
+// forward (Predictor::Forward(x, true)), the Backward after it, and their
+// ratio, at 1, 64 and 192 rows (a one-key step, the MSE step and the
+// adversarial round), as the median and 10th percentile of kProbeReps reps
+// after warm-up, and the training arena's high-water mark after the rows
+// so far. It is report-only: no check reads it and no baseline holds its
+// keys.
+//
 // Flags: --perf_json[=path] selects the output file; --quick is accepted
 // and changes nothing.
 
@@ -23,8 +32,11 @@
 
 #include "bench_common.h"
 #include "core/apots_model.h"
+#include "core/predictor.h"
 #include "data/windowing.h"
+#include "tensor/tensor_ops.h"
 #include "traffic/dataset_generator.h"
+#include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -98,6 +110,66 @@ double TrainSeconds(const Env& env, const ArmSpec& spec) {
   return best;
 }
 
+constexpr size_t kProbeReps = 31;
+constexpr size_t kProbeWarmup = 3;
+
+/// The 10th percentile of `values` (nearest rank, rounded down).
+double Percentile10(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[(values.size() - 1) / 10];
+}
+
+/// Adds the backward probe's rows to `report`, on one thread.
+void ProbeBackward(bench::Report* report) {
+  ResetGlobalPool(1);
+  constexpr size_t kFeatureRows = 13;
+  constexpr size_t kAlpha = 12;
+  for (core::PredictorType type :
+       {core::PredictorType::kFc, core::PredictorType::kLstm,
+        core::PredictorType::kCnn, core::PredictorType::kHybrid}) {
+    Rng rng(5);
+    auto predictor = core::MakePredictor(
+        core::PredictorHparams::Scaled(type, 8), kFeatureRows, kAlpha, &rng);
+    for (size_t rows : {1u, 64u, 192u}) {
+      tensor::Tensor x({rows, kFeatureRows, kAlpha});
+      tensor::FillUniform(&x, &rng, -1.0f, 1.0f);
+      tensor::Tensor grad({rows, 1});
+      tensor::FillUniform(&grad, &rng, -1.0f, 1.0f);
+      std::vector<double> forward_ms, backward_ms, ratio;
+      for (size_t rep = 0; rep < kProbeWarmup + kProbeReps; ++rep) {
+        Stopwatch forward;
+        (void)predictor->Forward(x, /*training=*/true);
+        const double f = forward.ElapsedMillis();
+        Stopwatch backward;
+        (void)predictor->Backward(grad);
+        const double b = backward.ElapsedMillis();
+        if (rep < kProbeWarmup) continue;
+        forward_ms.push_back(f);
+        backward_ms.push_back(b);
+        ratio.push_back(b / f);
+      }
+      const char* family = core::PredictorTypeName(type);
+      std::fprintf(stderr,
+                   "backward %s rows %3zu: forward %7.3f ms  backward %7.3f "
+                   "ms  ratio %5.2f (medians)  arena %zu floats\n",
+                   family, rows, bench::Median(forward_ms),
+                   bench::Median(backward_ms), bench::Median(ratio),
+                   predictor->training_workspace().high_water_floats());
+      report->AddRow("backward")
+          .Set("family", family)
+          .Set("rows", rows)
+          .Set("forward_ms_p50", bench::Median(forward_ms))
+          .Set("forward_ms_p10", Percentile10(forward_ms))
+          .Set("backward_ms_p50", bench::Median(backward_ms))
+          .Set("backward_ms_p10", Percentile10(backward_ms))
+          .Set("ratio_p50", bench::Median(ratio))
+          .Set("ratio_p10", Percentile10(ratio))
+          .Set("arena_floats",
+               predictor->training_workspace().high_water_floats());
+    }
+  }
+}
+
 size_t ParallelThreads() {
   if (const char* env = std::getenv("APOTS_NUM_THREADS")) {
     const long parsed = std::atol(env);
@@ -141,6 +213,7 @@ int Run(const std::string& path, bool /*quick*/) {
   ResetGlobalPool(1);
   report.Set("speedup_full_batch_4t_vs_1t", seconds[0] / seconds[1])
       .Set("speedup_micro_batch_vs_full_batch_4t", seconds[1] / seconds[2]);
+  ProbeBackward(&report);
   return report.Write(path);
 }
 

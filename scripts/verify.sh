@@ -78,8 +78,8 @@ parallel_regex='ThreadPool|GlobalPool|PoolSizeSweep'
 # exhaustive soak binary is not built in these lanes.
 kernel_regex='KernelEquivalence|QuantKernel|LstmCellKernel|ActivationPass'
 # The conv trunk: batched im2col/col2im over channel-major planes, the
-# per-block workspace slots it rewinds, and the per-sample weight-gradient
-# products over strided column blocks.
+# per-block workspace slots it rewinds, and the per-sample accumulating
+# weight-gradient products over strided column blocks.
 conv_regex='ConvTrunk'
 # The observability layer's concurrent suites: counters/histograms written
 # from many threads, trace buffers racing snapshot/emit.
@@ -102,9 +102,11 @@ arena_regex='InferenceRuntime|InferenceConfigGuard|WorkspaceTest|ContextSpec|Con
 # The training path: every layer's recorded forward leaves raw pointers
 # into its workspace (its input, each LSTM step's states and gates, the
 # trunk's columns and activations) that Backward reads after the forward
-# returns — the layer suites, the finite-difference sweeps, the predictor
-# families (at paper scale too), and the discriminator and trainer.
-train_regex='GradientTest|GradientCheckerSelfTest|LstmGradientSweep|Conv2dGradientSweep|PredictorFamilySweep|PaperScale|DiscriminatorTest|TrainerFixture|LstmTest|DenseTest|ReluTest|SequentialTest'
+# returns, and Backward takes its scratch from the same workspace — the
+# layer suites and the LSTM/dense bitwise oracle, the finite-difference
+# sweeps, the predictor families (at paper scale too), and the
+# discriminator and trainer.
+train_regex='GradientTest|GradientCheckerSelfTest|LstmGradientSweep|Conv2dGradientSweep|PredictorFamilySweep|PaperScale|DiscriminatorTest|TrainerFixture|LstmTest|DenseTest|ReluTest|SequentialTest|LstmOracleTest|DenseOracleTest'
 
 if [[ ${lane_tier1} -eq 1 ]]; then
   echo "=== lane 1: tier-1 (Release build + labeled ctest) ==="
@@ -126,7 +128,7 @@ if [[ ${lane_asan} -eq 1 ]]; then
     mpsc_queue_test frontend_test kernel_equivalence_test quant_kernel_test \
     road_graph_test sharded_service_test chaos_test inference_runtime_test \
     workspace_test context_test attack_test features_test conv_trunk_test \
-    nn_layers_test nn_gradient_test predictor_test \
+    nn_layers_test nn_gradient_test lstm_oracle_test predictor_test \
     discriminator_trainer_test paper_scale_test csv_table_test \
     parser_mutation_test apots_cli
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \

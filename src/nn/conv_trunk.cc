@@ -38,15 +38,40 @@ void BiasReluInPlace(float* row, float bias, size_t n) {
 }
 
 /// ReLU backward: zeroes grad[i] where the activation y[i] is 0. Eight at
-/// a time, as above.
+/// a time, as above. The select takes grad[i] as a value, loaded whatever
+/// y[i] is: a load under the condition keeps a compare and a branch per
+/// element, which mispredicts on activations of either sign.
+float ReluGrad(float y, float grad) { return y > 0.0f ? grad : 0.0f; }
+
 void ReluGradInPlace(const float* y, float* grad, size_t n) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     float g[8];
-    for (size_t c = 0; c < 8; ++c) g[c] = y[i + c] > 0.0f ? grad[i + c] : 0.0f;
+    for (size_t c = 0; c < 8; ++c) g[c] = ReluGrad(y[i + c], grad[i + c]);
     for (size_t c = 0; c < 8; ++c) grad[i + c] = g[c];
   }
-  for (; i < n; ++i) grad[i] = y[i] > 0.0f ? grad[i] : 0.0f;
+  for (; i < n; ++i) grad[i] = ReluGrad(y[i], grad[i]);
+}
+
+/// Adds each of `samples` sums into *bias, in sample order, where sample
+/// s's sum is the ascending chain from zero over row[s*plane, (s+1)*plane).
+/// The chains are independent, so eight run interleaved.
+void AddSampleSums(const float* row, size_t samples, size_t plane,
+                   float* bias) {
+  constexpr size_t kChains = 8;
+  size_t s = 0;
+  for (; s + kChains <= samples; s += kChains) {
+    float acc[kChains] = {};
+    for (size_t p = 0; p < plane; ++p) {
+      for (size_t c = 0; c < kChains; ++c) acc[c] += row[(s + c) * plane + p];
+    }
+    for (size_t c = 0; c < kChains; ++c) *bias += acc[c];
+  }
+  for (; s < samples; ++s) {
+    float acc = 0.0f;
+    for (size_t p = 0; p < plane; ++p) acc += row[s * plane + p];
+    *bias += acc;
+  }
 }
 
 }  // namespace
@@ -192,64 +217,93 @@ const Tensor* ConvTrunk::Run(const Tensor& input, tensor::Workspace* ws,
 }
 
 Tensor ConvTrunk::Backward(const Tensor& grad_output) {
-  record_.stamp.Check(Name());
+  tensor::Workspace* ws = record_.stamp.Check(Name());
   const size_t batch = record_.input_shape[0];
   APOTS_CHECK(grad_output.shape() == OutputShape(batch));
   const size_t plane = height_ * width_;
   const size_t cols = batch * plane;
-
-  // The output gradient in channel-major order.
   const size_t channels = out_channels();
   const size_t features = channels * height_;
-  Tensor grad({channels, cols});
-  for (size_t n = 0; n < batch; ++n) {
-    for (size_t oc = 0; oc < channels; ++oc) {
-      float* dst = grad.data() + oc * cols + n * plane;
-      for (size_t p = 0; p < plane; ++p) {
-        dst[p] = grad_output[layout_ == Layout::kFlat
-                                 ? (n * channels + oc) * plane + p
-                                 : (n * width_ + p % width_) * features +
-                                       oc * height_ + p / width_];
-      }
-    }
-  }
 
-  for (size_t l = layers_.size(); l-- > 0;) {
-    Conv& conv = layers_[l];
-    // Through the layer's ReLU. The record holds its activation, which is
-    // positive exactly where its pre-activation is (NaN aside).
-    ReluGradInPlace(record_.acts[l]->data(), grad.data(), grad.size());
-    const Tensor& x = l == 0 ? *record_.x : *record_.acts[l - 1];
-    const Tensor& columns = conv.kernel > 1 ? *record_.columns[l] : x;
-    // Weight and bias gradients: each sample's sum, added in sample order.
-    ops::AddSampleProductsTransposeB(grad, columns, batch, &conv.weight.grad);
-    for (size_t oc = 0; oc < conv.out_channels; ++oc) {
-      for (size_t n = 0; n < batch; ++n) {
-        const float* row = grad.data() + oc * cols + n * plane;
-        float acc = 0.0f;
-        for (size_t p = 0; p < plane; ++p) acc += row[p];
-        conv.bias.grad[oc] += acc;
-      }
-    }
-    // Input gradient: one W^T product over the batch, scattered back to
-    // image space by col2im (the identity for a 1x1 kernel).
-    Tensor grad_x = ops::MatmulTransposeA(conv.weight.value, grad);
-    if (conv.kernel > 1) {
-      grad_x = ops::Col2Im(grad_x, conv.in_channels, height_, width_,
-                           conv.kernel);
-    }
-    grad = std::move(grad_x);
-  }
-
-  // Channel-major [in_channels, batch*plane] back to the input's shape.
+  // Backward runs the inference forward's blocks of samples through every
+  // layer in turn, so its scratch holds one block, not the batch: the
+  // block's gradient at a layer's output, its W^T product, and one
+  // sample's packed columns. The slots come after the record's and are
+  // rewound on return. Each layer still adds its samples' weight and bias
+  // gradients in sample order, and blocks change no product's row count.
+  const size_t mark = ws->slots_in_use();
+  Tensor* grad = ws->Acquire({0});
+  Tensor* grad_x = ws->Acquire({0});
+  Tensor* columns_panels = ws->Acquire({0});
   Tensor grad_input(record_.input_shape);
-  for (size_t c = 0; c < in_channels_; ++c) {
-    for (size_t n = 0; n < batch; ++n) {
-      const float* src = grad.data() + (c * batch + n) * plane;
-      std::copy(src, src + plane,
-                grad_input.data() + (n * in_channels_ + c) * plane);
+  const size_t blocks = (batch + block_samples_ - 1) / block_samples_;
+  for (size_t b = 0, n0 = 0; b < blocks; ++b) {
+    const size_t count = batch / blocks + (b < batch % blocks ? 1 : 0);
+    const size_t block_cols = count * plane;
+    // The block's output gradient, channel-major.
+    grad->ResetShape({channels, block_cols});
+    for (size_t n = 0; n < count; ++n) {
+      for (size_t oc = 0; oc < channels; ++oc) {
+        float* dst = grad->data() + oc * block_cols + n * plane;
+        for (size_t p = 0; p < plane; ++p) {
+          dst[p] = grad_output[layout_ == Layout::kFlat
+                                   ? ((n0 + n) * channels + oc) * plane + p
+                                   : ((n0 + n) * width_ + p % width_) *
+                                             features +
+                                         oc * height_ + p / width_];
+        }
+      }
     }
+    for (size_t l = layers_.size(); l-- > 0;) {
+      Conv& conv = layers_[l];
+      const size_t at = n0 * plane;  // the block's first column
+      // Through the layer's ReLU. The record holds its activation, which
+      // is positive exactly where its pre-activation is (NaN aside).
+      for (size_t oc = 0; oc < conv.out_channels; ++oc) {
+        ReluGradInPlace(record_.acts[l]->data() + oc * cols + at,
+                        grad->data() + oc * block_cols, block_cols);
+      }
+      const Tensor& x = l == 0 ? *record_.x : *record_.acts[l - 1];
+      const Tensor& columns = conv.kernel > 1 ? *record_.columns[l] : x;
+      // Weight and bias gradients: each sample's product and row sums,
+      // added in sample order. A sample's blocks are read in place.
+      const size_t taps = columns.rows();
+      for (size_t n = 0; n < count; ++n) {
+        ops::AddProduct(
+            {grad->data() + n * plane, conv.out_channels, plane, block_cols,
+             1},
+            ops::PrepareSumRhs(
+                {columns.data() + at + n * plane, plane, taps, 1, cols},
+                columns_panels),
+            &conv.weight.grad);
+      }
+      for (size_t oc = 0; oc < conv.out_channels; ++oc) {
+        AddSampleSums(grad->data() + oc * block_cols, count, plane,
+                      &conv.bias.grad[oc]);
+      }
+      // Input gradient: one W^T product over the block, scattered back to
+      // image space by col2im into `grad`, which is read no more (a 1x1
+      // kernel's product is the image).
+      grad_x->ResetShape({taps, block_cols});
+      ops::MatmulTransposeAInto(conv.weight.value, *grad, grad_x);
+      if (conv.kernel > 1) {
+        grad->ResetShape({conv.in_channels, block_cols});
+        ops::Col2ImInto(*grad_x, height_, width_, conv.kernel, grad);
+      } else {
+        std::swap(grad, grad_x);
+      }
+    }
+    // Channel-major [in_channels, count*plane] back to the input's shape.
+    for (size_t c = 0; c < in_channels_; ++c) {
+      for (size_t n = 0; n < count; ++n) {
+        const float* src = grad->data() + (c * count + n) * plane;
+        std::copy(src, src + plane,
+                  grad_input.data() + ((n0 + n) * in_channels_ + c) * plane);
+      }
+    }
+    n0 += count;
   }
+  ws->Rewind(mark);
   return grad_input;
 }
 

@@ -28,8 +28,9 @@ namespace apots::nn {
 /// bias, through the ReLU, as a per-sample convolution computes it; and
 /// every product keeps the row count a per-sample convolution gives it (out
 /// channels forward, in*k*k for the input gradient), so the kernel choice
-/// is the same too. Backward adds each sample's weight and bias gradient in
-/// sample order (tensor::AddSampleProductsTransposeB).
+/// is the same too. Backward adds each sample's weight gradient
+/// (tensor::AddProduct) and bias gradient in sample order, and takes its
+/// scratch from the record's workspace.
 class ConvTrunk : public Layer {
  public:
   enum class Layout {
@@ -106,7 +107,7 @@ class ConvTrunk : public Layer {
   size_t width_;
   Layout layout_;
   std::vector<Conv> layers_;
-  /// Samples per block of the inference forward.
+  /// Samples per block of the inference forward and of Backward.
   size_t block_samples_;
   Record record_;
 };

@@ -52,17 +52,26 @@ void Dense::PrepareQuantized(tensor::QuantMode mode) {
 }
 
 Tensor Dense::Backward(const Tensor& grad_output) {
-  record_.stamp.Check(Name());
+  tensor::Workspace* ws = record_.stamp.Check(Name());
   const Tensor& input = *record_.input;
   APOTS_CHECK_EQ(grad_output.rank(), 2u);
   APOTS_CHECK_EQ(grad_output.cols(), out_features_);
   APOTS_CHECK_EQ(grad_output.rows(), input.rows());
-  // dW = x^T dy ; db = column sums of dy ; dx = dy W^T.
-  apots::tensor::AddInPlace(
-      &weight_.grad, apots::tensor::MatmulTransposeA(input, grad_output));
-  apots::tensor::AddInPlace(&bias_.grad,
-                            apots::tensor::SumRows(grad_output));
-  return apots::tensor::MatmulTransposeB(grad_output, weight_.value);
+  namespace ops = apots::tensor;
+  // dW += x^T dy ; db += column sums of dy ; dx = dy W^T. The prepared
+  // operands are scratch after the record, rewound on return.
+  const size_t mark = ws->slots_in_use();
+  const ops::PreparedRhs dy =
+      ops::PrepareSumRhs(ops::StridedMatrix::Of(grad_output), ws->Acquire({0}));
+  ops::AddProduct(ops::StridedMatrix::TransposeOf(input), dy, &weight_.grad);
+  ops::AddProduct(ops::StridedMatrix::Ones(input.rows()), dy, &bias_.grad);
+  Tensor grad_input({input.rows(), in_features_});
+  ops::MatmulInto(grad_output,
+                  ops::PrepareRhsTransposed(weight_.value, input.rows(),
+                                            ws->Acquire({0})),
+                  &grad_input);
+  ws->Rewind(mark);
+  return grad_input;
 }
 
 std::vector<Parameter*> Dense::Parameters() { return {&weight_, &bias_}; }

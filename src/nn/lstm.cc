@@ -128,94 +128,65 @@ void Lstm::PrepareQuantized(tensor::QuantMode mode) {
 }
 
 Tensor Lstm::Backward(const Tensor& grad_output) {
-  record_.stamp.Check(Name());
+  tensor::Workspace* ws = record_.stamp.Check(Name());
   const Tensor& input = *record_.input;
   const size_t batch = input.dim(0);
   const size_t time = input.dim(1);
+  const size_t D = input_size_;
   const size_t H = hidden_size_;
   APOTS_CHECK(grad_output.shape() ==
               (return_sequences_ ? std::vector<size_t>{batch, time, H}
                                  : std::vector<size_t>{batch, H}))
       << Name() << ": the gradient's shape is not the recorded output's";
 
-  Tensor grad_input({batch, time, input_size_});
-  Tensor dh_next = Tensor::Zeros({batch, H});
-  Tensor dc_next = Tensor::Zeros({batch, H});
+  // Scratch, after the record's slots, rewound on return.
+  const size_t mark = ws->slots_in_use();
+  Tensor* dh_next = ws->Acquire({batch, H});
+  Tensor* dc = ws->Acquire({batch, H});
+  dh_next->Fill(0.0f);
+  dc->Fill(0.0f);
+  Tensor* dgates = ws->Acquire({batch, 4 * H});
+  Tensor* dx = ws->Acquire({batch, D});
+  Tensor* dgates_panels = ws->Acquire({0});
   // W_x^T and W_h^T are prepared once for the call's 2 * time products.
-  Tensor wx_t_storage, wh_t_storage;
   const ops::PreparedRhs wx_t =
-      ops::PrepareRhsTransposed(weight_x_.value, batch, &wx_t_storage);
+      ops::PrepareRhsTransposed(weight_x_.value, batch, ws->Acquire({0}));
   const ops::PreparedRhs wh_t =
-      ops::PrepareRhsTransposed(weight_h_.value, batch, &wh_t_storage);
-  Tensor x_t({batch, input_size_});
-  Tensor dx({batch, input_size_});
+      ops::PrepareRhsTransposed(weight_h_.value, batch, ws->Acquire({0}));
 
+  Tensor grad_input({batch, time, D});
   for (size_t t = time; t-- > 0;) {
-    for (size_t n = 0; n < batch; ++n) {
-      const float* src = input.data() + (n * time + t) * input_size_;
-      std::copy(src, src + input_size_, x_t.data() + n * input_size_);
-    }
-    const Tensor& act = *record_.act[t];
-    const Tensor& tanh_c = *record_.tanh_c[t];
-    const Tensor& c_prev = *record_.c[t];
-    // dh at this step = incoming-from-future + slice of grad_output.
-    Tensor dh = dh_next;
+    // The step's dh is the gradient from step t + 1 plus its own output's.
+    const float* grad_h = nullptr;
     if (return_sequences_) {
-      for (size_t n = 0; n < batch; ++n) {
-        const float* src = grad_output.data() + (n * time + t) * H;
-        float* dst = dh.data() + n * H;
-        for (size_t j = 0; j < H; ++j) dst[j] += src[j];
-      }
+      grad_h = grad_output.data() + t * H;
     } else if (t == time - 1) {
-      ops::AddInPlace(&dh, grad_output);
+      grad_h = grad_output.data();
     }
+    ops::LstmCellBackward(*record_.act[t], *record_.tanh_c[t],
+                          *record_.c[t], *dh_next, grad_h,
+                          return_sequences_ ? time * H : H, dc, dgates);
 
-    // Gate-level gradients, pre-activation: [batch, 4H].
-    Tensor dgates({batch, 4 * H});
-    Tensor dc_prev({batch, H});
-    for (size_t n = 0; n < batch; ++n) {
-      const float* g_row = act.data() + n * 4 * H;
-      const float* tc = tanh_c.data() + n * H;
-      const float* cp = c_prev.data() + n * H;
-      const float* dh_row = dh.data() + n * H;
-      const float* dcn = dc_next.data() + n * H;
-      float* dg = dgates.data() + n * 4 * H;
-      float* dcp = dc_prev.data() + n * H;
-      for (size_t j = 0; j < H; ++j) {
-        const float i_gate = g_row[j];
-        const float f_gate = g_row[H + j];
-        const float g_cand = g_row[2 * H + j];
-        const float o_gate = g_row[3 * H + j];
-        // dc = dh * o * (1 - tanh(c)^2) + dc_from_future.
-        const float dc = dh_row[j] * o_gate * (1.0f - tc[j] * tc[j]) + dcn[j];
-        const float do_gate = dh_row[j] * tc[j];
-        const float di = dc * g_cand;
-        const float df = dc * cp[j];
-        const float dg_cand = dc * i_gate;
-        dcp[j] = dc * f_gate;
-        // Through the activations to pre-activation space.
-        dg[j] = di * i_gate * (1.0f - i_gate);
-        dg[H + j] = df * f_gate * (1.0f - f_gate);
-        dg[2 * H + j] = dg_cand * (1.0f - g_cand * g_cand);
-        dg[3 * H + j] = do_gate * o_gate * (1.0f - o_gate);
-      }
-    }
-
-    // Parameter gradients.
-    ops::AddInPlace(&weight_x_.grad, ops::MatmulTransposeA(x_t, dgates));
-    ops::AddInPlace(&weight_h_.grad,
-                    ops::MatmulTransposeA(*record_.h[t], dgates));
-    ops::AddInPlace(&bias_.grad, ops::SumRows(dgates));
+    // Parameter gradients: this step's x_t^T dgates, h_t^T dgates and
+    // column sums of dgates, each added in step order. x_t is read in
+    // place from the recorded input.
+    const ops::PreparedRhs dg =
+        ops::PrepareSumRhs(ops::StridedMatrix::Of(*dgates), dgates_panels);
+    ops::AddProduct({input.data() + t * D, D, batch, 1, time * D}, dg,
+                    &weight_x_.grad);
+    ops::AddProduct(ops::StridedMatrix::TransposeOf(*record_.h[t]), dg,
+                    &weight_h_.grad);
+    ops::AddProduct(ops::StridedMatrix::Ones(batch), dg, &bias_.grad);
 
     // Input and recurrent gradients: dgates W_x^T and dgates W_h^T.
-    ops::MatmulInto(dgates, wx_t, &dx);
+    ops::MatmulInto(*dgates, wx_t, dx);
     for (size_t n = 0; n < batch; ++n) {
-      std::copy(dx.data() + n * input_size_, dx.data() + (n + 1) * input_size_,
-                grad_input.data() + (n * time + t) * input_size_);
+      std::copy(dx->data() + n * D, dx->data() + (n + 1) * D,
+                grad_input.data() + (n * time + t) * D);
     }
-    ops::MatmulInto(dgates, wh_t, &dh_next);
-    dc_next = std::move(dc_prev);
+    ops::MatmulInto(*dgates, wh_t, dh_next);
   }
+  ws->Rewind(mark);
   return grad_input;
 }
 

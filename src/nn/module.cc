@@ -6,11 +6,12 @@
 
 namespace apots::nn {
 
-void RecordStamp::Check(const std::string& layer) const {
+tensor::Workspace* RecordStamp::Check(const std::string& layer) const {
   APOTS_CHECK(ws_ != nullptr)
       << layer << ": Backward before a recorded forward";
   APOTS_CHECK_EQ(ws_->generation(), generation_)
       << layer << ": Backward after its workspace was reset";
+  return ws_;
 }
 
 void ZeroAllGrads(const std::vector<Parameter*>& params) {

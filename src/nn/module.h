@@ -31,20 +31,21 @@ struct Parameter {
 
 /// Where a layer's recorded forward left what its Backward reads: the
 /// workspace and the generation it wrote in. Backward reads a record only
-/// when one was made and its workspace has not been reset since.
+/// when one was made and its workspace has not been reset since, and takes
+/// its scratch from that workspace after a mark, rewinding on return.
 class RecordStamp {
  public:
   /// Notes a recorded forward into `ws`'s current generation.
-  void Set(const tensor::Workspace* ws) {
+  void Set(tensor::Workspace* ws) {
     ws_ = ws;
     generation_ = ws->generation();
   }
   /// Dies, naming `layer`, unless a recorded forward came before and its
-  /// workspace was not reset since.
-  void Check(const std::string& layer) const;
+  /// workspace was not reset since; returns that workspace.
+  tensor::Workspace* Check(const std::string& layer) const;
 
  private:
-  const tensor::Workspace* ws_ = nullptr;
+  tensor::Workspace* ws_ = nullptr;
   size_t generation_ = 0;
 };
 

@@ -89,9 +89,13 @@ void RunPanels(const float* a, size_t a_rs, size_t a_cs, const float* packed,
   });
 }
 
-void GemmPanelScalar(const float* a, size_t a_rs, size_t a_cs,
-                     const float* panel, size_t k, size_t nr, float* out,
-                     size_t out_ld, size_t r0, size_t r1, size_t width) {
+namespace {
+
+/// The scalar rung's one-row loop; kAdd adds each chain into `out`.
+template <bool kAdd>
+void PanelScalar(const float* a, size_t a_rs, size_t a_cs, const float* panel,
+                 size_t k, size_t nr, float* out, size_t out_ld, size_t r0,
+                 size_t r1, size_t width) {
   for (size_t i = r0; i < r1; ++i) {
     float acc[kNrMax] = {};
     const float* a_row = a + i * a_rs;
@@ -101,8 +105,24 @@ void GemmPanelScalar(const float* a, size_t a_rs, size_t a_cs,
       for (size_t c = 0; c < nr; ++c) acc[c] += a_ik * b_row[c];
     }
     float* out_row = out + i * out_ld;
-    for (size_t c = 0; c < width; ++c) out_row[c] = acc[c];
+    for (size_t c = 0; c < width; ++c) {
+      out_row[c] = kAdd ? out_row[c] + acc[c] : acc[c];
+    }
   }
+}
+
+}  // namespace
+
+void GemmPanelScalar(const float* a, size_t a_rs, size_t a_cs,
+                     const float* panel, size_t k, size_t nr, float* out,
+                     size_t out_ld, size_t r0, size_t r1, size_t width) {
+  PanelScalar<false>(a, a_rs, a_cs, panel, k, nr, out, out_ld, r0, r1, width);
+}
+
+void GemmPanelAddScalar(const float* a, size_t a_rs, size_t a_cs,
+                        const float* panel, size_t k, size_t nr, float* out,
+                        size_t out_ld, size_t r0, size_t r1, size_t width) {
+  PanelScalar<true>(a, a_rs, a_cs, panel, k, nr, out, out_ld, r0, r1, width);
 }
 
 GemmKernel PickGemmKernel() {
@@ -115,6 +135,29 @@ GemmKernel PickGemmKernel() {
       break;
   }
   return {GemmPanelScalar, kNrAvx2, 1};
+}
+
+GemmKernel PickGemmAddKernel() {
+  switch (DetectedIsa()) {
+    case SimdIsa::kAvx512:
+      return {GemmPanelAddAvx512, 2 * kNrSum, kMrAvx512};
+    case SimdIsa::kAvx2:
+      return {GemmPanelAddAvx2, kNrSum, kMrAvx2};
+    case SimdIsa::kScalar:
+      break;
+  }
+  return {GemmPanelAddScalar, kNrSum, 1};
+}
+
+void AddPanels(const float* a, size_t a_rs, size_t a_cs, const float* packed,
+               size_t m, size_t k, size_t n, float* out) {
+  const GemmKernel kernel = PickGemmAddKernel();
+  ParallelGemmRows(m, k * n, kernel.mr, [&](size_t r0, size_t r1) {
+    for (size_t j0 = 0; j0 < n; j0 += kernel.nr) {
+      kernel.fn(a, a_rs, a_cs, packed + j0 * k, k, kNrSum, out + j0, n, r0,
+                r1, std::min(kernel.nr, n - j0));
+    }
+  });
 }
 
 void Int8PanelScalar(const uint8_t* qa, size_t qa_ld, const float* row_scale,

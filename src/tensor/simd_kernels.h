@@ -72,6 +72,31 @@ struct GemmKernel {
 };
 GemmKernel PickGemmKernel();
 
+/// The accumulating twins of the panel kernels, which every weight and
+/// bias gradient runs (tensor::AddProduct): each output element's
+/// k-ascending FMA chain from zero is added into `out` at store,
+/// out + chain, instead of overwriting it. They read panels of
+/// kNrSum = 16 columns at every rung, so a packed operand does not depend
+/// on the rung. The AVX-512 rung takes two adjacent panels (`width` up to
+/// 32; the second panel starts k*kNrSum floats after the first) in 8x32
+/// tiles, or one in kMrSumAvx512 x 16 tiles; the AVX2 tile is the 6x16
+/// serving tile; the scalar rung is GemmPanelScalar's loop, which fuses
+/// only by contraction (FMA builds).
+inline constexpr size_t kNrSum = 16;
+inline constexpr size_t kMrSumAvx512 = 16;
+void GemmPanelAddScalar(const float* a, size_t a_rs, size_t a_cs,
+                        const float* panel, size_t k, size_t nr, float* out,
+                        size_t out_ld, size_t r0, size_t r1, size_t width);
+void GemmPanelAddAvx2(const float* a, size_t a_rs, size_t a_cs,
+                      const float* panel, size_t k, size_t nr, float* out,
+                      size_t out_ld, size_t r0, size_t r1, size_t width);
+void GemmPanelAddAvx512(const float* a, size_t a_rs, size_t a_cs,
+                        const float* panel, size_t k, size_t nr, float* out,
+                        size_t out_ld, size_t r0, size_t r1, size_t width);
+/// The accumulating kernel the ladder selects; nr is the columns one call
+/// covers (32 on AVX-512, else kNrSum).
+GemmKernel PickGemmAddKernel();
+
 /// The grain rule of every GEMM region: the fp32 tiles and panels and the
 /// int8 panels. A region of `m` rows of `fma_per_row` multiply-adds each
 /// runs on the calling thread when it has fewer than kGemmForkMinFma
@@ -197,6 +222,11 @@ void PackPanels(const float* b, size_t b_rs, size_t b_cs, size_t k, size_t n,
 void RunPanels(const float* a, size_t a_rs, size_t a_cs, const float* packed,
                size_t nr, size_t m, size_t k, size_t n, float* out);
 
+/// out[m,n] += A x B over panels that PackPanels packed at width kNrSum,
+/// through PickGemmAddKernel, with RunPanels's row partition.
+void AddPanels(const float* a, size_t a_rs, size_t a_cs, const float* packed,
+               size_t m, size_t k, size_t n, float* out);
+
 /// out[m,n] = A x B with both operands strided: PackPanels into
 /// thread-local scratch on the calling thread, then RunPanels. Matmul
 /// (b_rs=n, b_cs=1), MatmulTransposeA (a_rs=1, a_cs=m) and
@@ -246,6 +276,37 @@ void LstmCellTail(const LstmCellArgs& args, size_t row, size_t j0);
 /// Eight units per step; AVX-512 hosts run it too.
 void LstmCellAvx2(const LstmCellArgs& args);
 LstmCellFn PickLstmCellKernel();
+
+/// One LSTM cell step backward over `rows` rows of `hidden` units
+/// (tensor::LstmCellBackward checks shapes and dispatches). act ([rows,
+/// 4*hidden], i|f|g|o), tanh_c and c_prev ([rows, hidden]) are the step's
+/// record. The step's dh is dh_next + dh_out, or dh_next where dh_out is
+/// null; dh_out's rows are dh_out_ld floats apart. dc holds the gradient
+/// from step t + 1 and is overwritten, unit by unit, with the one for step
+/// t - 1 (dc * f). Writes the pre-activation gate gradients `dgates`
+/// ([rows, 4*hidden]). Per unit, unfused and in this order:
+///   dc' = ((dh * o) * (1 - tanh_c * tanh_c)) + dc
+///   di = (dc' * g) * i * (1 - i)      df = (dc' * c_prev) * f * (1 - f)
+///   dg = (dc' * i) * (1 - g * g)      do = (dh * tanh_c) * o * (1 - o)
+/// Its TU is built with -ffp-contract=off, so no rung fuses a multiply
+/// into an add; every rung returns the scalar loop's bits.
+struct LstmCellGradArgs {
+  const float* act;
+  const float* tanh_c;
+  const float* c_prev;
+  const float* dh_next;
+  const float* dh_out;
+  size_t dh_out_ld;
+  size_t rows;
+  size_t hidden;
+  float* dc;
+  float* dgates;
+};
+using LstmCellGradFn = void (*)(const LstmCellGradArgs& args);
+void LstmCellGradScalar(const LstmCellGradArgs& args);
+/// Eight units per step; AVX-512 hosts run it too.
+void LstmCellGradAvx2(const LstmCellGradArgs& args);
+LstmCellGradFn PickLstmCellGradKernel();
 
 /// The cell's one-lane sigmoid, which the BCE loss also uses
 /// (nn::SigmoidScalar).

@@ -25,7 +25,9 @@ namespace {
 /// vectors and 1 broadcast of the 16 registers. Each output element is one
 /// k-ascending FMA chain. Narrow stores go through an aligned spill so no
 /// lane past `width` is touched.
-template <size_t... r>
+/// kAdd (the accumulating kernel) adds each chain into `out` at store, as
+/// out + chain; the narrow store adds lane by lane from the spill.
+template <bool kAdd, size_t... r>
 void Tile(std::index_sequence<r...>, const float* a, size_t a_rs,
           size_t a_cs, const float* panel, size_t k, float* out,
           size_t out_ld, size_t width) {
@@ -41,22 +43,64 @@ void Tile(std::index_sequence<r...>, const float* a, size_t a_rs,
      ...);
   }
   if (width == kNrAvx2) {
+    if constexpr (kAdd) {
+      ((lo[r] = _mm256_add_ps(_mm256_loadu_ps(out + r * out_ld), lo[r]),
+        hi[r] = _mm256_add_ps(_mm256_loadu_ps(out + r * out_ld + 8), hi[r])),
+       ...);
+    }
     ((_mm256_storeu_ps(out + r * out_ld, lo[r]),
       _mm256_storeu_ps(out + r * out_ld + 8, hi[r])),
      ...);
     return;
   }
   alignas(32) float spill[kNrAvx2];
+  const auto store = [&](float* row) {
+    if constexpr (kAdd) {
+      for (size_t c = 0; c < width; ++c) row[c] = row[c] + spill[c];
+    } else {
+      std::memcpy(row, spill, width * sizeof(float));
+    }
+  };
   ((_mm256_store_ps(spill, lo[r]), _mm256_store_ps(spill + 8, hi[r]),
-    std::memcpy(out + r * out_ld, spill, width * sizeof(float))),
+    store(out + r * out_ld)),
    ...);
 }
 
-template <size_t kRows>
+template <bool kAdd, size_t kRows>
 void TileRows(const float* a, size_t a_rs, size_t a_cs, const float* panel,
               size_t k, float* out, size_t out_ld, size_t width) {
-  Tile(std::make_index_sequence<kRows>(), a, a_rs, a_cs, panel, k, out,
-       out_ld, width);
+  Tile<kAdd>(std::make_index_sequence<kRows>(), a, a_rs, a_cs, panel, k, out,
+             out_ld, width);
+}
+
+template <bool kAdd>
+void PanelRows(const float* a, size_t a_rs, size_t a_cs, const float* panel,
+               size_t k, float* out, size_t out_ld, size_t r0, size_t r1,
+               size_t width) {
+  size_t i = r0;
+  for (; i + kMrAvx2 <= r1; i += kMrAvx2) {
+    TileRows<kAdd, kMrAvx2>(a + i * a_rs, a_rs, a_cs, panel, k,
+                            out + i * out_ld, out_ld, width);
+  }
+  const float* a_i = a + i * a_rs;
+  float* out_i = out + i * out_ld;
+  switch (r1 - i) {
+    case 5:
+      return TileRows<kAdd, 5>(a_i, a_rs, a_cs, panel, k, out_i, out_ld,
+                               width);
+    case 4:
+      return TileRows<kAdd, 4>(a_i, a_rs, a_cs, panel, k, out_i, out_ld,
+                               width);
+    case 3:
+      return TileRows<kAdd, 3>(a_i, a_rs, a_cs, panel, k, out_i, out_ld,
+                               width);
+    case 2:
+      return TileRows<kAdd, 2>(a_i, a_rs, a_cs, panel, k, out_i, out_ld,
+                               width);
+    case 1:
+      return TileRows<kAdd, 1>(a_i, a_rs, a_cs, panel, k, out_i, out_ld,
+                               width);
+  }
 }
 
 }  // namespace
@@ -65,25 +109,14 @@ void GemmPanelAvx2(const float* a, size_t a_rs, size_t a_cs,
                    const float* panel, size_t k, size_t nr, float* out,
                    size_t out_ld, size_t r0, size_t r1, size_t width) {
   (void)nr;  // the AVX2 panel width is kNrAvx2 by construction
-  size_t i = r0;
-  for (; i + kMrAvx2 <= r1; i += kMrAvx2) {
-    TileRows<kMrAvx2>(a + i * a_rs, a_rs, a_cs, panel, k, out + i * out_ld,
-                      out_ld, width);
-  }
-  const float* a_i = a + i * a_rs;
-  float* out_i = out + i * out_ld;
-  switch (r1 - i) {
-    case 5:
-      return TileRows<5>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
-    case 4:
-      return TileRows<4>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
-    case 3:
-      return TileRows<3>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
-    case 2:
-      return TileRows<2>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
-    case 1:
-      return TileRows<1>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
-  }
+  PanelRows<false>(a, a_rs, a_cs, panel, k, out, out_ld, r0, r1, width);
+}
+
+void GemmPanelAddAvx2(const float* a, size_t a_rs, size_t a_cs,
+                      const float* panel, size_t k, size_t nr, float* out,
+                      size_t out_ld, size_t r0, size_t r1, size_t width) {
+  (void)nr;  // kNrSum is kNrAvx2
+  PanelRows<true>(a, a_rs, a_cs, panel, k, out, out_ld, r0, r1, width);
 }
 
 namespace {
@@ -230,6 +263,12 @@ void GemmPanelAvx2(const float* a, size_t a_rs, size_t a_cs,
                    const float* panel, size_t k, size_t nr, float* out,
                    size_t out_ld, size_t r0, size_t r1, size_t width) {
   GemmPanelScalar(a, a_rs, a_cs, panel, k, nr, out, out_ld, r0, r1, width);
+}
+
+void GemmPanelAddAvx2(const float* a, size_t a_rs, size_t a_cs,
+                      const float* panel, size_t k, size_t nr, float* out,
+                      size_t out_ld, size_t r0, size_t r1, size_t width) {
+  GemmPanelAddScalar(a, a_rs, a_cs, panel, k, nr, out, out_ld, r0, r1, width);
 }
 
 void LstmCellAvx2(const LstmCellArgs& args) { LstmCellScalar(args); }

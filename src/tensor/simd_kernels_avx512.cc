@@ -1,7 +1,7 @@
-// AVX-512 microkernels (fp32 8x32 FMA tile, int8 VPDPBUSD tile, int8 row
-// quantization). Compiled with -mavx512{f,bw,vl,vnni} regardless of the
-// build's baseline arch and dispatched only behind the CPUID checks in
-// cpu_features.h.
+// AVX-512 microkernels (fp32 8x32 FMA tile and its accumulating twin,
+// int8 VPDPBUSD tile, int8 row quantization). Compiled with
+// -mavx512{f,bw,vl,vnni} regardless of the build's baseline arch and
+// dispatched only behind the CPUID checks in cpu_features.h.
 
 #include "tensor/simd_kernels.h"
 
@@ -100,6 +100,83 @@ void GemmPanelAvx512(const float* a, size_t a_rs, size_t a_cs,
       return TileRows<2>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
     case 1:
       return TileRows<1>(a_i, a_rs, a_cs, panel, k, out_i, out_ld, width);
+  }
+}
+
+namespace {
+
+/// Rows [0, sizeof...(r)) of the accumulating tile over kPanels adjacent
+/// kNrSum-column panels (the second at panel + k*kNrSum), folded like
+/// Tile: the k loop is kPanels panel loads and, per row, one broadcast
+/// into kPanels FMAs. Two panels take 8 rows, as the serving tile does, so
+/// a broadcast feeds two FMAs; a lone panel (narrow products, such as a
+/// conv layer's taps) takes kMrSumAvx512 rows. Each chain runs from zero
+/// and is added into `out` at store (masked past `width`), as out + chain.
+template <size_t kPanels, size_t... r>
+void AddTile(std::index_sequence<r...>, const float* a, size_t a_rs,
+             size_t a_cs, const float* panel, size_t k, float* out,
+             size_t out_ld, size_t width) {
+  constexpr size_t kRows = sizeof...(r);
+  __m512 lo[kRows] = {(static_cast<void>(r), _mm512_setzero_ps())...};
+  __m512 hi[kRows] = {(static_cast<void>(r), _mm512_setzero_ps())...};
+  const float* panel1 = panel + k * kNrSum;
+  for (size_t kk = 0; kk < k; ++kk) {
+    const __m512 b0 = _mm512_load_ps(panel + kk * kNrSum);
+    const float* a_k = a + kk * a_cs;
+    if constexpr (kPanels == 2) {
+      const __m512 b1 = _mm512_load_ps(panel1 + kk * kNrSum);
+      ((lo[r] = _mm512_fmadd_ps(_mm512_set1_ps(a_k[r * a_rs]), b0, lo[r]),
+        hi[r] = _mm512_fmadd_ps(_mm512_set1_ps(a_k[r * a_rs]), b1, hi[r])),
+       ...);
+    } else {
+      ((lo[r] = _mm512_fmadd_ps(_mm512_set1_ps(a_k[r * a_rs]), b0, lo[r])),
+       ...);
+    }
+  }
+  const __mmask16 m0 = LaneMask(width);
+  ((_mm512_mask_storeu_ps(
+       out + r * out_ld, m0,
+       _mm512_add_ps(_mm512_maskz_loadu_ps(m0, out + r * out_ld), lo[r]))),
+   ...);
+  if constexpr (kPanels == 2) {
+    const __mmask16 m1 = LaneMask(width - kNrSum);
+    ((_mm512_mask_storeu_ps(
+         out + r * out_ld + kNrSum, m1,
+         _mm512_add_ps(_mm512_maskz_loadu_ps(m1, out + r * out_ld + kNrSum),
+                       hi[r]))),
+     ...);
+  }
+}
+
+/// Rows [r0, r1) of the accumulating tile: full tiles of kRows rows, then
+/// one tile of the rows left, one instantiation per count.
+template <size_t kPanels, size_t kRows>
+void AddTileRows(const float* a, size_t a_rs, size_t a_cs, const float* panel,
+                 size_t k, float* out, size_t out_ld, size_t r0, size_t r1,
+                 size_t width) {
+  size_t i = r0;
+  for (; i + kRows <= r1; i += kRows) {
+    AddTile<kPanels>(std::make_index_sequence<kRows>(), a + i * a_rs, a_rs,
+                     a_cs, panel, k, out + i * out_ld, out_ld, width);
+  }
+  if constexpr (kRows > 1) {
+    AddTileRows<kPanels, kRows - 1>(a, a_rs, a_cs, panel, k, out, out_ld, i,
+                                    r1, width);
+  }
+}
+
+}  // namespace
+
+void GemmPanelAddAvx512(const float* a, size_t a_rs, size_t a_cs,
+                        const float* panel, size_t k, size_t nr, float* out,
+                        size_t out_ld, size_t r0, size_t r1, size_t width) {
+  (void)nr;  // the accumulating panel width is kNrSum by construction
+  if (width > kNrSum) {
+    AddTileRows<2, kMrAvx512>(a, a_rs, a_cs, panel, k, out, out_ld, r0, r1,
+                              width);
+  } else {
+    AddTileRows<1, kMrSumAvx512>(a, a_rs, a_cs, panel, k, out, out_ld, r0, r1,
+                                 width);
   }
 }
 
@@ -257,6 +334,12 @@ void GemmPanelAvx512(const float* a, size_t a_rs, size_t a_cs,
                      const float* panel, size_t k, size_t nr, float* out,
                      size_t out_ld, size_t r0, size_t r1, size_t width) {
   GemmPanelScalar(a, a_rs, a_cs, panel, k, nr, out, out_ld, r0, r1, width);
+}
+
+void GemmPanelAddAvx512(const float* a, size_t a_rs, size_t a_cs,
+                        const float* panel, size_t k, size_t nr, float* out,
+                        size_t out_ld, size_t r0, size_t r1, size_t width) {
+  GemmPanelAddScalar(a, a_rs, a_cs, panel, k, nr, out, out_ld, r0, r1, width);
 }
 
 void Int8PanelVnni(const uint8_t* qa, size_t qa_ld, const float* row_scale,

@@ -51,7 +51,8 @@ bool UsePanels(size_t m) { return kPanelsMatchTiles && m >= kPanelMinRows; }
 /// accumulates its k products in ascending-k order inside one scalar chain
 /// — exactly the reference kernels' order, so results are bitwise identical
 /// to them for finite inputs regardless of tile shape or row partition.
-template <size_t R, size_t C, typename LhsAt>
+/// kAdd (AddProduct) adds each chain into the output, as out + chain.
+template <size_t R, size_t C, bool kAdd, typename LhsAt>
 void GemmTile(LhsAt lhs_at, const float* pb, float* po, size_t i, size_t j,
               size_t k, size_t n) {
   float acc[R][C] = {};
@@ -64,19 +65,21 @@ void GemmTile(LhsAt lhs_at, const float* pb, float* po, size_t i, size_t j,
   }
   for (size_t r = 0; r < R; ++r) {
     float* out_row = po + (i + r) * n + j;
-    for (size_t c = 0; c < C; ++c) out_row[c] = acc[r][c];
+    for (size_t c = 0; c < C; ++c) {
+      out_row[c] = kAdd ? out_row[c] + acc[r][c] : acc[r][c];
+    }
   }
 }
 
 /// Writes rows [i, i + R) with R x C tiles, then R x 8 tiles over the
 /// column tail, then R x 1 tiles over the last few columns.
-template <size_t R, size_t C, typename LhsAt>
+template <size_t R, size_t C, bool kAdd, typename LhsAt>
 void GemmRowStrip(LhsAt lhs_at, const float* pb, float* po, size_t i,
                   size_t k, size_t n) {
   size_t j = 0;
-  for (; j + C <= n; j += C) GemmTile<R, C>(lhs_at, pb, po, i, j, k, n);
-  for (; j + 8 <= n; j += 8) GemmTile<R, 8>(lhs_at, pb, po, i, j, k, n);
-  for (; j < n; ++j) GemmTile<R, 1>(lhs_at, pb, po, i, j, k, n);
+  for (; j + C <= n; j += C) GemmTile<R, C, kAdd>(lhs_at, pb, po, i, j, k, n);
+  for (; j + 8 <= n; j += 8) GemmTile<R, 8, kAdd>(lhs_at, pb, po, i, j, k, n);
+  for (; j < n; ++j) GemmTile<R, 1, kAdd>(lhs_at, pb, po, i, j, k, n);
 }
 
 /// Writes out rows [r0, r1) of a * b. Full 4-row groups run 4 x 16 tiles;
@@ -84,31 +87,34 @@ void GemmRowStrip(LhsAt lhs_at, const float* pb, float* po, size_t i,
 /// every tile holds 48-64 accumulators. Remainders are common: one-key
 /// serving runs m = 1. (The pool's chunks are whole 4-row groups, so only
 /// a product's last rows run one.)
-template <typename LhsAt>
+template <bool kAdd, typename LhsAt>
 void GemmRowRangeImpl(LhsAt lhs_at, const float* pb, float* po, size_t r0,
                       size_t r1, size_t k, size_t n) {
   size_t i = r0;
-  for (; i + 4 <= r1; i += 4) GemmRowStrip<4, 16>(lhs_at, pb, po, i, k, n);
+  for (; i + 4 <= r1; i += 4) {
+    GemmRowStrip<4, 16, kAdd>(lhs_at, pb, po, i, k, n);
+  }
   switch (r1 - i) {
     case 3:
-      GemmRowStrip<3, 16>(lhs_at, pb, po, i, k, n);
+      GemmRowStrip<3, 16, kAdd>(lhs_at, pb, po, i, k, n);
       break;
     case 2:
-      GemmRowStrip<2, 32>(lhs_at, pb, po, i, k, n);
+      GemmRowStrip<2, 32, kAdd>(lhs_at, pb, po, i, k, n);
       break;
     case 1:
-      GemmRowStrip<1, 64>(lhs_at, pb, po, i, k, n);
+      GemmRowStrip<1, 64, kAdd>(lhs_at, pb, po, i, k, n);
       break;
   }
 }
 
-/// Writes the [m, n] product of the logical left operand and the row-major
-/// right operand `pb` through the tiles, chunked in whole 4-row groups.
-template <typename LhsAt>
+/// Writes (or with kAdd, adds) the [m, n] product of the logical left
+/// operand and the row-major right operand `pb` through the tiles, chunked
+/// in whole 4-row groups.
+template <bool kAdd = false, typename LhsAt>
 void RunTiles(LhsAt lhs_at, const float* pb, float* po, size_t m, size_t k,
               size_t n) {
   simd::ParallelGemmRows(m, k * n, 4, [&](size_t r0, size_t r1) {
-    GemmRowRangeImpl(lhs_at, pb, po, r0, r1, k, n);
+    GemmRowRangeImpl<kAdd>(lhs_at, pb, po, r0, r1, k, n);
   });
 }
 
@@ -131,25 +137,6 @@ void TransposeRhs(const float* pb, size_t ldb, size_t k, size_t n,
                                }
                              }
                            });
-}
-
-/// Writes the row-major [m, n] product a b^T, where a is [m, k] and b is
-/// [n, k], read with row strides lda and ldb. The tiles materialize b^T
-/// into `bt` once and stream it: the reference kernel's scalar dot product
-/// is a single latency-bound dependency chain, and streaming over b^T rows
-/// vectorizes while adding the very same products in the very same
-/// k-ascending order. The panels are packed straight from b's rows
-/// (B(kk, j) = b[j*ldb + kk]) and leave `bt` alone.
-void MatmulTransposeBStrided(const float* pa, size_t lda, const float* pb,
-                             size_t ldb, size_t m, size_t k, size_t n,
-                             float* po, Tensor* bt) {
-  if (UsePanels(m)) {
-    simd::GemmStrided(pa, lda, 1, pb, 1, ldb, po, m, k, n);
-    return;
-  }
-  bt->ResetShape({k, n});
-  TransposeRhs(pb, ldb, k, n, bt->data());
-  MatmulTiles(pa, lda, bt->data(), po, m, k, n);
 }
 
 /// Packs the strided [k, n] B into `storage` at the current kernel's
@@ -358,58 +345,95 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
 Tensor MatmulTransposeA(const Tensor& a, const Tensor& b) {
   APOTS_CHECK_EQ(a.rank(), 2u);
   APOTS_CHECK_EQ(b.rank(), 2u);
+  Tensor out({a.cols(), b.cols()});
+  MatmulTransposeAInto(a, b, &out);
+  return out;
+}
+
+void MatmulTransposeAInto(const Tensor& a, const Tensor& b, Tensor* out) {
+  APOTS_CHECK_EQ(a.rank(), 2u);
+  APOTS_CHECK_EQ(b.rank(), 2u);
   APOTS_CHECK_EQ(a.rows(), b.rows());
   const size_t k = a.rows(), m = a.cols(), n = b.cols();
-  Tensor out({m, n});
+  APOTS_CHECK_EQ(out->rank(), 2u);
+  APOTS_CHECK_EQ(out->rows(), m);
+  APOTS_CHECK_EQ(out->cols(), n);
   const float* pa = a.data();
   const float* pb = b.data();
-  float* po = out.data();
+  float* po = out->data();
   if (UsePanels(m)) {
     // The strided left operand (rs=1, cs=m) expresses a^T without
     // materializing it; broadcast loads don't care about the stride.
     simd::GemmStrided(pa, 1, m, pb, n, 1, po, m, k, n);
-    return out;
+    return;
   }
   // Parallel over output rows (columns of a): each worker owns a disjoint
   // row panel of `out` and walks all of k, so the k-ascending accumulation
   // order per element matches the reference kernel exactly.
   RunTiles([pa, m](size_t i, size_t kk) { return pa[kk * m + i]; }, pb, po, m,
            k, n);
-  return out;
 }
 
 Tensor MatmulTransposeB(const Tensor& a, const Tensor& b) {
   APOTS_CHECK_EQ(a.rank(), 2u);
   APOTS_CHECK_EQ(b.rank(), 2u);
   APOTS_CHECK_EQ(a.cols(), b.cols());
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  Tensor out({m, n});
+  Tensor out({a.rows(), b.rows()});
   Tensor bt;
-  MatmulTransposeBStrided(a.data(), k, b.data(), k, m, k, n, out.data(), &bt);
+  MatmulInto(a, PrepareRhsTransposed(b, a.rows(), &bt), &out);
   return out;
 }
 
-void AddSampleProductsTransposeB(const Tensor& a, const Tensor& b,
-                                 size_t samples, Tensor* out) {
-  APOTS_CHECK_EQ(a.rank(), 2u);
-  APOTS_CHECK_EQ(b.rank(), 2u);
-  APOTS_CHECK_EQ(a.cols(), b.cols());
-  APOTS_CHECK_GT(samples, 0u);
-  APOTS_CHECK_EQ(a.cols() % samples, 0u);
-  const size_t m = a.rows(), n = b.rows(), stride = a.cols();
-  const size_t k = stride / samples;
-  APOTS_CHECK_EQ(out->rank(), 2u);
-  APOTS_CHECK_EQ(out->rows(), m);
-  APOTS_CHECK_EQ(out->cols(), n);
-  Tensor product({m, n});
-  Tensor bt;
-  float* po = out->data();
-  const float* pp = product.data();
-  for (size_t s = 0; s < samples; ++s) {
-    MatmulTransposeBStrided(a.data() + s * k, stride, b.data() + s * k,
-                            stride, m, k, n, product.data(), &bt);
-    for (size_t i = 0; i < m * n; ++i) po[i] += pp[i];
+StridedMatrix StridedMatrix::Of(const Tensor& t) {
+  APOTS_CHECK_EQ(t.rank(), 2u);
+  return {t.data(), t.rows(), t.cols(), t.cols(), 1};
+}
+
+StridedMatrix StridedMatrix::TransposeOf(const Tensor& t) {
+  APOTS_CHECK_EQ(t.rank(), 2u);
+  return {t.data(), t.cols(), t.rows(), 1, t.cols()};
+}
+
+StridedMatrix StridedMatrix::Ones(size_t n) {
+  static const float kOne = 1.0f;
+  return {&kOne, 1, n, 0, 0};
+}
+
+PreparedRhs PrepareSumRhs(const StridedMatrix& b, Tensor* storage) {
+  const size_t k = b.rows, n = b.cols;
+  if (kPanelsMatchTiles) {
+    storage->ResetShape({simd::PanelFloats(k, n, simd::kNrSum)});
+    simd::PackPanels(b.data, b.rs, b.cs, k, n, simd::kNrSum, storage->data());
+    return {storage->data(), k, n, simd::kNrSum};
   }
+  if (b.cs == 1 && b.rs == n) return {b.data, k, n, 0};
+  storage->ResetShape({k, n});
+  float* dst = storage->data();
+  for (size_t kk = 0; kk < k; ++kk) {
+    for (size_t j = 0; j < n; ++j) {
+      dst[kk * n + j] = b.data[kk * b.rs + j * b.cs];
+    }
+  }
+  return {dst, k, n, 0};
+}
+
+void AddProduct(const StridedMatrix& a, const PreparedRhs& b, Tensor* out) {
+  APOTS_CHECK_EQ(a.cols, b.k);
+  APOTS_CHECK(out->rank() == 2 ? out->rows() == a.rows && out->cols() == b.n
+                               : out->rank() == 1 && a.rows == 1 &&
+                                     out->size() == b.n)
+      << "AddProduct: out is " << out->ShapeString();
+  if (b.nr != 0) {
+    APOTS_CHECK_EQ(b.nr, simd::kNrSum);
+    simd::AddPanels(a.data, a.rs, a.cs, b.data, a.rows, b.k, b.n,
+                    out->data());
+    return;
+  }
+  const float* pa = a.data;
+  const size_t rs = a.rs, cs = a.cs;
+  RunTiles<true>(
+      [pa, rs, cs](size_t i, size_t kk) { return pa[i * rs + kk * cs]; },
+      b.data, out->data(), a.rows, b.k, b.n);
 }
 
 void MatmulInto(const Tensor& a, const Tensor& b, Tensor* out) {
@@ -533,19 +557,22 @@ void LstmCell(const Tensor& gates_x, const Tensor& gates_h, const Tensor& bias,
        tanh_c == nullptr ? nullptr : tanh_c->data(), h->data()});
 }
 
-Tensor SumRows(const Tensor& matrix) {
-  APOTS_CHECK_EQ(matrix.rank(), 2u);
-  const size_t m = matrix.rows(), n = matrix.cols();
-  Tensor out({n});
-  const float* pm = matrix.data();
-  float* po = out.data();
-  // Serial: the row-ascending accumulation order is part of the
-  // determinism contract (bias gradients must not depend on pool size).
-  for (size_t i = 0; i < m; ++i) {
-    const float* row = pm + i * n;
-    for (size_t j = 0; j < n; ++j) po[j] += row[j];
-  }
-  return out;
+void LstmCellBackward(const Tensor& act, const Tensor& tanh_c,
+                      const Tensor& c_prev, const Tensor& dh_next,
+                      const float* grad_h, size_t grad_h_ld, Tensor* dc,
+                      Tensor* dgates) {
+  APOTS_CHECK_EQ(c_prev.rank(), 2u);
+  const size_t rows = c_prev.rows(), hidden = c_prev.cols();
+  APOTS_CHECK_EQ(act.rank(), 2u);
+  APOTS_CHECK_EQ(act.rows(), rows);
+  APOTS_CHECK_EQ(act.cols(), 4 * hidden);
+  CheckSameShape(tanh_c, c_prev, "LstmCellBackward");
+  CheckSameShape(dh_next, c_prev, "LstmCellBackward");
+  CheckSameShape(*dc, c_prev, "LstmCellBackward");
+  CheckSameShape(*dgates, act, "LstmCellBackward");
+  simd::PickLstmCellGradKernel()({act.data(), tanh_c.data(), c_prev.data(),
+                                  dh_next.data(), grad_h, grad_h_ld, rows,
+                                  hidden, dc->data(), dgates->data()});
 }
 
 void FillUniform(Tensor* t, apots::Rng* rng, float lo, float hi) {
@@ -623,16 +650,26 @@ Tensor Im2Col(const Tensor& input, size_t height, size_t width,
 Tensor Col2Im(const Tensor& columns, size_t channels, size_t height,
               size_t width, size_t kernel) {
   APOTS_CHECK_EQ(columns.rank(), 2u);
+  Tensor image({channels, columns.cols()});
+  Col2ImInto(columns, height, width, kernel, &image);
+  return image;
+}
+
+void Col2ImInto(const Tensor& columns, size_t height, size_t width,
+                size_t kernel, Tensor* out) {
+  APOTS_CHECK_EQ(columns.rank(), 2u);
   APOTS_CHECK_EQ(kernel % 2, 1u);
   const size_t taps = kernel * kernel;
   const size_t plane = height * width;
   APOTS_CHECK_GT(plane, 0u);
+  APOTS_CHECK_EQ(out->rank(), 2u);
+  const size_t channels = out->rows();
   APOTS_CHECK_EQ(columns.rows(), channels * taps);
+  APOTS_CHECK_EQ(out->cols(), columns.cols());
   APOTS_CHECK_EQ(columns.cols() % plane, 0u);
   const size_t batch = columns.cols() / plane;
-  Tensor image({channels, columns.cols()});
   const float* pc = columns.data();
-  float* pi = image.data();
+  float* pi = out->data();
   const long w = static_cast<long>(width);
   // Parallel over (channel, sample) planes: each plane gathers only its own
   // taps, in ascending (ki, kj) order, so planes are independent and each
@@ -643,6 +680,7 @@ Tensor Col2Im(const Tensor& columns, size_t channels, size_t height,
         for (size_t u = u0; u < u1; ++u) {
           const size_t c = u / batch;
           float* dst = pi + u * plane;
+          std::fill(dst, dst + plane, 0.0f);
           for (size_t t = 0; t < taps; ++t) {
             const SameTap tap =
                 SameConvTap(t / kernel, t % kernel, kernel, height, width);
@@ -656,7 +694,6 @@ Tensor Col2Im(const Tensor& columns, size_t channels, size_t height,
           }
         }
       });
-  return image;
 }
 
 }  // namespace apots::tensor

@@ -44,6 +44,9 @@ Tensor MatmulTransposeA(const Tensor& a, const Tensor& b);
 /// product; the accumulation order per output element is unchanged.
 Tensor MatmulTransposeB(const Tensor& a, const Tensor& b);
 
+/// MatmulTransposeA into a preshaped [a.cols(), b.cols()] `out`.
+void MatmulTransposeAInto(const Tensor& a, const Tensor& b, Tensor* out);
+
 /// Serial triple-loop kernels: the ground truth the tests hold the
 /// dispatched kernels to, bitwise.
 namespace reference {
@@ -95,15 +98,39 @@ void Im2ColInto(const Tensor& input, size_t height, size_t width,
                 size_t kernel, Tensor* out);
 void Transpose12Into(const Tensor& a, Tensor* out);
 
-/// For s = 0, 1, ..., samples - 1 in turn, adds a_s b_s^T into `out`
-/// ([m, n]), where a_s ([m, p]) and b_s ([n, p]) are the s-th blocks of p
-/// columns of a ([m, samples*p]) and b ([n, samples*p]). Each a_s b_s^T is
-/// MatmulTransposeB's product of the two blocks (same kernel, same
-/// k-ascending chains), so this is bitwise the per-sample loop of
-/// AddInPlace(out, MatmulTransposeB(a_s, b_s)), without copying the blocks
-/// out. A conv layer's weight gradient over a channel-major batch.
-void AddSampleProductsTransposeB(const Tensor& a, const Tensor& b,
-                                 size_t samples, Tensor* out);
+/// A rank-2 operand read in place: element (i, j) of the rows x cols
+/// matrix is data[i*rs + j*cs]. Blocks of a tensor's columns, transposes
+/// and a row of ones need no copy.
+struct StridedMatrix {
+  const float* data;
+  size_t rows, cols, rs, cs;
+
+  /// A row-major tensor.
+  static StridedMatrix Of(const Tensor& t);
+  /// The transpose of a row-major tensor.
+  static StridedMatrix TransposeOf(const Tensor& t);
+  /// A 1 x n row of ones: a product with it sums B's rows in order.
+  static StridedMatrix Ones(size_t n);
+};
+
+/// Prepares b ([k, n]) as the right operand of AddProduct, into `storage`
+/// when it must be copied. Where the build fuses (FMA), it is packed into
+/// panels of simd::kNrSum columns, which the accumulating kernel runs at
+/// every row count; otherwise it is held row-major for the tiles (copied
+/// only when b is not already).
+PreparedRhs PrepareSumRhs(const StridedMatrix& b, Tensor* storage);
+
+/// out += a b, the one kernel of every weight and bias gradient: each
+/// output element's k-ascending multiply-add chain from zero (the chain
+/// MatmulInto computes) is added into out, as out + chain. A sum of
+/// per-block products, such as a layer's gradient over time steps or
+/// samples, is one call per block in the order they are to be added. The
+/// bits are AddInPlace(out, Matmul(a, b)) at any row count: FMA builds
+/// run the accumulating panels, others the tiles, neither fused unless
+/// the other kernels are. Parallel over out's rows only, so every pool
+/// size returns the same bits. `out` is [a.rows, b.n], or [b.n] (a bias)
+/// for a one-row a, and a.cols is b.k.
+void AddProduct(const StridedMatrix& a, const PreparedRhs& b, Tensor* out);
 
 /// Transpose of a rank-2 tensor.
 Tensor Transpose(const Tensor& a);
@@ -129,8 +156,19 @@ void LstmCell(const Tensor& gates_x, const Tensor& gates_h, const Tensor& bias,
               const Tensor& c_prev, Tensor* c, Tensor* h, Tensor* act = nullptr,
               Tensor* tanh_c = nullptr);
 
-/// Column-wise sum of an [m,n] matrix -> length-n vector (bias gradient).
-Tensor SumRows(const Tensor& matrix);
+/// One LSTM cell step backward, the body of nn::Lstm's BPTT loop. act
+/// ([rows, 4H], i|f|g|o), tanh_c and c_prev ([rows, H]) are the step's
+/// record. The step's dh is dh_next + the step's output gradient, whose
+/// rows start at grad_h and lie grad_h_ld floats apart; with a null grad_h
+/// it is dh_next. `dc` holds the cell gradient from step t + 1 and is
+/// overwritten with the one for step t - 1; `dgates` ([rows, 4H]) gets the
+/// pre-activation gate gradients. The arithmetic is unfused and in one
+/// fixed order (simd::LstmCellGradArgs), so every rung of the DetectedIsa()
+/// ladder returns the same bits. Runs on the calling thread.
+void LstmCellBackward(const Tensor& act, const Tensor& tanh_c,
+                      const Tensor& c_prev, const Tensor& dh_next,
+                      const float* grad_h, size_t grad_h_ld, Tensor* dc,
+                      Tensor* dgates);
 
 /// Fills with uniform / normal random values.
 void FillUniform(Tensor* t, apots::Rng* rng, float lo, float hi);
@@ -152,9 +190,12 @@ Tensor Im2Col(const Tensor& input, size_t height, size_t width,
 /// Inverse scatter-add of Im2Col (its gradient): accumulates the column
 /// matrix [channels*kernel*kernel, batch*height*width] back into a
 /// channel-major [channels, batch*height*width] tensor. Each element sums
-/// its taps in ascending (ki, kj) order, starting from zero.
+/// its taps in ascending (ki, kj) order, starting from zero. Col2ImInto
+/// writes a preshaped, possibly dirty `out`.
 Tensor Col2Im(const Tensor& columns, size_t channels, size_t height,
               size_t width, size_t kernel);
+void Col2ImInto(const Tensor& columns, size_t height, size_t width,
+                size_t kernel, Tensor* out);
 
 }  // namespace apots::tensor
 

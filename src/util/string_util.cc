@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cctype>
+#include <cerrno>
 
 namespace apots {
 
@@ -81,8 +82,10 @@ bool ParseInt64(std::string_view text, int64_t* out) {
   const std::string s = Trim(text);
   if (s.empty()) return false;
   char* end = nullptr;
+  // strtoll saturates an out-of-range value and says so only in errno.
+  errno = 0;
   const long long value = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
+  if (end != s.c_str() + s.size() || errno == ERANGE) return false;
   *out = static_cast<int64_t>(value);
   return true;
 }

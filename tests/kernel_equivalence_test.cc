@@ -660,5 +660,92 @@ TEST_F(LstmCellKernelTest, RecordedForwardMatchesInferenceForward) {
   }
 }
 
+// AddProduct, the one kernel of every weight and bias gradient, returns
+// AddInPlace(out, reference product)'s bits at every rung and row count:
+// the accumulating panels in FMA builds, the tiles elsewhere. The left
+// operand is read three ways (row-major, transposed, a row of ones) and
+// the right one packed from a row-major or a transposed matrix; the rows
+// cross every tail of the 8- and 16-row accumulating tiles and the
+// columns both one and two 16-column panels.
+TEST_F(KernelEquivalenceEdgeTest, AddProductAddsTheReferenceProduct) {
+  for (SimdIsa rung : kRungs) {
+    internal::OverrideIsaForTesting(rung);
+    for (size_t m : {1u, 4u, 9u, 15u, 16u, 17u, 64u, 104u}) {
+      for (size_t k : {1u, 7u, 156u}) {
+        for (size_t n : {1u, 9u, 16u, 17u, 36u, 40u, 256u}) {
+          const uint64_t seed = m * 1000 + k * 10 + n;
+          const Tensor a = Random({m, k}, seed);
+          const Tensor at = Random({k, m}, seed + 1);
+          const Tensor b = Random({k, n}, seed + 2);
+          const Tensor bt = Random({n, k}, seed + 3);
+          const Tensor start = Random({m, n}, seed + 4);
+          Tensor storage;
+          const auto add = [&](const Tensor& product) {
+            Tensor want = start;
+            for (size_t i = 0; i < want.size(); ++i) want[i] += product[i];
+            return want;
+          };
+          Tensor out = start;
+          AddProduct(StridedMatrix::Of(a),
+                     PrepareSumRhs(StridedMatrix::Of(b), &storage), &out);
+          ExpectBitwise(add(reference::Matmul(a, b)), out, "a b");
+          out = start;
+          AddProduct(StridedMatrix::TransposeOf(at),
+                     PrepareSumRhs(StridedMatrix::TransposeOf(bt), &storage),
+                     &out);
+          ExpectBitwise(add(reference::Matmul(Transpose(at), Transpose(bt))),
+                        out, "a^T b^T");
+          Tensor sums = Random({1, n}, seed + 5);
+          Tensor want = sums;
+          for (size_t kk = 0; kk < k; ++kk) {
+            Tensor row({1, n});
+            for (size_t j = 0; j < n; ++j) row[j] = b.At(kk, j);
+            if (kk == 0) {
+              want = row;
+            } else {
+              for (size_t j = 0; j < n; ++j) want[j] += row[j];
+            }
+          }
+          for (size_t j = 0; j < n; ++j) want[j] = sums[j] + want[j];
+          AddProduct(StridedMatrix::Ones(k),
+                     PrepareSumRhs(StridedMatrix::Of(b), &storage), &sums);
+          ExpectBitwise(want, sums, "column sums");
+        }
+      }
+    }
+  }
+}
+
+// The gate-gradient pass: every rung returns the scalar rung's bits, at
+// hidden sizes with and without a vector tail, with and without the
+// step's output gradient, and with dc updated in place.
+TEST_F(LstmCellKernelTest, GateGradientRungsMatchTheScalarLoop) {
+  for (size_t hidden : {3u, 13u, 64u}) {
+    for (bool with_output : {false, true}) {
+      const size_t rows = 5;
+      Tensor act = Random({rows, 4 * hidden}, 40 + hidden);
+      for (size_t i = 0; i < act.size(); ++i) act[i] = 0.5f * act[i] + 0.5f;
+      const Tensor tanh_c = Random({rows, hidden}, 41 + hidden);
+      const Tensor c_prev = Random({rows, hidden}, 42 + hidden);
+      const Tensor dh_next = Random({rows, hidden}, 43 + hidden);
+      const Tensor grad_h = Random({rows, 3 * hidden}, 44 + hidden);
+      const Tensor dc_in = Random({rows, hidden}, 45 + hidden);
+      std::vector<Tensor> dc, dgates;
+      for (SimdIsa rung : kRungs) {
+        internal::OverrideIsaForTesting(rung);
+        dc.push_back(dc_in);
+        dgates.push_back(Tensor({rows, 4 * hidden}));
+        LstmCellBackward(act, tanh_c, c_prev, dh_next,
+                         with_output ? grad_h.data() + hidden : nullptr,
+                         3 * hidden, &dc.back(), &dgates.back());
+      }
+      for (size_t r = 1; r < dc.size(); ++r) {
+        ExpectSameBits(dc[0], dc[r], "dc");
+        ExpectSameBits(dgates[0], dgates[r], "dgates");
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace apots::tensor

@@ -1,10 +1,12 @@
-// Seeded mutation tests for the text parsers that take outside input: the
-// what-if context grammar, the fault and chaos kind lists, and the dataset
-// CSV reader. A fixed-seed Rng flips, inserts, deletes and splices bytes
-// of a seed corpus. Nothing may abort, and whatever a parser accepts must
-// hold the invariants of the type it builds.
+// Seeded mutation tests for the parsers that take outside input: the
+// what-if context grammar, the fault and chaos kind lists, the dataset CSV
+// reader and the APOT2 checkpoint loader. A fixed-seed Rng flips, inserts,
+// deletes and splices bytes of a seed corpus. Nothing may abort, and
+// whatever a parser accepts must hold the invariants of the type it
+// builds.
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -14,9 +16,12 @@
 #include <gtest/gtest.h>
 
 #include "chaos/chaos.h"
+#include "core/predictor.h"
 #include "data/context.h"
+#include "nn/serialize.h"
 #include "traffic/dataset_generator.h"
 #include "traffic/fault_injector.h"
+#include "util/crc32.h"
 #include "util/csv.h"
 #include "util/rng.h"
 
@@ -149,6 +154,85 @@ TEST(ParserMutationTest, DatasetCsvAcceptsOnlyWellShapedFiniteData) {
     }
   }
   EXPECT_GT(accepted, 10);
+  std::filesystem::remove(path);
+}
+
+// The checkpoint loader past its checksum: every mutant of a saved H
+// checkpoint gets a fresh CRC32 footer, so truncations and byte edits reach
+// the parameter count, name length, rank, dims and aux length checks. A
+// failed load must leave every parameter as it was; an accepted one must
+// fill every parameter at the model's shapes.
+TEST(ParserMutationTest, CheckpointLoaderWithValidChecksums) {
+  apots::Rng init(30);
+  auto model = core::MakePredictor(
+      core::PredictorHparams::Scaled(core::PredictorType::kHybrid, 64), 13,
+      12, &init);
+  const std::vector<nn::Parameter*> params = model->Parameters();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "apots_mutation.apot")
+          .string();
+  ASSERT_TRUE(nn::SaveParameters(params, path, "watermark=77").ok());
+  std::string body;
+  {
+    std::ifstream in(path, std::ios::binary);
+    body.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(body.size(), 4u);
+  body.resize(body.size() - 4);  // the footer is recomputed per mutant
+  std::vector<tensor::Tensor> before;
+  for (const nn::Parameter* p : params) before.push_back(p->value);
+
+  const auto load = [&](const std::string& mutant) {
+    const uint32_t crc = Crc32(mutant.data(), mutant.size());
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << mutant
+        << std::string(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    std::string aux;
+    const bool ok = nn::LoadParameters(params, path, &aux).ok();
+    for (size_t i = 0; i < params.size(); ++i) {
+      const tensor::Tensor& value = params[i]->value;
+      EXPECT_EQ(value.shape(), before[i].shape()) << params[i]->name;
+      if (ok) continue;
+      EXPECT_EQ(std::memcmp(value.data(), before[i].data(),
+                            value.size() * sizeof(float)),
+                0)
+          << "a failed load wrote " << params[i]->name;
+    }
+    // Later mutants start from the saved weights again.
+    for (size_t i = 0; i < params.size(); ++i) params[i]->value = before[i];
+    return ok;
+  };
+
+  int accepted = 0;
+  for (size_t length = 0; length < body.size(); ++length) {
+    accepted += load(body.substr(0, length));
+  }
+  EXPECT_EQ(accepted, 0) << "a truncated checkpoint loaded";
+  EXPECT_TRUE(load(body));
+  Rng rng(31);
+  for (int i = 0; i < 2000; ++i) {
+    std::string mutant = body;
+    const int edits = 1 + static_cast<int>(rng.UniformInt(3));
+    for (int e = 0; e < edits; ++e) {
+      const size_t at = rng.UniformInt(mutant.size());
+      switch (rng.UniformInt(3)) {
+        case 0:
+          mutant[at] ^= static_cast<char>(1 << rng.UniformInt(8));
+          break;
+        case 1:
+          mutant.insert(at, 1 + rng.UniformInt(8),
+                        static_cast<char>(rng.UniformInt(256)));
+          break;
+        default: {
+          const size_t from = rng.UniformInt(body.size());
+          mutant = mutant.substr(0, at) + body.substr(from);
+        }
+      }
+    }
+    accepted += load(mutant);
+  }
+  // Flips inside the float payloads or the aux bytes still parse.
+  EXPECT_GT(accepted, 100);
   std::filesystem::remove(path);
 }
 

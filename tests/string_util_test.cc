@@ -1,3 +1,5 @@
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "util/string_util.h"
@@ -63,6 +65,17 @@ TEST(ParseInt64Test, AcceptsValidRejectsJunk) {
   EXPECT_EQ(value, -17);
   EXPECT_FALSE(ParseInt64("4.2", &value));
   EXPECT_FALSE(ParseInt64("x", &value));
+}
+
+// Out of range is an error, not the nearest int64; both ends fit exactly.
+TEST(ParseInt64Test, RejectsOutOfRangeAcceptsTheLimits) {
+  int64_t value = 0;
+  EXPECT_FALSE(ParseInt64("99999999999999999999", &value));
+  EXPECT_FALSE(ParseInt64("-99999999999999999999", &value));
+  EXPECT_TRUE(ParseInt64("9223372036854775807", &value));
+  EXPECT_EQ(value, INT64_MAX);
+  EXPECT_TRUE(ParseInt64("-9223372036854775808", &value));
+  EXPECT_EQ(value, INT64_MIN);
 }
 
 }  // namespace

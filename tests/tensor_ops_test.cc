@@ -112,11 +112,16 @@ TEST(Transpose12Test, SwapsLastTwoAxes) {
   ExpectNear(Transpose12(t), a);
 }
 
-TEST(RowOpsTest, AddRowBiasAndSumRows) {
+// A bias gradient is a product with a row of ones, added into the bias.
+TEST(RowOpsTest, AddRowBiasAndColumnSums) {
   Tensor m = Tensor::FromMatrix(2, 3, {1, 2, 3, 4, 5, 6});
   AddRowBias(&m, Tensor::FromVector({10, 20, 30}));
   ExpectNear(m, Tensor::FromMatrix(2, 3, {11, 22, 33, 14, 25, 36}));
-  ExpectNear(SumRows(m), Tensor::FromVector({25, 47, 69}));
+  Tensor sums = Tensor::FromMatrix(1, 3, {1, 1, 1});
+  Tensor storage;
+  AddProduct(StridedMatrix::Ones(2),
+             PrepareSumRhs(StridedMatrix::Of(m), &storage), &sums);
+  ExpectNear(sums, Tensor::FromMatrix(1, 3, {26, 48, 70}));
 }
 
 TEST(FillTest, UniformWithinBoundsNormalCentered) {
